@@ -135,6 +135,39 @@ def admissibility_bound(
     return min(t - gamma(t), s - gamma(s))
 
 
+def _in_universe_order(
+    F: SetValuedMap, x: Point, order: Mapping[Point, int]
+) -> list[Point]:
+    """F(x) sorted by universe position; an image point outside the
+    universe is a ValueError naming it and x."""
+    image = F(x)
+    for y in image:
+        if y not in order:
+            raise ValueError(f"image of {x!r} contains {y!r}, which is not in the universe")
+    return sorted(image, key=order.__getitem__)
+
+
+def _memo_defect(
+    space: QSpace,
+    F: SetValuedMap,
+    mode: ContractionMode,
+    order: Mapping[Point, int] | None,
+) -> Callable[[Point], Value]:
+    """``mode_defect`` memoized per point.  With a universe ``order``, an
+    image point outside it is a ValueError, raised before any distance to
+    it is asked for."""
+    cache: dict[Point, Value] = {}
+
+    def defect(x: Point) -> Value:
+        if x not in cache:
+            if order is not None:
+                _in_universe_order(F, x, order)
+            cache[x] = mode_defect(space, x, F, mode)
+        return cache[x]
+
+    return defect
+
+
 @dataclass(frozen=True)
 class ContractionCertificate:
     """A full witness map: for every checked x, a y in Fx satisfying the
@@ -166,21 +199,17 @@ def verify_weak_contraction(
     a violation is a reported value, not an error.  Deterministic: the
     universe is scanned in order and within one x the candidates are
     scanned in universe order, so the result does not depend on set
-    iteration order or scheduling.
+    iteration order or scheduling.  An image point outside the universe
+    raises ``ValueError``.
     """
     universe = space.universe()
     order = {p: i for i, p in enumerate(universe)}
-    defect_cache: dict[Point, Value] = {}
-
-    def defect(y: Point) -> Value:
-        if y not in defect_cache:
-            defect_cache[y] = mode_defect(space, y, F, mode)
-        return defect_cache[y]
+    defect = _memo_defect(space, F, mode, order)
 
     witnesses: dict[Point, Point] = {}
     for x in universe:
         best: tuple[Value, int, Point] | None = None
-        for y in sorted(F(x), key=order.__getitem__):
+        for y in _in_universe_order(F, x, order):
             dy = defect(y)
             if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
                 key = (dy, order[y], y)

@@ -17,7 +17,8 @@ space, optionally with a set-valued map and a comparison function:
     }
 
 In EXACT mode distance entries are rationals, written as "p/q" strings
-(plain integers also parse); FLOAT mode uses JSON numbers.  Malformed
+(plain integers also parse); FLOAT mode uses JSON numbers.  Booleans,
+NaN, infinities and numbers beyond the float range are rejected.  Malformed
 input raises :class:`DocumentError` carrying the offending field, which
 the CLI turns into exit code 2; semantically bad but well-formed content
 (say, a nonzero diagonal) parses fine and is left to the axiom checker.
@@ -29,11 +30,14 @@ Iteration traces serialize one way (they are outputs):
      "outcome": {"status", "point", "defect", "steps", "cycle"}}
 
 with rational strings in EXACT mode and points rendered with ``str``.
+``INFINITY``, which user oracles may return as a distance or defect, is
+written as the string "inf" in EXACT traces.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +46,7 @@ from typing import Any, Mapping
 from .comparison import ComparisonFunction, linear, rational_shrink, user_table
 from .contraction import SetValuedMap
 from .solver import IterationTrace
-from .space import DEFAULT_TOLERANCE, QSpace, Value, distance_matrix, from_matrix
+from .space import DEFAULT_TOLERANCE, INFINITY, QSpace, Value, distance_matrix, from_matrix
 
 
 class DocumentError(ValueError):
@@ -55,19 +59,27 @@ class DocumentError(ValueError):
 
 def encode_value(v: Value, exact: bool) -> str | float:
     if exact:
-        return str(Fraction(v))
+        # No rational string for the extended value a user oracle may return.
+        return "inf" if isinstance(v, float) and v == INFINITY else str(Fraction(v))
     return float(v)
 
 
 def parse_value(raw: Any, exact: bool, field: str) -> Value:
+    if isinstance(raw, bool):
+        raise DocumentError(field, f"not a valid number: {raw!r}")
     try:
         if exact:
             if isinstance(raw, float):
                 return Fraction(str(raw))
             return Fraction(raw)
-        return float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+        v = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+    except OverflowError as exc:
+        raise DocumentError(field, f"out of the float range: {raw!r}") from exc
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise DocumentError(field, f"not a valid number: {raw!r}") from exc
+    if not math.isfinite(v):
+        raise DocumentError(field, f"not a finite number: {raw!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,7 @@ def parse_system(doc: Any, *, force_float: bool = False) -> System:
         raise DocumentError("t0", "expected a boolean")
 
     tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or tolerance < 0:
+    if type(tolerance) not in (int, float) or not 0 <= tolerance < INFINITY:
         raise DocumentError("tolerance", "expected a nonnegative number")
 
     space = from_matrix(points, rows, exact=exact, t0=t0, tolerance=float(tolerance))

@@ -14,8 +14,8 @@ modes).  Admissible steps force the chain
 
 so step distances and defects are nonincreasing and the gamma values
 telescope into a partial-sum bound.  ``validate_trace`` replays exactly
-those inequalities on a recorded trace, plus a brute-force prefix
-left-K-Cauchy certificate.
+those inequalities on a recorded trace, plus a prefix left-K-Cauchy
+certificate built in one backward pass over the orbit.
 
 Termination is by defect: the run converges as soon as the mode defect at
 the current point drops to the configured tolerance (exactly zero in EXACT
@@ -38,15 +38,17 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
 from .contraction import (
     ContractionMode,
     SetValuedMap,
     admissibility_bound,
-    mode_defect,
+    _in_universe_order,
+    _memo_defect,
 )
-from .space import Point, QSpace, Value, conjugate
+from .space import INFINITY, Point, QSpace, Value, conjugate
 
 
 class SolveMode(enum.Enum):
@@ -152,6 +154,30 @@ class IterationTrace:
         return (self.start,) + tuple(s.y for s in self.steps)
 
 
+def _universe_order(space: QSpace) -> dict[Point, int] | None:
+    if not space.finite:
+        return None
+    return {p: i for i, p in enumerate(space.universe())}
+
+
+def _admissible(
+    space: QSpace,
+    F: SetValuedMap,
+    gamma: ComparisonFunction,
+    x: Point,
+    mode: ContractionMode,
+    order: dict[Point, int] | None,
+    defect: Callable[[Point], Value],
+) -> list[tuple[Point, Value]]:
+    candidates = F(x) if order is None else _in_universe_order(F, x, order)
+    out = []
+    for y in candidates:
+        dy = defect(y)
+        if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
+            out.append((y, dy))
+    return out
+
+
 def admissible_candidates(
     space: QSpace,
     F: SetValuedMap,
@@ -163,18 +189,11 @@ def admissible_candidates(
 
     The hook for custom selection experiments: everything the solver knows
     about one step is in this list.  Order is universe order when the
-    space is finite, image encounter order otherwise.
+    space is finite, image encounter order otherwise.  An image point
+    outside a finite universe raises ``ValueError``.
     """
-    candidates = F(x)
-    if space.finite:
-        order = {p: i for i, p in enumerate(space.universe())}
-        candidates = sorted(candidates, key=order.__getitem__)
-    out = []
-    for y in candidates:
-        dy = mode_defect(space, y, F, mode)
-        if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
-            out.append((y, dy))
-    return out
+    order = _universe_order(space)
+    return _admissible(space, F, gamma, x, mode, order, _memo_defect(space, F, mode, order))
 
 
 def solve(
@@ -198,7 +217,9 @@ def solve(
       orbit kept revisiting points without improving the defect, which on
       a finite space only happens when the hypothesis fails.
 
-    Identical inputs and config produce identical traces.
+    Malformed input is an error, not an outcome: an image point outside a
+    finite universe raises ``ValueError``.  Identical inputs and config
+    produce identical traces.
     """
     config = config or SolverConfig()
     if not space.exact and config.tolerance == 0:
@@ -213,13 +234,8 @@ def solve(
 
     work = conjugate(space) if config.mode is SolveMode.ENDPOINT else space
     cmode = _CONTRACTION_OF[config.mode]
-
-    defect_cache: dict[Point, Value] = {}
-
-    def defect(p: Point) -> Value:
-        if p not in defect_cache:
-            defect_cache[p] = mode_defect(work, p, F, cmode)
-        return defect_cache[p]
+    order = _universe_order(work)
+    defect = _memo_defect(work, F, cmode, order)
 
     steps: list[Step] = []
     x = x0
@@ -238,7 +254,7 @@ def solve(
             outcome = Outcome(Status.MAX_ITERATIONS, x, current)
             break
 
-        admissible = admissible_candidates(work, F, gamma, x, cmode)
+        admissible = _admissible(work, F, gamma, x, cmode, order, defect)
         if not admissible:
             outcome = Outcome(Status.CONTRACTION_VIOLATED, x, current)
             break
@@ -299,8 +315,10 @@ class TraceReport:
     m - 2 step distances sum to at most d_1 - d_{m-1} (hence at most d_1).
     ``cauchy``: per epsilon of the fixed schedule, the smallest index n0
     such that every recorded forward distance d(x_k, x_n) with
-    n0 <= k <= n stays below epsilon; None when no space was available to
-    evaluate distances (e.g. a hand-built trace).
+    n0 <= k <= n stays below epsilon (the last index when no start
+    qualifies, which a user oracle with d(x, x) > 0 or NaN can cause);
+    None when no space was available to evaluate distances (e.g. a
+    hand-built trace).
     """
 
     steps_monotone: CheckResult
@@ -365,22 +383,27 @@ def validate_trace(
     if space is not None:
         pts = trace.points
         last = len(pts) - 1
-        table = []
-        for eps in EPSILON_SCHEDULE:
-            n0 = last
-            # Brute force: smallest n0 with d(x_k, x_n) < eps for all
-            # n0 <= k <= n <= last.  n0 = last always works (d(x, x) = 0).
-            for start in range(last + 1):
-                ok = all(
-                    space.d(pts[k], pts[n]) < eps
-                    for k in range(start, last + 1)
-                    for n in range(k, last + 1)
-                )
-                if ok:
-                    n0 = start
-                    break
-            table.append((eps, n0))
-        cauchy = tuple(table)
+        # worst[s] is the largest d(x_k, x_n) over s <= k <= n <= last, so
+        # the tail from s is eps-Cauchy exactly when worst[s] < eps.  The
+        # diagonal k = n is included: a user oracle may break d(x, x) = 0.
+        worst: list[Value] = []
+        w = None
+        for s in range(last, -1, -1):
+            for n in range(s, last + 1):
+                v = space.d(pts[s], pts[n])
+                if v != v:
+                    # NaN is below no epsilon; max() would drop it.
+                    v = INFINITY
+                if w is None or v > w:
+                    w = v
+            worst.append(w)
+        worst.reverse()
+        # worst never decreases toward the start of the orbit, so the
+        # first start below eps is the smallest; last if none is.
+        cauchy = tuple(
+            (eps, next((s for s in range(last + 1) if worst[s] < eps), last))
+            for eps in EPSILON_SCHEDULE
+        )
 
     return TraceReport(
         steps_monotone=steps_monotone,

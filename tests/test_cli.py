@@ -79,6 +79,21 @@ class TestCheck:
         assert code == 2
         assert "d" in err
 
+    @pytest.mark.parametrize(
+        "arithmetic, entry",
+        [("float", "NaN"), ("exact", "true"), ("float", "true"), ("float", '"1e400"')],
+    )
+    def test_bad_distance_names_the_entry(self, tmp_path, capsys, arithmetic, entry):
+        path = tmp_path / "bad_entry.json"
+        path.write_text(
+            '{"points": ["a", "b"], "d": [["0", "1"], [%s, "0"]], "arithmetic": "%s"}'
+            % (entry, arithmetic)
+        )
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: d[1][0]:")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/nope.json")
         assert code == 2

@@ -129,6 +129,14 @@ class TestVerify:
         result = verify_weak_contraction(space, Fm, gamma, ContractionMode.FORWARD)
         assert result == Violation(ContractionMode.FORWARD, "a")
 
+    @pytest.mark.parametrize("image_of_a", [["a"], ["b"]])
+    def test_image_point_outside_universe_is_named(self, image_of_a):
+        # Met while scanning b, or earlier as a candidate of a.
+        space = from_matrix(("a", "b"), [[0, 1], [1, 0]])
+        Fm = SetValuedMap({"a": image_of_a, "b": ["c", "b"]})
+        with pytest.raises(ValueError, match=r"'b'.*'c'"):
+            verify_weak_contraction(space, Fm, linear(F(1, 2)))
+
     def test_certificate_inequalities_hold(self):
         from qpmetric import admissibility_bound, mode_defect
 

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpmetric import (
+    INFINITY,
     DocumentError,
     GeneratorSeed,
+    SetValuedMap,
     SolverConfig,
     dump_system,
     dyadic_halving_truncated,
+    from_oracle,
     linear,
     load_system,
     parse_system,
@@ -91,6 +94,13 @@ class TestParsing:
             ({"gamma": {"kind": "linear"}}, "gamma.c"),
             ({"gamma": {"kind": "linear", "c": "2"}}, "gamma"),
             ({"gamma": {"kind": "user", "table": []}}, "gamma.table"),
+            ({"d": [["0", True], ["0", "0"]]}, "d[0][1]"),
+            ({"arithmetic": "float", "d": [[0, 0], [float("nan"), 0]]}, "d[1][0]"),
+            ({"arithmetic": "float", "d": [[0, float("inf")], [0, 0]]}, "d[0][1]"),
+            ({"arithmetic": "float", "d": [[0, "1e400"], [0, 0]]}, "d[0][1]"),
+            ({"arithmetic": "float", "d": [[0, 10**400], [0, 0]]}, "d[0][1]"),
+            ({"tolerance": True}, "tolerance"),
+            ({"tolerance": float("nan")}, "tolerance"),
         ],
     )
     def test_malformed_fields_are_named(self, mutation, field):
@@ -166,6 +176,17 @@ class TestTraceDocuments:
         doc = trace_document(solve(space, Fm, gamma, "a"))
         assert doc["outcome"]["status"] == "contraction_violated"
         assert doc["outcome"]["point"] == "a"
+
+    def test_infinite_defect_serializes_as_inf(self):
+        # User oracles may return INFINITY; EXACT traces write it as "inf".
+        far = {("a", "b"): INFINITY}
+        space = from_oracle(lambda x, y: far.get((x, y), F(0)), points=("a", "b"))
+        Fm = SetValuedMap({"a": ["b"], "b": ["b"]})
+        doc = trace_document(solve(space, Fm, linear(F(1, 2)), "a"))
+        assert doc["initial_defect"] == "inf"
+        assert doc["outcome"]["status"] == "contraction_violated"
+        assert doc["outcome"]["defect"] == "inf"
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_rational_shrink_trace_serializes(self):
         space, Fm, _ = dyadic_halving_truncated(3)

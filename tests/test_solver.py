@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qpmetric import (
+    EPSILON_SCHEDULE,
+    INFINITY,
     GeneratorSeed,
     IterationTrace,
     Outcome,
@@ -18,6 +22,7 @@ from qpmetric import (
     dyadic_halving_system,
     enumerate_startpoints,
     from_matrix,
+    from_oracle,
     linear,
     random_weakly_contractive_system,
     solve,
@@ -155,6 +160,14 @@ class TestSolve:
         trace = solve(space, Fm, linear(F(1, 2)), "a", SolverConfig(tolerance=1e-9))
         assert trace.outcome.status is Status.CONVERGED
 
+    def test_image_point_outside_universe_is_named(self):
+        space = from_matrix(("a", "b"), [[0, 1], [1, 0]], t0=True)
+        Fm = SetValuedMap({"a": ["b", "c"], "b": ["b"]})
+        with pytest.raises(ValueError, match=r"'a'.*'c'"):
+            solve(space, Fm, linear(F(1, 2)), "a")
+        with pytest.raises(ValueError, match=r"'a'.*'c'"):
+            admissible_candidates(space, Fm, linear(F(1, 2)), "a")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tolerance=-1)
@@ -255,3 +268,133 @@ class TestValidateTrace:
                 assert not all(
                     space.d(pts[k], pts[n]) < eps for k in before for n in before if k <= n
                 )
+
+
+def _brute_force_cauchy(space, pts):
+    """Reference left-K-Cauchy table: per epsilon, the smallest n0 with
+    d(x_k, x_n) < eps for all n0 <= k <= n <= last, else last."""
+    last = len(pts) - 1
+    table = []
+    for eps in EPSILON_SCHEDULE:
+        n0 = last
+        for start in range(last + 1):
+            ok = all(
+                space.d(pts[k], pts[n]) < eps
+                for k in range(start, last + 1)
+                for n in range(k, last + 1)
+            )
+            if ok:
+                n0 = start
+                break
+        table.append((eps, n0))
+    return tuple(table)
+
+
+def _orbit_trace(space, orbit):
+    """A trace visiting ``orbit`` in order; only the points matter to the
+    Cauchy table, so the recorded values are placeholders."""
+    steps = tuple(
+        Step(n=i + 1, x=x, y=y, d=ONE, gamma_d=ONE, defect=ONE)
+        for i, (x, y) in enumerate(zip(orbit, orbit[1:]))
+    )
+    return IterationTrace(
+        mode=SolveMode.STARTPOINT,
+        start=orbit[0],
+        initial_defect=ONE,
+        steps=steps,
+        outcome=Outcome(Status.CONVERGED, orbit[-1], ZERO),
+        space=space,
+    )
+
+
+#: Distances around the epsilon thresholds, so that d == eps (not below
+#: it) is exercised, plus the extended value.
+_EXACT_DISTANCES = st.one_of(
+    st.sampled_from([ZERO, INFINITY] + [eps for eps in EPSILON_SCHEDULE[:6]]),
+    st.fractions(min_value=0, max_value=2, max_denominator=64),
+)
+_FLOAT_DISTANCES = st.one_of(
+    st.sampled_from([0.0, math.inf, math.nan, 0.5, 0.25, 2.0**-16]),
+    st.floats(min_value=0, max_value=2),
+)
+
+
+@st.composite
+def _random_orbits(draw):
+    exact = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=5))
+    values = _EXACT_DISTANCES if exact else _FLOAT_DISTANCES
+    table = {(i, j): draw(values) for i in range(n) for j in range(n)}
+    space = from_oracle(lambda x, y: table[(x, y)], points=range(n), exact=exact)
+    orbit = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=9))
+    return space, orbit
+
+
+class TestCauchyTable:
+    @given(case=_random_orbits())
+    def test_matches_brute_force(self, case):
+        space, orbit = case
+        report = validate_trace(_orbit_trace(space, orbit), linear(F(1, 2)))
+        assert report.cauchy == _brute_force_cauchy(space, orbit)
+
+    def test_single_point_trace(self, dyadic):
+        space, _, _ = dyadic
+        report = validate_trace(_orbit_trace(space, [ONE]), linear(F(1, 2)))
+        assert report.cauchy == tuple((eps, 0) for eps in EPSILON_SCHEDULE)
+
+    @pytest.mark.parametrize("nan_at, n0", [((1, 2), 2), ((0, 0), 1), ((3, 3), 3)])
+    def test_nan_distance_fails_its_start(self, nan_at, n0):
+        # The start of a NaN pair is never eps-Cauchy, for any eps; a NaN
+        # on the last diagonal leaves no start at all (n0 = last).
+        space = from_oracle(
+            lambda x, y: math.nan if (x, y) == nan_at else 0.0, points=range(4), exact=False
+        )
+        orbit = [0, 1, 2, 3]
+        report = validate_trace(_orbit_trace(space, orbit), linear(F(1, 2)))
+        assert report.cauchy == tuple((eps, n0) for eps in EPSILON_SCHEDULE)
+        assert report.cauchy == _brute_force_cauchy(space, orbit)
+
+
+def _staircase(length):
+    """A zero-slack staircase 1, 1/2, ..., 2**-length on a counting oracle.
+
+    The dyadic-gap distance charges y - x upward and 2(x - y) downward.
+    Each x_i maps to x_{i+1} and two decoys between them that map to the
+    far sink 2, which makes them inadmissible.
+    """
+    xs = [F(1, 2**i) for i in range(length + 1)]
+    sink = F(2)
+    images = {sink: (sink,), xs[length]: (xs[length],)}
+    universe = [sink, *xs]
+    for i in range(length):
+        gap = xs[i] - xs[i + 1]
+        decoys = [xs[i + 1] + gap * F(1, 3), xs[i + 1] + gap * F(2, 3)]
+        for c in decoys:
+            images[c] = (sink,)
+        universe += decoys
+        images[xs[i]] = (decoys[0], xs[i + 1], decoys[1])
+    calls = [0]
+
+    def d(x, y):
+        calls[0] += 1
+        return y - x if y >= x else 2 * (x - y)
+
+    return from_oracle(d, points=universe, t0=True), SetValuedMap(images), xs, calls
+
+
+def test_oracle_call_counts_on_a_staircase():
+    # Oracle calls are deterministic, so they gate regressions: the Cauchy
+    # table reads each pair k <= n of the orbit once, and 361 is solve's
+    # count when this gate was set.
+    L = 40
+    space, Fm, xs, calls = _staircase(L)
+    gamma = linear(F(1, 2))
+    trace = solve(space, Fm, gamma, ONE)
+    assert calls[0] <= 361
+    assert trace.outcome == Outcome(Status.CONVERGED, xs[L], ZERO)
+    assert [s.y for s in trace.steps] == xs[1:]
+    calls[0] = 0
+    report = validate_trace(trace, gamma)
+    assert calls[0] == (L + 1) * (L + 2) // 2
+    assert report.ok
+    assert report.cauchy == _brute_force_cauchy(space, trace.points)
