@@ -143,7 +143,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     g = corpus.GeneratorSeed(seed=args.seed, size=args.size)
     gamma = linear(Fraction(1, 2))
-    space, smap = corpus.random_weakly_contractive_system(g, gamma)
+    try:
+        space, smap = corpus.random_weakly_contractive_system(g, gamma)
+    except corpus.GenerationError as exc:
+        raise DocumentError("--size", str(exc)) from exc
     documents.dump_system(
         args.out, space, smap, gamma, meta={"seed": g.seed, "size": g.size}
     )

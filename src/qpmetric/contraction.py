@@ -135,16 +135,23 @@ def admissibility_bound(
     return min(t - gamma(t), s - gamma(s))
 
 
-def _in_universe_order(
+def _image_in_universe(
     F: SetValuedMap, x: Point, order: Mapping[Point, int]
-) -> list[Point]:
-    """F(x) sorted by universe position; an image point outside the
-    universe is a ValueError naming it and x."""
+) -> tuple[Point, ...]:
+    """F(x); an image point outside the universe is a ValueError naming
+    it and x."""
     image = F(x)
     for y in image:
         if y not in order:
             raise ValueError(f"image of {x!r} contains {y!r}, which is not in the universe")
-    return sorted(image, key=order.__getitem__)
+    return image
+
+
+def _in_universe_order(
+    F: SetValuedMap, x: Point, order: Mapping[Point, int]
+) -> list[Point]:
+    """F(x) sorted by universe position (see :func:`_image_in_universe`)."""
+    return sorted(_image_in_universe(F, x, order), key=order.__getitem__)
 
 
 def _memo_defect(
@@ -161,7 +168,7 @@ def _memo_defect(
     def defect(x: Point) -> Value:
         if x not in cache:
             if order is not None:
-                _in_universe_order(F, x, order)
+                _image_in_universe(F, x, order)
             cache[x] = mode_defect(space, x, F, mode)
         return cache[x]
 
@@ -221,8 +228,11 @@ def verify_weak_contraction(
     return ContractionCertificate(mode=mode, witnesses=witnesses, checked_points=universe)
 
 
-def _enumerate(space: QSpace, F: SetValuedMap, defect_fn) -> list[Point]:
-    return [x for x in space.universe() if space.is_zero(defect_fn(space, x, F))]
+def _enumerate(space: QSpace, F: SetValuedMap, mode: ContractionMode) -> list[Point]:
+    universe = space.universe()
+    # With the universe order, an image point outside it is a ValueError.
+    defect = _memo_defect(space, F, mode, {p: i for i, p in enumerate(universe)})
+    return [x for x in universe if space.is_zero(defect(x))]
 
 
 def enumerate_startpoints(space: QSpace, F: SetValuedMap) -> list[Point]:
@@ -231,7 +241,7 @@ def enumerate_startpoints(space: QSpace, F: SetValuedMap) -> list[Point]:
     Brute force over the finite universe; this is the independent oracle
     the iterative solver is tested against.  May be empty.
     """
-    return _enumerate(space, F, startpoint_defect)
+    return _enumerate(space, F, ContractionMode.FORWARD)
 
 
 def enumerate_endpoints(space: QSpace, F: SetValuedMap) -> list[Point]:
@@ -239,9 +249,9 @@ def enumerate_endpoints(space: QSpace, F: SetValuedMap) -> list[Point]:
 
     Always equals ``enumerate_startpoints(conjugate(space), F)``.
     """
-    return _enumerate(space, F, endpoint_defect)
+    return _enumerate(space, F, ContractionMode.DUAL)
 
 
 def enumerate_fixed_points(space: QSpace, F: SetValuedMap) -> list[Point]:
     """All points with zero symmetrized defect, in universe order."""
-    return _enumerate(space, F, fixed_defect)
+    return _enumerate(space, F, ContractionMode.SYMMETRIC)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .comparison import ComparisonFunction, linear, verify_gamma1
 from .contraction import SetValuedMap
-from .space import Point, QSpace, Value, from_matrix, from_oracle
+from .space import Point, QSpace, Value, _over_common_denominator, from_matrix, from_oracle
 
 ZERO = Fraction(0)
 
@@ -108,9 +108,12 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     """Min-plus transitive closure (all-pairs shortest path) of a matrix.
 
     Entries only ever shrink, so a nonnegative weight matrix with a zero
-    diagonal always closes into a triangle-consistent one.
+    diagonal always closes into a triangle-consistent one.  The n^3 sums
+    and comparisons run on Python ints over one common denominator when
+    every entry is an int or a Fraction, and the result is mapped back to
+    exact values: Fraction input gives Fractions, all-int input gives ints.
     """
-    d = [list(row) for row in matrix]
+    d, den = _over_common_denominator(matrix)
     n = len(d)
     for k in range(n):
         dk = d[k]
@@ -121,7 +124,9 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
                 via = dik + dk[j]
                 if via < row[j]:
                     row[j] = via
-    return d
+    if den is None:
+        return d
+    return [[Fraction(v, den) for v in row] for row in d]
 
 
 #: Rational weights are drawn on a grid of this many steps across the range.

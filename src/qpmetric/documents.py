@@ -31,7 +31,8 @@ Iteration traces serialize one way (they are outputs):
 
 with rational strings in EXACT mode and points rendered with ``str``.
 ``INFINITY``, which user oracles may return as a distance or defect, is
-written as the string "inf" in EXACT traces.
+written as the string "inf" in both modes, and a FLOAT NaN as "nan", so
+every document and trace written here is strict JSON.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ class DocumentError(ValueError):
 
 
 def encode_value(v: Value, exact: bool) -> str | float:
-    if exact:
-        # No rational string for the extended value a user oracle may return.
-        return "inf" if isinstance(v, float) and v == INFINITY else str(Fraction(v))
-    return float(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        # JSON has no token for the extended values a user oracle may return.
+        return str(v)
+    return str(Fraction(v)) if exact else float(v)
 
 
 def parse_value(raw: Any, exact: bool, field: str) -> Value:
@@ -260,7 +261,7 @@ def dump_system(
     meta: Mapping[str, Any] | None = None,
 ) -> None:
     doc = system_document(space, F, gamma, meta)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def trace_document(trace: IterationTrace) -> dict[str, Any]:
@@ -293,4 +294,5 @@ def trace_document(trace: IterationTrace) -> dict[str, Any]:
 
 
 def dump_trace(path: str | Path, trace: IterationTrace) -> None:
-    Path(path).write_text(json.dumps(trace_document(trace), indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(trace_document(trace), indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -238,6 +238,42 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
 
+def _over_common_denominator(
+    matrix: Sequence[Sequence[Value]],
+) -> tuple[list[list[Value]], int | None]:
+    """Copy ``matrix`` as rows of Python ints over one common denominator.
+
+    When every entry is an int or a Fraction and at least one is a
+    Fraction, each entry is multiplied by the LCM of the Fraction
+    denominators and that LCM is returned with the rows: sums and
+    comparisons of the ints then agree exactly with those of the values.
+    Otherwise (all ints already, or any float, ``INFINITY``, NaN or other
+    value) the rows are a plain copy and the denominator is ``None``.
+    """
+    rows = [list(row) for row in matrix]
+    fractions = [v for row in rows for v in row if type(v) is not int]
+    if not fractions or not all(isinstance(v, Fraction) for v in fractions):
+        return rows, None
+    den = math.lcm(*{v.denominator for v in fractions})
+    for row in rows:
+        # An int is its own numerator over denominator 1.
+        row[:] = [v.numerator * (den // v.denominator) for v in row]
+    return rows, den
+
+
+def _first_triangle_violation(
+    rows: list[list[Value]], tol: Value
+) -> tuple[int, int, int] | None:
+    """Indices (i, j, k) of the first triple in row-major order with
+    rows[i][k] > rows[i][j] + rows[j][k] + tol, or None.  NaN fails."""
+    for i, row_x in enumerate(rows):
+        for j, dxy in enumerate(row_x):
+            holds = [a <= dxy + b + tol for a, b in zip(row_x, rows[j])]
+            if not all(holds):
+                return i, j, holds.index(False)
+    return None
+
+
 def check_axioms(
     space: QSpace,
     *,
@@ -246,9 +282,11 @@ def check_axioms(
 ) -> AxiomReport:
     """Exhaustively check the quasi-pseudometric axioms.
 
-    For a finite universe of n points the triangle inequality is checked
-    over all n^3 ordered triples.  Violations are reported with the first
-    witness in universe order, never raised.
+    For a finite universe of n points the n^2 distances are read once,
+    then the triangle inequality is checked over all n^3 ordered triples
+    (exact integer comparisons over a common denominator when every
+    distance is an int or a Fraction in EXACT mode).  Violations are
+    reported with the first witness in universe order, never raised.
 
     ``points`` supplies a finite sample for oracle-backed universes; the
     report is then marked ``sampled`` (a sampled pass is reported as
@@ -262,42 +300,34 @@ def check_axioms(
     else:
         universe = _unique(points)
     d = space.d
+    values = [[d(x, y) for y in universe] for x in universe]
+    # Scaling by a positive integer keeps "= 0" and "<=" exact; FLOAT
+    # comparisons widen by the tolerance and so stay on the values.
+    rows = _over_common_denominator(values)[0] if space.exact else values
+    tol = 0 if space.exact else space.tolerance
+    is_zero = space.is_zero
 
-    identity = AxiomCheck("identity", True)
-    for x in universe:
-        if not space.is_zero(d(x, x)):
-            identity = AxiomCheck("identity", False, (x,))
-            break
+    bad = next(((x,) for i, x in enumerate(universe) if not is_zero(rows[i][i])), None)
+    identity = AxiomCheck("identity", bad is None, bad)
 
-    triangle = AxiomCheck("triangle", True)
-    done = False
-    for x in universe:
-        if done:
-            break
-        for y in universe:
-            if done:
-                break
-            for z in universe:
-                if not space.leq(d(x, z), d(x, y) + d(y, z)):
-                    triangle = AxiomCheck("triangle", False, (x, y, z))
-                    done = True
-                    break
+    bad = _first_triangle_violation(rows, tol)
+    if bad is not None:
+        bad = tuple(universe[i] for i in bad)
+    triangle = AxiomCheck("triangle", bad is None, bad)
 
     want_t0 = space.t0 if check_t0 is None else check_t0
     t0_check: AxiomCheck | None = None
     if want_t0:
-        t0_check = AxiomCheck("t0", True)
-        done = False
-        for x in universe:
-            if done:
-                break
-            for y in universe:
-                if x == y:
-                    continue
-                if space.is_zero(d(x, y)) and space.is_zero(d(y, x)):
-                    t0_check = AxiomCheck("t0", False, (x, y))
-                    done = True
-                    break
+        bad = next(
+            (
+                (x, y)
+                for i, x in enumerate(universe)
+                for j, y in enumerate(universe)
+                if x != y and is_zero(rows[i][j]) and is_zero(rows[j][i])
+            ),
+            None,
+        )
+        t0_check = AxiomCheck("t0", bad is None, bad)
 
     return AxiomReport(identity=identity, triangle=triangle, t0=t0_check, sampled=sampled)
 

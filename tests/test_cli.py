@@ -202,6 +202,30 @@ class TestGenEnumerate:
         assert code == 0
         assert out.strip() == "0"
 
+    def test_gen_out_of_retries_is_a_size_error(self, tmp_path, capsys, monkeypatch):
+        from qpmetric import corpus
+
+        def exhausted(g, gamma=None):
+            raise corpus.GenerationError(f"could not draw a T0 space (size={g.size})")
+
+        monkeypatch.setattr(corpus, "random_weakly_contractive_system", exhausted)
+        out_path = tmp_path / "gen.json"
+        code, out, err = run(capsys, "gen", "--seed", "1", "--size", "120", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --size: could not draw a T0 space (size=120)")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("what", ["startpoints", "endpoints", "fixedpoints"])
+    def test_enumerate_image_outside_universe_exits_two(self, tmp_path, capsys, what):
+        path = tmp_path / "stray.json"
+        doc = {"points": ["a", "b"], "d": [["0", "1"], ["1", "0"]], "F": {"a": ["c"], "b": ["b"]}}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "enumerate", str(path), "--what", what)
+        assert code == 2
+        assert out == ""
+        assert "error: F.a:" in err and "'c'" in err
+
     def test_enumerate_empty_exits_one(self, swap_doc, capsys):
         code, out, _ = run(capsys, "enumerate", swap_doc, "--what", "fixedpoints")
         assert code == 1

@@ -176,6 +176,15 @@ class TestVerify:
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize(
+        "enumerate_fn", [enumerate_startpoints, enumerate_endpoints, enumerate_fixed_points]
+    )
+    def test_image_point_outside_universe_is_named(self, enumerate_fn):
+        space = from_matrix(("a", "b"), [[0, 1], [1, 0]])
+        Fm = SetValuedMap({"a": ["c"], "b": ["b"]})
+        with pytest.raises(ValueError, match=r"image of 'a' contains 'c', which is not in"):
+            enumerate_fn(space, Fm)
+
     def test_truncated_dyadic_all_three(self):
         space, Fm, _ = dyadic_halving_truncated(10)
         assert enumerate_startpoints(space, Fm) == [ZERO]

@@ -1,9 +1,12 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qpmetric import (
+    INFINITY,
     ContractionCertificate,
     GenerationError,
     GeneratorSeed,
@@ -106,6 +109,66 @@ class TestMinplusClosure:
         for i in range(6):
             for j in range(6):
                 assert closed[i][j] <= m[i][j]
+
+
+def _brute_force_closure(matrix):
+    """Reference: Floyd-Warshall on the values themselves."""
+    d = [list(row) for row in matrix]
+    n = len(d)
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            row = d[i]
+            for j in range(n):
+                via = dik + dk[j]
+                if via < row[j]:
+                    row[j] = via
+    return d
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+ints = st.integers(min_value=0, max_value=20)
+fractions = st.builds(F, st.integers(min_value=0, max_value=40), st.integers(1, 12))
+floats = st.floats(min_value=0, max_value=10, allow_nan=False)
+extended = st.sampled_from([INFINITY, math.nan])
+
+CLOSURE_CASES = {
+    "int": ints,
+    "int-with-negatives": st.integers(min_value=-3, max_value=20),
+    "fraction": fractions,
+    "mixed-exact": ints | fractions,
+    "float": floats | extended,
+    "exact-with-extended": fractions | extended,
+    "exact-with-floats": fractions | floats,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+@given(data=st.data())
+def test_minplus_closure_matches_brute_force(case, data):
+    entries = CLOSURE_CASES[case]
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    m = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = type(m[i][i])(0)
+    before = [row[:] for row in m]
+    got, want = minplus_closure(m), _brute_force_closure(m)
+    assert m == before
+    assert len(got) == n and all(len(row) == n for row in got)
+    for grow, wrow in zip(got, want):
+        assert all(_same(g, w) for g, w in zip(grow, wrow))
+    values = [v for row in got for v in row]
+    if all(type(v) is int or isinstance(v, Fraction) for row in m for v in row):
+        assert not any(isinstance(v, float) for v in values)
+        if any(isinstance(v, Fraction) for row in m for v in row):
+            assert all(isinstance(v, Fraction) for v in values)
+        else:
+            assert all(type(v) is int for v in values)
 
 
 class TestRandomSpaces:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qpmetric import (
     SetValuedMap,
     SolverConfig,
     dump_system,
+    dump_trace,
     dyadic_halving_truncated,
     from_oracle,
     linear,
@@ -187,6 +189,35 @@ class TestTraceDocuments:
         assert doc["outcome"]["status"] == "contraction_violated"
         assert doc["outcome"]["defect"] == "inf"
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_float_trace_is_strict_json(self, tmp_path):
+        # A FLOAT oracle returning math.inf must not leave a bare Infinity.
+        far = {("a", "b"): math.inf}
+        space = from_oracle(
+            lambda x, y: far.get((x, y), 0.0), points=("a", "b"), exact=False
+        )
+        Fm = SetValuedMap({"a": ["b"], "b": ["b"]})
+        path = tmp_path / "trace.json"
+        config = SolverConfig(tolerance=space.tolerance)
+        dump_trace(path, solve(space, Fm, linear(F(1, 2)), "a", config))
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["initial_defect"] == "inf"
+        assert doc["outcome"]["defect"] == "inf"
+
+    def test_documents_never_hold_bare_nan(self, tmp_path):
+        space, Fm, gamma = dyadic_halving_truncated(2)
+        with pytest.raises(ValueError):
+            dump_system(tmp_path / "nan.json", space, Fm, gamma, meta={"w": math.nan})
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_non_finite_values_encode_as_strings(self, exact):
+        assert encode_value(math.inf, exact) == "inf"
+        assert encode_value(math.nan, exact) == "nan"
+        assert encode_value(F(1, 2), exact) == ("1/2" if exact else 0.5)
 
     def test_rational_shrink_trace_serializes(self):
         space, Fm, _ = dyadic_halving_truncated(3)

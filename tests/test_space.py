@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from qpmetric import (
     INFINITY,
+    AxiomCheck,
+    AxiomReport,
     GeneratorSeed,
     ball_contains,
     check_axioms,
@@ -18,6 +20,7 @@ from qpmetric import (
     from_oracle,
     halving_point,
     hausdorff,
+    minplus_closure,
     random_t0_qspace,
     symmetrize,
 )
@@ -246,3 +249,197 @@ def test_universe_index_and_matrix(dyadic):
     assert distance_matrix(space)[0] == [0, 1, 2]
     with pytest.raises(ValueError):
         distance_matrix(dyadic)  # oracle universe is not enumerable
+
+
+# ---------------------------------------------------------------------------
+# check_axioms against the triple loop that states the axioms directly.
+
+
+def _brute_force_axioms(space, *, points=None, check_t0=None):
+    """Reference: an oracle call per test, triples in universe order."""
+    sampled = points is not None
+    universe = space.universe() if points is None else tuple(dict.fromkeys(points))
+    d = space.d
+
+    identity = AxiomCheck("identity", True)
+    for x in universe:
+        if not space.is_zero(d(x, x)):
+            identity = AxiomCheck("identity", False, (x,))
+            break
+
+    triangle = AxiomCheck("triangle", True)
+    done = False
+    for x in universe:
+        if done:
+            break
+        for y in universe:
+            if done:
+                break
+            for z in universe:
+                if not space.leq(d(x, z), d(x, y) + d(y, z)):
+                    triangle = AxiomCheck("triangle", False, (x, y, z))
+                    done = True
+                    break
+
+    want_t0 = space.t0 if check_t0 is None else check_t0
+    t0_check = None
+    if want_t0:
+        t0_check = AxiomCheck("t0", True)
+        done = False
+        for x in universe:
+            if done:
+                break
+            for y in universe:
+                if x == y:
+                    continue
+                if space.is_zero(d(x, y)) and space.is_zero(d(y, x)):
+                    t0_check = AxiomCheck("t0", False, (x, y))
+                    done = True
+                    break
+
+    return AxiomReport(identity=identity, triangle=triangle, t0=t0_check, sampled=sampled)
+
+
+small_ints = st.integers(min_value=0, max_value=6)
+small_fractions = st.builds(F, st.integers(min_value=0, max_value=12), st.integers(1, 6))
+# Around the default FLOAT tolerance of 1e-9, where rounding decides.
+near_tolerance = st.sampled_from(
+    [0.0, 1e-10, 5e-10, 1e-9, 1.5e-9, 3e-9, 0.1, 0.2, 0.3, 0.30000000099, 0.3000000011, 1.0]
+)
+extended = st.sampled_from([INFINITY, math.nan])
+
+#: (exact, entry strategy) per arithmetic case.
+AXIOM_CASES = {
+    "exact-int": (True, small_ints),
+    "exact-fraction": (True, small_fractions),
+    "exact-mixed": (True, small_ints | small_fractions),
+    "exact-extended": (True, small_fractions | extended),
+    "exact-float-oracle": (True, near_tolerance),
+    "float": (False, near_tolerance | extended),
+    # Fractions inside the tolerance: FLOAT comparisons must not be scaled.
+    "float-fraction-oracle": (
+        False,
+        small_fractions | st.builds(F, st.integers(0, 3), st.sampled_from([10**9, 10**10])),
+    ),
+}
+
+
+@st.composite
+def matrices(draw, entries, max_size=5):
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        # Half the draws keep their drawn diagonal; the other half get a
+        # zero one, and may be closed so that the triangle check passes.
+        for i in range(n):
+            m[i][i] = type(m[i][i])(0)
+        if draw(st.booleans()):
+            m = minplus_closure(m)
+    return m
+
+
+@pytest.mark.parametrize("case", sorted(AXIOM_CASES))
+@given(data=st.data())
+def test_check_axioms_matches_brute_force(case, data):
+    exact, entries = AXIOM_CASES[case]
+    m = data.draw(matrices(entries))
+    t0 = data.draw(st.booleans())
+    check_t0 = data.draw(st.sampled_from([None, True, False]))
+    space = from_oracle(lambda x, y: m[x][y], points=range(len(m)), exact=exact, t0=t0)
+    assert check_axioms(space, check_t0=check_t0) == _brute_force_axioms(space, check_t0=check_t0)
+    sample = data.draw(st.lists(st.integers(0, len(m) - 1), max_size=6))
+    assert check_axioms(space, points=sample, check_t0=check_t0) == _brute_force_axioms(
+        space, points=sample, check_t0=check_t0
+    )
+
+
+@given(m=matrices(small_fractions | small_ints), t0=st.booleans())
+def test_check_axioms_matches_brute_force_on_matrix_spaces(m, t0):
+    n = len(m)
+    space = from_matrix([f"p{i}" for i in range(n)], m, t0=t0)
+    assert check_axioms(space) == _brute_force_axioms(space)
+    fspace = from_matrix([f"p{i}" for i in range(n)], m, exact=False, t0=t0)
+    assert check_axioms(fspace) == _brute_force_axioms(fspace)
+
+
+@pytest.mark.parametrize(
+    "dxz, dxy, dyz",
+    [
+        (0.3 + 5e-10, 0.1, 0.2),  # inside the tolerance band
+        (0.3 + 2e-9, 0.1, 0.2),  # beyond it
+        # Where a <= (b + c) + tol and a - c <= b + tol round differently.
+        (0.20000000050000002, 0.099999999, 0.1000000005),
+        (0.300000001, 0.1000000005, 0.1999999995),
+        (0.20000000050000002, 0.100000001, 0.0999999985),
+    ],
+)
+def test_float_triangle_keeps_the_tolerance_rounding(dxz, dxy, dyz):
+    m = [[0, dxy, dxz], [0, 0, dyz], [0, 0, 0]]
+    space = from_matrix((0, 1, 2), m, exact=False)
+    assert check_axioms(space) == _brute_force_axioms(space)
+
+
+def test_float_triangle_witness_is_the_first_beyond_the_tolerance():
+    # Via y = 1, z = 2 exceeds the bound inside the band and z = 3 beyond it.
+    m = [[0, 1, 1 + 5e-10, 1 + 2e-9]] + [[1, 0, 0, 0]] * 3
+    space = from_matrix(range(4), m, exact=False)
+    assert check_axioms(space).triangle.witness == (0, 1, 3)
+    assert _brute_force_axioms(space).triangle.witness == (0, 1, 3)
+
+
+def test_exact_triangle_is_not_widened():
+    tiny = F(1, 10**12)
+    space = from_matrix((0, 1, 2), [[0, 1, 2 + tiny], [0, 0, 1], [0, 0, 0]])
+    assert check_axioms(space).triangle.witness == (0, 1, 2)
+
+
+def test_nan_distance_fails_the_triangle():
+    space = from_oracle(
+        lambda x, y: math.nan if (x, y) == (0, 1) else 0, points=(0, 1), exact=False
+    )
+    report = check_axioms(space)
+    assert report.identity.passed
+    assert report.triangle.witness == (0, 0, 1)
+
+
+def _counting_space(m, t0=True):
+    calls = []
+
+    def d(x, y):
+        calls.append((x, y))
+        return m[x][y]
+
+    return from_oracle(d, points=range(len(m)), t0=t0), calls
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_check_axioms_reads_each_distance_once(n):
+    import random
+
+    rng = random.Random(n)
+    m = minplus_closure(
+        [[0 if i == j else F(rng.randint(1, 64), 8) for j in range(n)] for i in range(n)]
+    )
+    space, calls = _counting_space(m)
+    assert check_axioms(space, check_t0=True).ok
+    assert len(calls) == n * n
+    assert sorted(calls) == sorted(itertools.product(range(n), repeat=2))
+
+    # Every axiom failing, the first pair at once: still n^2 calls.
+    broken = [row[:] for row in m]
+    broken[0][0] = 1
+    if n > 1:
+        broken[0][1] = broken[1][0] = 0
+        broken[0][n - 1] = 10**6
+    space, calls = _counting_space(broken)
+    report = check_axioms(space, check_t0=True)
+    assert not report.identity.passed
+    assert n == 1 or not (report.triangle.passed or report.t0.passed)
+    assert len(calls) == n * n
+
+
+def test_sampled_check_reads_each_sampled_distance_once():
+    space, calls = _counting_space([[abs(i - j) for j in range(6)] for i in range(6)])
+    report = check_axioms(space, points=[4, 1, 4, 2], check_t0=True)
+    assert report.ok and report.sampled
+    assert len(calls) == 9
