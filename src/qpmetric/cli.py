@@ -10,11 +10,9 @@ README for the full list.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import corpus, documents
 from .comparison import linear, verify_gamma1
@@ -26,35 +24,23 @@ from .contraction import (
     verify_weak_contraction,
     Violation,
 )
-from .documents import DocumentError, System
+from .documents import DocumentError
 from .solver import Selection, SolveMode, SolverConfig, Status, solve
-from .space import DEFAULT_TOLERANCE, check_axioms
+from .space import DEFAULT_TOLERANCE, Value, check_axioms
 
 _ENV_TOLERANCE = "QPM_TOLERANCE"
 
 
+def _tolerance(raw: str, exact: bool, name: str) -> Value:
+    tolerance = documents.parse_value(raw, exact, name)
+    if tolerance < 0:
+        raise DocumentError(name, "tolerance must be nonnegative")
+    return tolerance
+
+
 def _env_tolerance() -> float:
     raw = os.environ.get(_ENV_TOLERANCE)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        return float(raw)
-    except ValueError:
-        raise DocumentError(_ENV_TOLERANCE, f"not a number: {raw!r}") from None
-
-
-def _load(path: str, force_float: bool) -> System:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DocumentError("document", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError("document", f"invalid JSON: {exc}") from exc
-    if isinstance(raw, dict):
-        is_float = force_float or raw.get("arithmetic") == "float"
-        if is_float and "tolerance" not in raw:
-            raw["tolerance"] = _env_tolerance()
-    return documents.parse_system(raw, force_float=force_float)
+    return DEFAULT_TOLERANCE if raw is None else _tolerance(raw, False, _ENV_TOLERANCE)
 
 
 def _value(v) -> str:
@@ -62,7 +48,7 @@ def _value(v) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    system = _load(args.path, args.float)
+    system = args.system
     # The T0 check runs only when the document claims the condition.
     report = check_axioms(system.space)
     ok = report.ok
@@ -87,7 +73,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    system = _load(args.path, args.float)
+    system = args.system
     if system.map is None:
         raise DocumentError("F", "document has no set-valued map")
     if system.gamma is None:
@@ -104,7 +90,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    system = _load(args.path, args.float)
+    system = args.system
     if system.map is None:
         raise DocumentError("F", "document has no set-valued map")
     if system.gamma is None:
@@ -112,10 +98,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     space = system.space
     if args.start not in space.universe():
         raise DocumentError("--from", f"unknown point {args.start!r}")
-    if args.tol is not None:
-        tol = Fraction(args.tol) if space.exact else float(Fraction(args.tol))
-    else:
+    if args.tol is None:
         tol = Fraction(0) if space.exact else space.tolerance
+    else:
+        tol = _tolerance(args.tol, space.exact, "--tol")
+        if tol == 0 and not space.exact:
+            raise DocumentError("--tol", "tolerance 0 requires EXACT arithmetic")
+    if args.max_iter < 1:
+        raise DocumentError("--max-iter", "max_iterations must be positive")
     config = SolverConfig(
         mode=SolveMode(args.mode),
         tolerance=tol,
@@ -162,7 +152,7 @@ _ENUMERATORS = {
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    system = _load(args.path, args.float)
+    system = args.system
     if system.map is None:
         raise DocumentError("F", "document has no set-valued map")
     found = _ENUMERATORS[args.what](system.space, system.map)
@@ -228,12 +218,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "path" in args:
+            args.system = documents.load_system(
+                args.path, force_float=args.float, default_tolerance=_env_tolerance()
+            )
         return args.fn(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        # Bad flag values (e.g. an unparseable --tol rational).
+    except ValueError as exc:
+        # DocumentError names the field or flag; other ValueErrors are
+        # malformed input met past parsing.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,9 @@ existential inequality that powers the iteration: every x must admit some
 y in Fx whose own defect is bounded by d(x, y) - gamma(d(x, y)) (FORWARD
 mode; DUAL and SYMMETRIC use the conjugate and symmetrized variants).  The
 verifier is exhaustive and deterministic: candidates are scanned in
-universe order, the stored witness minimizes its own defect with ties
-broken by universe order, and a violation reports the smallest-index x
+universe order by the same admissibility scan the solver runs, the stored
+witness minimizes its own defect with ties broken by universe order (the
+step greedy ``solve`` takes), and a violation reports the smallest-index x
 with no admissible candidate.
 """
 
@@ -67,10 +68,6 @@ class SetValuedMap:
                 raise KeyError(f"map is not defined at {x!r}")
             self._table[x] = self._normalize(x, self._fn(x))
         return self._table[x]
-
-    def defined_points(self) -> tuple[Point, ...]:
-        """Points with a materialized image (all of them for dict-backed maps)."""
-        return tuple(self._table)
 
 
 def startpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
@@ -147,32 +144,46 @@ def _image_in_universe(
     return image
 
 
-def _in_universe_order(
-    F: SetValuedMap, x: Point, order: Mapping[Point, int]
-) -> list[Point]:
-    """F(x) sorted by universe position (see :func:`_image_in_universe`)."""
-    return sorted(_image_in_universe(F, x, order), key=order.__getitem__)
-
-
 def _memo_defect(
-    space: QSpace,
-    F: SetValuedMap,
-    mode: ContractionMode,
-    order: Mapping[Point, int] | None,
+    space: QSpace, F: SetValuedMap, mode: ContractionMode
 ) -> Callable[[Point], Value]:
-    """``mode_defect`` memoized per point.  With a universe ``order``, an
-    image point outside it is a ValueError, raised before any distance to
-    it is asked for."""
+    """``mode_defect`` memoized per point.  On a finite space, an image
+    point outside the universe is a ValueError, raised before any distance
+    to it is asked for."""
     cache: dict[Point, Value] = {}
 
     def defect(x: Point) -> Value:
         if x not in cache:
-            if order is not None:
-                _image_in_universe(F, x, order)
+            if space.order is not None:
+                _image_in_universe(F, x, space.order)
             cache[x] = mode_defect(space, x, F, mode)
         return cache[x]
 
     return defect
+
+
+def _admissible(
+    space: QSpace,
+    F: SetValuedMap,
+    gamma: ComparisonFunction,
+    x: Point,
+    mode: ContractionMode,
+    defect: Callable[[Point], Value],
+) -> list[tuple[Point, Value]]:
+    """The (candidate, defect) pairs of F(x) that satisfy the mode's
+    inequality, in universe order on a finite space and in image order
+    otherwise.  ``defect`` is the caller's memo from :func:`_memo_defect`."""
+    order = space.order
+    if order is None:
+        candidates = F(x)
+    else:
+        candidates = sorted(_image_in_universe(F, x, order), key=order.__getitem__)
+    out = []
+    for y in candidates:
+        dy = defect(y)
+        if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
+            out.append((y, dy))
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,28 +221,20 @@ def verify_weak_contraction(
     raises ``ValueError``.
     """
     universe = space.universe()
-    order = {p: i for i, p in enumerate(universe)}
-    defect = _memo_defect(space, F, mode, order)
-
+    defect = _memo_defect(space, F, mode)
     witnesses: dict[Point, Point] = {}
     for x in universe:
-        best: tuple[Value, int, Point] | None = None
-        for y in _in_universe_order(F, x, order):
-            dy = defect(y)
-            if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
-                key = (dy, order[y], y)
-                if best is None or key[:2] < best[:2]:
-                    best = key
-        if best is None:
+        admissible = _admissible(space, F, gamma, x, mode, defect)
+        if not admissible:
             return Violation(mode=mode, point=x)
-        witnesses[x] = best[2]
+        # The first minimum-defect candidate: the step greedy solve takes.
+        witnesses[x] = min(admissible, key=lambda pair: pair[1])[0]
     return ContractionCertificate(mode=mode, witnesses=witnesses, checked_points=universe)
 
 
 def _enumerate(space: QSpace, F: SetValuedMap, mode: ContractionMode) -> list[Point]:
     universe = space.universe()
-    # With the universe order, an image point outside it is a ValueError.
-    defect = _memo_defect(space, F, mode, {p: i for i, p in enumerate(universe)})
+    defect = _memo_defect(space, F, mode)
     return [x for x in universe if space.is_zero(defect(x))]
 
 

@@ -17,11 +17,14 @@ space, optionally with a set-valued map and a comparison function:
     }
 
 In EXACT mode distance entries are rationals, written as "p/q" strings
-(plain integers also parse); FLOAT mode uses JSON numbers.  Booleans,
-NaN, infinities and numbers beyond the float range are rejected.  Malformed
-input raises :class:`DocumentError` carrying the offending field, which
-the CLI turns into exit code 2; semantically bad but well-formed content
-(say, a nonzero diagonal) parses fine and is left to the axiom checker.
+(plain integers also parse); FLOAT mode uses JSON numbers.  Entries and
+gamma fields follow the one value rule of
+:func:`qpmetric.space.from_matrix`: booleans, NaN, infinities and numbers
+beyond the float range are rejected, and so are negative distances.
+Malformed input raises :class:`DocumentError` carrying the offending field
+(``document`` for a file that cannot be read or is not JSON), which the
+CLI turns into exit code 2; semantically bad but well-formed content (say,
+a nonzero diagonal) parses fine and is left to the axiom checker.
 
 Iteration traces serialize one way (they are outputs):
 
@@ -47,15 +50,20 @@ from typing import Any, Mapping
 from .comparison import ComparisonFunction, linear, rational_shrink, user_table
 from .contraction import SetValuedMap
 from .solver import IterationTrace
-from .space import DEFAULT_TOLERANCE, INFINITY, QSpace, Value, distance_matrix, from_matrix
+from .space import (
+    DEFAULT_TOLERANCE,
+    INFINITY,
+    FieldError,
+    QSpace,
+    Value,
+    _coerce_value,
+    distance_matrix,
+    from_matrix,
+)
 
 
-class DocumentError(ValueError):
+class DocumentError(FieldError):
     """Malformed document; ``field`` names the offending entry."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 def encode_value(v: Value, exact: bool) -> str | float:
@@ -66,21 +74,12 @@ def encode_value(v: Value, exact: bool) -> str | float:
 
 
 def parse_value(raw: Any, exact: bool, field: str) -> Value:
-    if isinstance(raw, bool):
-        raise DocumentError(field, f"not a valid number: {raw!r}")
+    """A number under the value rule of :func:`qpmetric.space.from_matrix`;
+    a value it rejects is a :class:`DocumentError` naming ``field``."""
     try:
-        if exact:
-            if isinstance(raw, float):
-                return Fraction(str(raw))
-            return Fraction(raw)
-        v = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
-    except OverflowError as exc:
-        raise DocumentError(field, f"out of the float range: {raw!r}") from exc
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise DocumentError(field, f"not a valid number: {raw!r}") from exc
-    if not math.isfinite(v):
-        raise DocumentError(field, f"not a finite number: {raw!r}")
-    return v
+        return _coerce_value(raw, exact)
+    except ValueError as exc:
+        raise DocumentError(field, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -139,12 +138,15 @@ def gamma_document(gamma: ComparisonFunction) -> dict[str, Any]:
     }
 
 
-def parse_system(doc: Any, *, force_float: bool = False) -> System:
+def parse_system(
+    doc: Any, *, force_float: bool = False, default_tolerance: float = DEFAULT_TOLERANCE
+) -> System:
     """Parse a system document into live objects.
 
     ``force_float`` overrides the document's arithmetic flag (the CLI's
-    ``--float``).  Raises :class:`DocumentError` on the first malformed
-    field.
+    ``--float``); ``default_tolerance`` applies when the document sets no
+    tolerance (only FLOAT spaces read it).  Raises :class:`DocumentError`
+    on the first malformed field.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
@@ -166,27 +168,22 @@ def parse_system(doc: Any, *, force_float: bool = False) -> System:
     matrix = doc.get("d")
     if not isinstance(matrix, list) or len(matrix) != n:
         raise DocumentError("d", f"expected a {n}x{n} matrix")
-    rows = []
     for i, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentError(f"d[{i}]", f"expected a row of {n} entries")
-        parsed_row = []
-        for j, raw in enumerate(row):
-            v = parse_value(raw, exact, f"d[{i}][{j}]")
-            if v < 0:
-                raise DocumentError(f"d[{i}][{j}]", "distances must be nonnegative")
-            parsed_row.append(v)
-        rows.append(parsed_row)
 
     t0 = doc.get("t0", False)
     if not isinstance(t0, bool):
         raise DocumentError("t0", "expected a boolean")
 
-    tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)
-    if type(tolerance) not in (int, float) or not 0 <= tolerance < INFINITY:
+    tolerance = doc.get("tolerance", default_tolerance)
+    if "tolerance" in doc and not (type(tolerance) in (int, float) and 0 <= tolerance < INFINITY):
         raise DocumentError("tolerance", "expected a nonnegative number")
 
-    space = from_matrix(points, rows, exact=exact, t0=t0, tolerance=float(tolerance))
+    try:
+        space = from_matrix(points, matrix, exact=exact, t0=t0, tolerance=float(tolerance))
+    except FieldError as exc:
+        raise DocumentError(exc.field, exc.message) from exc
 
     smap = None
     if "F" in doc:
@@ -245,12 +242,18 @@ def system_document(
     return doc
 
 
-def load_system(path: str | Path, *, force_float: bool = False) -> System:
+def load_system(
+    path: str | Path, *, force_float: bool = False, default_tolerance: float = DEFAULT_TOLERANCE
+) -> System:
+    """Read and parse a system document (see :func:`parse_system`); a file
+    that cannot be read or decoded, or is not JSON, names ``document``."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError("document", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError("document", f"invalid JSON: {exc}") from exc
-    return parse_system(raw, force_float=force_float)
+    return parse_system(raw, force_float=force_float, default_tolerance=default_tolerance)
 
 
 def dump_system(

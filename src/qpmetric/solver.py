@@ -38,16 +38,9 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
-from .contraction import (
-    ContractionMode,
-    SetValuedMap,
-    admissibility_bound,
-    _in_universe_order,
-    _memo_defect,
-)
+from .contraction import ContractionMode, SetValuedMap, _admissible, _memo_defect
 from .space import INFINITY, Point, QSpace, Value, conjugate
 
 
@@ -154,30 +147,6 @@ class IterationTrace:
         return (self.start,) + tuple(s.y for s in self.steps)
 
 
-def _universe_order(space: QSpace) -> dict[Point, int] | None:
-    if not space.finite:
-        return None
-    return {p: i for i, p in enumerate(space.universe())}
-
-
-def _admissible(
-    space: QSpace,
-    F: SetValuedMap,
-    gamma: ComparisonFunction,
-    x: Point,
-    mode: ContractionMode,
-    order: dict[Point, int] | None,
-    defect: Callable[[Point], Value],
-) -> list[tuple[Point, Value]]:
-    candidates = F(x) if order is None else _in_universe_order(F, x, order)
-    out = []
-    for y in candidates:
-        dy = defect(y)
-        if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
-            out.append((y, dy))
-    return out
-
-
 def admissible_candidates(
     space: QSpace,
     F: SetValuedMap,
@@ -192,8 +161,7 @@ def admissible_candidates(
     space is finite, image encounter order otherwise.  An image point
     outside a finite universe raises ``ValueError``.
     """
-    order = _universe_order(space)
-    return _admissible(space, F, gamma, x, mode, order, _memo_defect(space, F, mode, order))
+    return _admissible(space, F, gamma, x, mode, _memo_defect(space, F, mode))
 
 
 def solve(
@@ -234,8 +202,7 @@ def solve(
 
     work = conjugate(space) if config.mode is SolveMode.ENDPOINT else space
     cmode = _CONTRACTION_OF[config.mode]
-    order = _universe_order(work)
-    defect = _memo_defect(work, F, cmode, order)
+    defect = _memo_defect(work, F, cmode)
 
     steps: list[Step] = []
     x = x0
@@ -254,7 +221,7 @@ def solve(
             outcome = Outcome(Status.MAX_ITERATIONS, x, current)
             break
 
-        admissible = _admissible(work, F, gamma, x, cmode, order, defect)
+        admissible = _admissible(work, F, gamma, x, cmode, defect)
         if not admissible:
             outcome = Outcome(Status.CONTRACTION_VIOLATED, x, current)
             break

@@ -27,9 +27,9 @@ called concurrently from any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Point = Hashable
 #: Distances are nonnegative rationals (EXACT mode), floats (FLOAT mode),
@@ -65,6 +65,8 @@ class QSpace:
     ``exact`` selects the arithmetic mode; ``tolerance`` is only consulted
     in FLOAT mode.  ``t0`` records whether the space claims the T0
     condition (it is checked by :func:`check_axioms`, never assumed).
+    ``order`` maps each point of a finite universe to its position; every
+    finite scan reads it.
     """
 
     d: Callable[[Point, Point], Value]
@@ -72,6 +74,11 @@ class QSpace:
     exact: bool = True
     t0: bool = False
     tolerance: float = DEFAULT_TOLERANCE
+    order: Mapping[Point, int] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        order = None if self.points is None else {p: i for i, p in enumerate(self.points)}
+        object.__setattr__(self, "order", order)
 
     @property
     def finite(self) -> bool:
@@ -81,13 +88,6 @@ class QSpace:
         if self.points is None:
             raise ValueError("space has no enumerable universe")
         return self.points
-
-    def index(self, x: Point) -> int:
-        """Position of ``x`` in the universe order (finite spaces only)."""
-        try:
-            return self.universe().index(x)
-        except ValueError:
-            raise KeyError(f"point {x!r} is not in the universe") from None
 
     # Comparison helpers.  EXACT mode compares exactly; FLOAT mode widens
     # every "= 0" and "<=" test by the tolerance.
@@ -102,13 +102,45 @@ class QSpace:
         return a <= b + self.tolerance
 
 
-def _coerce_exact(v: Value | str) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, float):
-        # Read floats as their decimal literal, not their binary expansion.
-        return Fraction(str(v))
-    return Fraction(v)
+class FieldError(ValueError):
+    """A malformed input value; ``field`` names it (``d[i][j]`` for a
+    distance-matrix entry)."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
+def _coerce_value(raw: Value | str, exact: bool) -> Value:
+    """The one value rule: EXACT gives a Fraction, FLOAT a finite float
+    (see :func:`from_matrix`); anything else is a ValueError."""
+    if isinstance(raw, bool):
+        raise ValueError(f"not a valid number: {raw!r}")
+    try:
+        if exact:
+            if isinstance(raw, Fraction):
+                return raw
+            # Read floats as their decimal literal, not their binary expansion.
+            return Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
+        v = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+    except OverflowError as exc:
+        raise ValueError(f"out of the float range: {raw!r}") from exc
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a valid number: {raw!r}") from exc
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return v
+
+
+def _entry(raw: Value | str, exact: bool, i: int, j: int) -> Value:
+    try:
+        v = _coerce_value(raw, exact)
+    except ValueError as exc:
+        raise FieldError(f"d[{i}][{j}]", str(exc)) from exc
+    if v < 0:
+        raise FieldError(f"d[{i}][{j}]", "distances must be nonnegative")
+    return v
 
 
 def from_matrix(
@@ -121,10 +153,14 @@ def from_matrix(
 ) -> QSpace:
     """Build a finite space from a row-major distance matrix.
 
-    ``matrix[i][j]`` is d(points[i], points[j]).  In EXACT mode entries may
-    be ints, Fractions, "p/q" strings, or decimal floats; in FLOAT mode
-    everything is coerced to float.  Entries must be nonnegative; the
-    axioms themselves are *not* enforced here (use :func:`check_axioms`).
+    ``matrix[i][j]`` is d(points[i], points[j]).  One rule, shared with
+    documents, reads every entry: EXACT mode takes ints, Fractions, "p/q"
+    or decimal strings and decimal floats to Fractions; FLOAT mode takes
+    numbers and such strings to finite floats.  Booleans, NaN, infinities,
+    values beyond the float range and negative entries raise
+    :class:`FieldError` naming the entry ``d[i][j]``.  The values are kept
+    in index-addressed rows; the axioms are *not* enforced here (use
+    :func:`check_axioms`).
     """
     pts = tuple(points)
     if not pts:
@@ -134,19 +170,17 @@ def from_matrix(
     n = len(pts)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"distance matrix must be {n}x{n}")
-    coerce = _coerce_exact if exact else float
-    table: dict[tuple[Point, Point], Value] = {}
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            v = coerce(matrix[i][j])
-            if v < 0:
-                raise ValueError(f"negative distance at entry [{i}][{j}]")
-            table[(x, y)] = v
+    rows = [
+        [_entry(raw, exact, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)
+    ]
 
     def d(x: Point, y: Point) -> Value:
-        return table[(x, y)]
+        return rows[order[x]][order[y]]
 
-    return QSpace(d=d, points=pts, exact=exact, t0=t0, tolerance=tolerance)
+    space = QSpace(d=d, points=pts, exact=exact, t0=t0, tolerance=tolerance)
+    # d reads the space's own universe order, bound before d can be called.
+    order = space.order
+    return space
 
 
 def from_oracle(
@@ -174,13 +208,7 @@ def conjugate(space: QSpace) -> QSpace:
     def d(x: Point, y: Point) -> Value:
         return inner(y, x)
 
-    return QSpace(
-        d=d,
-        points=space.points,
-        exact=space.exact,
-        t0=space.t0,
-        tolerance=space.tolerance,
-    )
+    return replace(space, d=d)
 
 
 def symmetrize(space: QSpace) -> QSpace:
@@ -194,13 +222,7 @@ def symmetrize(space: QSpace) -> QSpace:
     def d(x: Point, y: Point) -> Value:
         return max(inner(x, y), inner(y, x))
 
-    return QSpace(
-        d=d,
-        points=space.points,
-        exact=space.exact,
-        t0=space.t0,
-        tolerance=space.tolerance,
-    )
+    return replace(space, d=d)
 
 
 @dataclass(frozen=True)

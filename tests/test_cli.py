@@ -174,9 +174,33 @@ class TestSolve:
         assert out.strip() == "CONVERGED c defect=0 steps=2"
 
     def test_bad_tolerance_flag(self, dyadic_doc, capsys):
-        code, _, err = run(capsys, "solve", dyadic_doc, "--from", "1", "--tol", "huh")
+        code, out, err = run(capsys, "solve", dyadic_doc, "--from", "1", "--tol", "huh")
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert err.startswith("error: --tol: ")
+
+    @pytest.mark.parametrize(
+        "flags, arithmetic, named",
+        [
+            (["--tol", "-1"], "exact", "--tol"),
+            (["--tol", "nan"], "exact", "--tol"),
+            (["--tol", "1/0"], "exact", "--tol"),
+            (["--tol", "-1"], "float", "--tol"),
+            (["--tol", "nan"], "float", "--tol"),
+            (["--tol", "1e400"], "float", "--tol"),
+            (["--tol", "0"], "float", "--tol"),
+            (["--max-iter", "0"], "exact", "--max-iter"),
+            (["--max-iter", "-3"], "float", "--max-iter"),
+        ],
+    )
+    def test_bad_solve_flags_are_named(self, dyadic_doc, capsys, flags, arithmetic, named):
+        argv = ["solve", dyadic_doc, "--from", "1", *flags]
+        if arithmetic == "float":
+            argv.append("--float")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {named}: ")
 
 
 class TestGenEnumerate:
@@ -253,6 +277,14 @@ class TestFloatAndEnvironment:
         code, out, _ = run(capsys, "enumerate", str(path))
         assert code == 0
         assert out.split() == ["a", "b"]
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "abc"])
+    def test_bad_env_tolerance_is_named(self, dyadic_doc, capsys, monkeypatch, value):
+        monkeypatch.setenv("QPM_TOLERANCE", value)
+        code, out, err = run(capsys, "enumerate", dyadic_doc, "--float")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: QPM_TOLERANCE: ")
 
     def test_float_flag_overrides_exact(self, tmp_path, capsys, monkeypatch):
         space = from_matrix(("a", "b"), [[0, "1/1000000000000"], [1, 0]], t0=True)

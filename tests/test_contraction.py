@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qpmetric import (
     ContractionCertificate,
     ContractionMode,
     GeneratorSeed,
     SetValuedMap,
+    SolverConfig,
     Violation,
+    admissibility_bound,
     conjugate,
     dyadic_halving_system,
     dyadic_halving_truncated,
@@ -19,7 +22,10 @@ from qpmetric import (
     from_matrix,
     hausdorff,
     linear,
+    mode_defect,
     random_weakly_contractive_system,
+    rational_shrink,
+    solve,
     startpoint_defect,
     verify_weak_contraction,
 )
@@ -218,3 +224,76 @@ class TestEnumerate:
             starts = set(enumerate_startpoints(space, Fm))
             ends = set(enumerate_endpoints(space, Fm))
             assert set(enumerate_fixed_points(space, Fm)) == starts & ends
+
+
+# ---------------------------------------------------------------------------
+# verify_weak_contraction against its former candidate loop.
+
+
+def _brute_force_verify(space, F, gamma, mode=ContractionMode.FORWARD):
+    """Reference: per x, scan F(x) in universe order and keep the
+    admissible candidate of minimum own defect, ties by universe order."""
+    universe = space.universe()
+    order = {p: i for i, p in enumerate(universe)}
+    witnesses = {}
+    for x in universe:
+        best = None
+        for y in sorted(F(x), key=order.__getitem__):
+            dy = mode_defect(space, y, F, mode)
+            if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
+                key = (dy, order[y], y)
+                if best is None or key[:2] < best[:2]:
+                    best = key
+        if best is None:
+            return Violation(mode=mode, point=x)
+        witnesses[x] = best[2]
+    return ContractionCertificate(mode=mode, witnesses=witnesses, checked_points=universe)
+
+
+#: Few distinct values, so that defects tie often.
+tied_values = st.sampled_from([0, 0, F(1, 4), F(1, 2), 1, 2])
+near_tolerance = st.sampled_from([0.0, 5e-10, 1e-9, 0.25, 0.5 + 5e-10, 0.5, 1.0])
+
+
+@st.composite
+def _systems(draw):
+    exact = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=6))
+    points = [f"p{i}" for i in range(n)]
+    entries = tied_values if exact else near_tolerance
+    m = [[0 if i == j else draw(entries) for j in range(n)] for i in range(n)]
+    # Images are nonempty and listed in any order, not only universe order.
+    images = {x: draw(st.permutations(points))[: draw(st.integers(1, n))] for x in points}
+    gamma = draw(st.sampled_from([linear(F(1, 2)), linear(F(1, 8)), rational_shrink()]))
+    space = from_matrix(points, m, exact=exact)
+    return space, SetValuedMap(images), gamma
+
+
+@given(system=_systems())
+def test_verify_matches_brute_force(system):
+    space, Fm, gamma = system
+    for mode in ContractionMode:
+        result = verify_weak_contraction(space, Fm, gamma, mode)
+        assert result == _brute_force_verify(space, Fm, gamma, mode)
+    result = verify_weak_contraction(space, Fm, gamma)
+    if isinstance(result, ContractionCertificate):
+        # The witness is the step greedy solve takes from a non-startpoint.
+        tol = F(0) if space.exact else space.tolerance
+        for x in space.universe():
+            trace = solve(space, Fm, gamma, x, SolverConfig(tolerance=tol, max_iterations=1))
+            if trace.steps:
+                assert trace.steps[0].y == result.witnesses[x]
+
+
+def test_verify_brute_force_sees_ties_and_violations():
+    # The hypothesis draws above include both outcomes; pin one of each.
+    space = from_matrix(("a", "b", "c"), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    tied = SetValuedMap({"a": ["c", "b"], "b": ["b"], "c": ["c"]})
+    cert = verify_weak_contraction(space, tied, linear(F(1, 2)))
+    assert cert == _brute_force_verify(space, tied, linear(F(1, 2)))
+    assert cert.witnesses["a"] == "b"  # c ties b on defect 0; b comes first
+    # From b, a's defect 1 exceeds the bound 1 - 1/2; a itself passes via c.
+    swap = SetValuedMap({"a": ["c"], "b": ["a"], "c": ["c"]})
+    violation = verify_weak_contraction(space, swap, linear(F(1, 2)))
+    assert violation == _brute_force_verify(space, swap, linear(F(1, 2)))
+    assert violation == Violation(ContractionMode.FORWARD, "b")

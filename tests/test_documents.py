@@ -14,6 +14,7 @@ from qpmetric import (
     dump_system,
     dump_trace,
     dyadic_halving_truncated,
+    from_matrix,
     from_oracle,
     linear,
     load_system,
@@ -247,3 +248,64 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(DocumentError):
         load_system(path)
+
+
+# One value rule: (entry, accepted in EXACT, accepted in FLOAT).
+VALUE_RULE_CASES = [
+    (True, False, False),
+    (math.nan, False, False),
+    (math.inf, False, False),
+    (-math.inf, False, False),
+    ("1/0", False, False),
+    ("x", False, False),
+    (-1, False, False),
+    (1e400, False, False),
+    ("1e400", True, False),
+    ("1/2", True, True),
+    (3, True, True),
+    (F(1, 3), True, True),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("entry, ok_exact, ok_float", VALUE_RULE_CASES, ids=repr)
+def test_from_matrix_and_documents_share_one_value_rule(entry, ok_exact, ok_float, exact):
+    matrix = [[0, 0], [entry, 0]]
+    doc = {"points": ["a", "b"], "d": matrix, "arithmetic": "exact" if exact else "float"}
+    if ok_exact if exact else ok_float:
+        direct = from_matrix(("a", "b"), matrix, exact=exact).d("b", "a")
+        parsed = parse_system(doc).space.d("b", "a")
+        assert direct == parsed
+        assert type(direct) is type(parsed) is (F if exact else float)
+        return
+    with pytest.raises(ValueError) as direct:
+        from_matrix(("a", "b"), matrix, exact=exact)
+    with pytest.raises(DocumentError) as parsed:
+        parse_system(doc)
+    assert parsed.value.field == "d[1][0]"
+    assert str(direct.value) == str(parsed.value)
+    assert str(direct.value).startswith("d[1][0]: ")
+
+
+class TestUnreadableDocuments:
+    @pytest.fixture(params=["missing", "directory", "not-utf8"])
+    def unreadable(self, request, tmp_path):
+        path = tmp_path / "doc.json"
+        if request.param == "directory":
+            path.mkdir()
+        elif request.param == "not-utf8":
+            path.write_bytes(b'{"points": ["\xff"]}')
+        return path
+
+    def test_load_system_names_document(self, unreadable):
+        with pytest.raises(DocumentError) as err:
+            load_system(unreadable)
+        assert err.value.field == "document"
+
+    def test_cli_exits_two_naming_document(self, unreadable, capsys):
+        from qpmetric.cli import main
+
+        assert main(["check", str(unreadable)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: document: ")

@@ -241,9 +241,6 @@ def test_matrix_validation():
 
 def test_universe_index_and_matrix(dyadic):
     space = from_matrix(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    assert space.index("b") == 1
-    with pytest.raises(KeyError):
-        space.index("z")
     from qpmetric import distance_matrix
 
     assert distance_matrix(space)[0] == [0, 1, 2]
