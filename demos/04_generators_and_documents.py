@@ -27,7 +27,7 @@ F = Fraction
 
 # %% Random spaces draw rational weights and close them under min-plus
 # (all-pairs shortest path), which enforces the triangle inequality by
-# construction; T0 failures are redrawn.  One seed pins everything.
+# construction.  One seed pins everything.
 g = GeneratorSeed(seed=2718, size=8)
 space = random_t0_qspace(g)
 print("axioms:", check_axioms(space, check_t0=True).ok)

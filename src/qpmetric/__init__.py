@@ -42,7 +42,6 @@ from .contraction import (
     verify_weak_contraction,
 )
 from .corpus import (
-    GenerationError,
     GeneratorSeed,
     dyadic_halving_system,
     dyadic_halving_truncated,
@@ -105,7 +104,6 @@ __all__ = [
     "DocumentError",
     "EPSILON_SCHEDULE",
     "Gamma1Report",
-    "GenerationError",
     "GeneratorSeed",
     "INFINITY",
     "IterationTrace",

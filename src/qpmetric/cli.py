@@ -26,7 +26,7 @@ from .contraction import (
 )
 from .documents import DocumentError
 from .solver import Selection, SolveMode, SolverConfig, Status, solve
-from .space import DEFAULT_TOLERANCE, Value, check_axioms
+from .space import DEFAULT_TOLERANCE, FieldError, Value, check_axioms
 
 _ENV_TOLERANCE = "QPM_TOLERANCE"
 
@@ -102,8 +102,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         tol = Fraction(0) if space.exact else space.tolerance
     else:
         tol = _tolerance(args.tol, space.exact, "--tol")
-        if tol == 0 and not space.exact:
+    if tol == 0 and not space.exact:
+        if args.tol is not None:
             raise DocumentError("--tol", "tolerance 0 requires EXACT arithmetic")
+        raise DocumentError(
+            "tolerance",
+            f"0 from the document or ${_ENV_TOLERANCE} requires EXACT "
+            "arithmetic; --tol sets a positive one",
+        )
     if args.max_iter < 1:
         raise DocumentError("--max-iter", "max_iterations must be positive")
     config = SolverConfig(
@@ -131,12 +137,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    g = corpus.GeneratorSeed(seed=args.seed, size=args.size)
-    gamma = linear(Fraction(1, 2))
     try:
-        space, smap = corpus.random_weakly_contractive_system(g, gamma)
-    except corpus.GenerationError as exc:
-        raise DocumentError("--size", str(exc)) from exc
+        g = corpus.GeneratorSeed(seed=args.seed, size=args.size)
+    except FieldError as exc:
+        raise DocumentError(f"--{exc.field}", exc.message) from exc
+    gamma = linear(Fraction(1, 2))
+    space, smap = corpus.random_weakly_contractive_system(g, gamma)
     documents.dump_system(
         args.out, space, smap, gamma, meta={"seed": g.seed, "size": g.size}
     )

@@ -13,6 +13,10 @@ Generation is deterministic: one :class:`GeneratorSeed` pins the system
 bit for bit, including after serialization.  All draws come from a single
 ``random.Random(seed)`` stream consumed in a fixed order; nothing depends
 on hash ordering.
+
+Random spaces are T0 by construction, in one draw at every size: zero
+weights, and so zero distances, run only from p_i to p_j with i < j.
+One-sided zeros, d(x, y) = 0 < d(y, x), still occur.
 """
 
 from __future__ import annotations
@@ -24,7 +28,15 @@ from typing import Sequence
 
 from .comparison import ComparisonFunction, linear, verify_gamma1
 from .contraction import SetValuedMap
-from .space import Point, QSpace, Value, _over_common_denominator, from_matrix, from_oracle
+from .space import (
+    FieldError,
+    Point,
+    QSpace,
+    Value,
+    _over_common_denominator,
+    from_matrix,
+    from_oracle,
+)
 
 ZERO = Fraction(0)
 
@@ -92,16 +104,13 @@ class GeneratorSeed:
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise FieldError("seed", "must fit in 64 unsigned bits")
         if self.size < 2:
-            raise ValueError("size must be at least 2")
+            raise FieldError("size", "must be at least 2")
         lo, hi = self.weight_range
-        if lo < 0 or hi < lo:
-            raise ValueError("weight_range must satisfy 0 <= lo <= hi")
-
-
-class GenerationError(RuntimeError):
-    """Raised when the retry budget is exhausted (reports the seed)."""
+        # hi = 0 makes every weight 0, and no such space is T0.
+        if lo < 0 or hi < lo or hi == 0:
+            raise FieldError("weight_range", "must satisfy 0 <= lo <= hi and 0 < hi")
 
 
 def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
@@ -131,37 +140,19 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
 
 #: Rational weights are drawn on a grid of this many steps across the range.
 _WEIGHT_STEPS = 64
-_MAX_RETRIES = 32
-
-
-def _draw_weight(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    return lo + (hi - lo) * Fraction(rng.randint(0, _WEIGHT_STEPS), _WEIGHT_STEPS)
-
-
-def _point_names(size: int) -> tuple[str, ...]:
-    return tuple(f"p{i}" for i in range(size))
 
 
 def _random_t0_from_rng(rng: random.Random, g: GeneratorSeed) -> QSpace:
     lo, hi = g.weight_range
-    names = _point_names(g.size)
-    for _ in range(_MAX_RETRIES):
-        matrix = [
-            [ZERO if i == j else _draw_weight(rng, lo, hi) for j in range(g.size)]
-            for i in range(g.size)
-        ]
-        closed = minplus_closure(matrix)
-        t0_ok = all(
-            closed[i][j] != 0 or closed[j][i] != 0
-            for i in range(g.size)
-            for j in range(i + 1, g.size)
-        )
-        if t0_ok:
-            return from_matrix(names, closed, exact=True, t0=True)
-    raise GenerationError(
-        f"could not draw a T0 space after {_MAX_RETRIES} attempts "
-        f"(seed={g.seed}, size={g.size}, weight_range={g.weight_range})"
-    )
+    n, step = g.size, Fraction(hi - lo, _WEIGHT_STEPS)
+    # Grid step 0 (weight lo, maybe 0) only when i < j: zero paths then only
+    # climb in index, so no two points are at zero distance both ways.
+    matrix = [
+        [ZERO if i == j else lo + step * rng.randint(int(i > j), _WEIGHT_STEPS) for j in range(n)]
+        for i in range(n)
+    ]
+    names = [f"p{i}" for i in range(n)]
+    return from_matrix(names, minplus_closure(matrix), exact=True, t0=True)
 
 
 def random_t0_qspace(g: GeneratorSeed) -> QSpace:
@@ -169,8 +160,9 @@ def random_t0_qspace(g: GeneratorSeed) -> QSpace:
 
     Draws nonnegative rational weights for every ordered pair, zeroes the
     diagonal, and takes the min-plus closure to enforce the triangle
-    inequality.  Draws failing the T0 condition are rejected and redrawn a
-    bounded number of times; exhaustion raises :class:`GenerationError`.
+    inequality.  A weight from p_i to p_j with i > j is drawn positive, so
+    the closure is T0 by construction in one draw at every size, and every
+    zero distance runs from a lower index to a higher one.
     """
     return _random_t0_from_rng(random.Random(g.seed), g)
 
@@ -189,9 +181,8 @@ def random_weakly_contractive_system(
     precondition.
     """
     if gamma is not None:
-        lo, hi = g.weight_range
-        top = hi if hi > 0 else Fraction(1)
-        grid = sorted({top * Fraction(k, 8) for k in range(1, 9)})
+        hi = g.weight_range[1]
+        grid = [hi * Fraction(k, 8) for k in range(1, 9)]
         report = verify_gamma1(gamma, grid)
         if not report.passed:
             raise ValueError(

@@ -80,10 +80,6 @@ class QSpace:
         order = None if self.points is None else {p: i for i, p in enumerate(self.points)}
         object.__setattr__(self, "order", order)
 
-    @property
-    def finite(self) -> bool:
-        return self.points is not None
-
     def universe(self) -> tuple[Point, ...]:
         if self.points is None:
             raise ValueError("space has no enumerable universe")

@@ -202,6 +202,22 @@ class TestSolve:
         assert out == ""
         assert err.startswith(f"error: {named}: ")
 
+    @pytest.mark.parametrize("source", ["document", "environment"])
+    def test_zero_float_tolerance_without_tol_is_named(
+        self, dyadic_doc, capsys, monkeypatch, source
+    ):
+        if source == "document":
+            doc = json.loads(Path(dyadic_doc).read_text())
+            doc["tolerance"] = 0
+            Path(dyadic_doc).write_text(json.dumps(doc))
+        else:
+            monkeypatch.setenv("QPM_TOLERANCE", "0")
+        code, out, err = run(capsys, "solve", dyadic_doc, "--from", "1", "--float")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance: ")
+        assert "QPM_TOLERANCE" in err and "--tol" in err
+
 
 class TestGenEnumerate:
     def test_gen_then_enumerate_nonempty(self, tmp_path, capsys):
@@ -226,18 +242,20 @@ class TestGenEnumerate:
         assert code == 0
         assert out.strip() == "0"
 
-    def test_gen_out_of_retries_is_a_size_error(self, tmp_path, capsys, monkeypatch):
-        from qpmetric import corpus
-
-        def exhausted(g, gamma=None):
-            raise corpus.GenerationError(f"could not draw a T0 space (size={g.size})")
-
-        monkeypatch.setattr(corpus, "random_weakly_contractive_system", exhausted)
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--seed", "-1", "--size", "4"], "--seed"),
+            (["--seed", str(2**64), "--size", "4"], "--seed"),
+            (["--seed", "1", "--size", "1"], "--size"),
+        ],
+    )
+    def test_bad_gen_flags_are_named(self, tmp_path, capsys, flags, named):
         out_path = tmp_path / "gen.json"
-        code, out, err = run(capsys, "gen", "--seed", "1", "--size", "120", "--out", str(out_path))
+        code, out, err = run(capsys, "gen", *flags, "--out", str(out_path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --size: could not draw a T0 space (size=120)")
+        assert err.startswith(f"error: {named}: ")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("what", ["startpoints", "endpoints", "fixedpoints"])

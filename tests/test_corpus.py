@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from qpmetric import (
     INFINITY,
     ContractionCertificate,
-    GenerationError,
     GeneratorSeed,
     check_axioms,
     dyadic_halving_system,
@@ -23,6 +22,7 @@ from qpmetric import (
     user_function,
     verify_weak_contraction,
 )
+from qpmetric.space import FieldError
 
 F = Fraction
 ZERO = F(0)
@@ -171,7 +171,35 @@ def test_minplus_closure_matches_brute_force(case, data):
             assert all(type(v) is int for v in values)
 
 
+WEIGHT_RANGES = [(F(0), F(1)), (F(0), F(8)), (F(1, 2), F(1, 2)), (F(1), F(8))]
+
+
 class TestRandomSpaces:
+    @pytest.mark.parametrize("weight_range", WEIGHT_RANGES, ids=lambda r: f"{r[0]}-{r[1]}")
+    def test_t0_by_construction(self, weight_range):
+        for seed in range(50):
+            g = GeneratorSeed(seed=seed, size=2 + seed % 11, weight_range=weight_range)
+            report = check_axioms(random_t0_qspace(g), check_t0=True)
+            assert report.ok, f"seed {seed}: {report}"
+
+    def test_t0_by_construction_at_size_120(self):
+        space = random_t0_qspace(GeneratorSeed(seed=1, size=120))
+        assert check_axioms(space, check_t0=True).ok
+
+    def test_one_sided_zeros_occur_and_climb_in_index(self):
+        one_sided = []
+        for seed in range(50):
+            g = GeneratorSeed(seed=seed, size=2 + seed % 11, weight_range=(F(0), F(1)))
+            space = random_t0_qspace(g)
+            pts = space.universe()
+            one_sided += [
+                space.order[x] < space.order[y]
+                for x in pts
+                for y in pts
+                if space.d(x, y) == 0 < space.d(y, x)
+            ]
+        assert one_sided and all(one_sided)
+
     def test_axioms_hold_for_many_seeds(self):
         for seed in range(20):
             space = random_t0_qspace(GeneratorSeed(seed=seed, size=2 + seed % 7))
@@ -180,16 +208,14 @@ class TestRandomSpaces:
             assert space.exact and space.t0
 
     def test_single_asymmetric_pair_survives_closure(self):
-        # Weight grid includes the endpoints, so a [0, 1] range on 2 points
-        # can reproduce the (1, 0) pattern; closure must keep it.
+        # On 2 points with a [0, 1] range the closure keeps the drawn pair.
+        # A zero can only be drawn from p0 to p1 (one chance in 65 per seed,
+        # and none of these seeds draws it); d(p1, p0) is always positive.
         for seed in range(60):
             g = GeneratorSeed(seed=seed, size=2, weight_range=(F(0), F(1)))
-            try:
-                space = random_t0_qspace(g)
-            except GenerationError:
-                continue
+            space = random_t0_qspace(g)
             a, b = space.universe()
-            assert space.d(a, b) != 0 or space.d(b, a) != 0
+            assert space.d(b, a) > 0
 
     def test_determinism_bit_for_bit(self):
         g = GeneratorSeed(seed=123456789, size=9)
@@ -202,10 +228,11 @@ class TestRandomSpaces:
         b = system_document(random_t0_qspace(GeneratorSeed(seed=2, size=6)))
         assert a != b
 
-    def test_all_zero_weights_exhaust_retries(self):
-        g = GeneratorSeed(seed=5, size=3, weight_range=(ZERO, ZERO))
-        with pytest.raises(GenerationError, match="seed=5"):
-            random_t0_qspace(g)
+    def test_all_zero_weight_range_is_rejected(self):
+        # No draw from a (0, 0) range is T0, so the seed refuses it up front.
+        with pytest.raises(FieldError) as info:
+            GeneratorSeed(seed=5, size=3, weight_range=(ZERO, ZERO))
+        assert info.value.field == "weight_range"
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
