@@ -221,8 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     try:
         if "path" in args:
             args.system = documents.load_system(
@@ -234,6 +233,22 @@ def main(argv: list[str] | None = None) -> int:
         # malformed input met past parsing.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `qpm verify doc.json | head
+        # -1`): end quietly with exit code 1.  Python flushes stdout again at
+        # exit, so point it at devnull first (the SIGPIPE recipe of the
+        # Python docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

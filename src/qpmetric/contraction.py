@@ -21,12 +21,21 @@ universe order by the same admissibility scan the solver runs, the stored
 witness minimizes its own defect with ties broken by universe order (the
 step greedy ``solve`` takes), and a violation reports the smallest-index x
 with no admissible candidate.
+
+On a finite EXACT space with int rows over a common denominator D (see
+:mod:`qpmetric.space`), the defect memo and the admissibility scan read
+the rows by index, and a certified gamma becomes an integer test: with
+t = T/D and defect(y) = Y/D, ``linear(p/q)`` checks q*Y <= (q - p)*T and
+``rational_shrink`` checks Y*(D + T) <= T^2 (SYMMETRIC checks both
+directions).  User gammas are evaluated on ``Fraction(T, D)``.  Every
+value handed out is still the exact ``Fraction``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .comparison import ComparisonFunction
@@ -149,17 +158,65 @@ def _memo_defect(
 ) -> Callable[[Point], Value]:
     """``mode_defect`` memoized per point.  On a finite space, an image
     point outside the universe is a ValueError, raised before any distance
-    to it is asked for."""
+    to it is asked for.
+
+    On a space with int rows (``space.den`` set) the memo holds the defect
+    scaled by the common denominator, read from the rows by index;
+    ``defect.scaled(x)`` returns it, and ``defect(x)`` its Fraction, built
+    once per point.
+    """
+    order = space.order
     cache: dict[Point, Value] = {}
+    if space.den is None:
+
+        def defect(x: Point) -> Value:
+            if x not in cache:
+                if order is not None:
+                    _image_in_universe(F, x, order)
+                cache[x] = mode_defect(space, x, F, mode)
+            return cache[x]
+
+        return defect
+
+    rows, den = space.rows, space.den
+    forward = mode is not ContractionMode.DUAL
+    backward = mode is not ContractionMode.FORWARD
+    scaled_cache: dict[Point, int] = {}
+
+    def scaled(x: Point) -> int:
+        if x not in scaled_cache:
+            image = [order[y] for y in _image_in_universe(F, x, order)]
+            i = order[x]
+            row = rows[i]
+            # Distances are nonnegative, so 0 stands in for the unused half.
+            scaled_cache[x] = max(
+                max(row[j] for j in image) if forward else 0,
+                max(rows[j][i] for j in image) if backward else 0,
+            )
+        return scaled_cache[x]
 
     def defect(x: Point) -> Value:
         if x not in cache:
-            if space.order is not None:
-                _image_in_universe(F, x, space.order)
-            cache[x] = mode_defect(space, x, F, mode)
+            cache[x] = Fraction(scaled(x), den)
         return cache[x]
 
+    defect.scaled = scaled  # type: ignore[attr-defined]
     return defect
+
+
+def _scaled_test(gamma: ComparisonFunction, den: int) -> Callable[[int, int], bool] | None:
+    """The inequality defect(y) <= t - gamma(t) for t = T/den and
+    defect(y) = Y/den as an integer test on (Y, T), for the certified
+    gammas; None for user gammas, which are evaluated on Fractions."""
+    if gamma.kind == "linear" and isinstance(gamma.c, Fraction):
+        # t - (p/q) t = (q - p) t / q.
+        p, q = gamma.c.numerator, gamma.c.denominator
+        r = q - p
+        return lambda Y, T: q * Y <= r * T
+    if gamma.kind == "rational_shrink":
+        # t - t/(1 + t) = t^2/(1 + t) = T^2 / (den (den + T)).
+        return lambda Y, T: Y * (den + T) <= T * T
+    return None
 
 
 def _admissible(
@@ -172,13 +229,30 @@ def _admissible(
 ) -> list[tuple[Point, Value]]:
     """The (candidate, defect) pairs of F(x) that satisfy the mode's
     inequality, in universe order on a finite space and in image order
-    otherwise.  ``defect`` is the caller's memo from :func:`_memo_defect`."""
+    otherwise.  ``defect`` is the caller's memo from :func:`_memo_defect`;
+    on a space with int rows a certified gamma is tested on the ints."""
     order = space.order
     if order is None:
         candidates = F(x)
     else:
         candidates = sorted(_image_in_universe(F, x, order), key=order.__getitem__)
     out = []
+    test = None if space.den is None else _scaled_test(gamma, space.den)
+    if test is not None:
+        rows, scaled = space.rows, defect.scaled  # type: ignore[attr-defined]
+        i = order[x]
+        for y in candidates:
+            j = order[y]
+            Y = scaled(y)
+            if mode is ContractionMode.FORWARD:
+                ok = test(Y, rows[i][j])
+            elif mode is ContractionMode.DUAL:
+                ok = test(Y, rows[j][i])
+            else:
+                ok = test(Y, rows[i][j]) and test(Y, rows[j][i])
+            if ok:
+                out.append((y, defect(y)))
+        return out
     for y in candidates:
         dy = defect(y)
         if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):

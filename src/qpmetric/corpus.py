@@ -33,7 +33,7 @@ from .space import (
     Point,
     QSpace,
     Value,
-    _over_common_denominator,
+    _scaled_values,
     from_matrix,
     from_oracle,
 )
@@ -119,10 +119,12 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     Entries only ever shrink, so a nonnegative weight matrix with a zero
     diagonal always closes into a triangle-consistent one.  The n^3 sums
     and comparisons run on Python ints over one common denominator when
-    every entry is an int or a Fraction, and the result is mapped back to
-    exact values: Fraction input gives Fractions, all-int input gives ints.
+    every entry is an int or a Fraction and that denominator is not too
+    large, and the result is mapped back to exact values: Fraction input
+    gives Fractions, all-int input gives ints.
     """
-    d, den = _over_common_denominator(matrix)
+    scaled = _scaled_values(matrix)
+    d, den = scaled if scaled is not None else ([list(row) for row in matrix], None)
     n = len(d)
     for k in range(n):
         dk = d[k]

@@ -73,6 +73,12 @@ def encode_value(v: Value, exact: bool) -> str | float:
     return str(Fraction(v)) if exact else float(v)
 
 
+def _ratio(num: int, den: int) -> str:
+    """``encode_value(Fraction(num, den), True)`` without the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def parse_value(raw: Any, exact: bool, field: str) -> Value:
     """A number under the value rule of :func:`qpmetric.space.from_matrix`;
     a value it rejects is a :class:`DocumentError` naming ``field``."""
@@ -223,11 +229,15 @@ def system_document(
     ids = [str(p) for p in points]
     if len(set(ids)) != len(ids):
         raise ValueError("point ids collide when rendered as strings")
+    rows, den = space.rows, space.den
+    if den is None:
+        values = distance_matrix(space) if rows is None else rows
+        matrix = [[encode_value(v, space.exact) for v in row] for row in values]
+    else:
+        matrix = [[_ratio(v, den) for v in row] for row in rows]
     doc: dict[str, Any] = {
         "points": ids,
-        "d": [
-            [encode_value(v, space.exact) for v in row] for row in distance_matrix(space)
-        ],
+        "d": matrix,
         "t0": space.t0,
         "arithmetic": "exact" if space.exact else "float",
     }

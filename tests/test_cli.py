@@ -369,3 +369,25 @@ def test_installed_qpm_on_path(dyadic_doc):
     res = _run_child([exe, "enumerate", dyadic_doc])
     assert res.returncode == 0
     assert res.stdout.strip() == "0"
+
+
+def test_closed_stdout_ends_quietly(dyadic_doc):
+    """A reader that has closed the pipe (as `qpm verify ... | head -1`
+    does once it has its line) gets no traceback, and qpm exits 1."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(qpmetric.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "qpmetric.cli", "verify", dyadic_doc],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert res.stderr == ""
+    assert res.returncode == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,28 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc))
         system = load_system(path)
         assert system_document(system.space, system.map, system.gamma, system.meta) == doc
+
+    def test_int_row_dump_is_encode_value_of_each_distance(self, tmp_path):
+        space = from_matrix(
+            ("a", "b", "c", "d"),
+            [
+                ["0", "2/4", 3, F(7, 3)],
+                ["007/3", "0", "1/6", "0/5"],
+                [F(5, 10), "12/4", 0, "10/100"],
+                ["1.5", 2.5, "9/6", "0"],
+            ],
+        )
+        assert space.den is not None
+        path = tmp_path / "dumped.json"
+        dump_system(path, space)
+        points = space.universe()
+        want = {
+            "points": list(points),
+            "d": [[encode_value(space.d(x, y), True) for y in points] for x in points],
+            "t0": False,
+            "arithmetic": "exact",
+        }
+        assert path.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
 
     def test_truncated_dyadic_roundtrip_distances(self, tmp_path):
         space, Fm, gamma = dyadic_halving_truncated(5)
@@ -264,6 +287,21 @@ VALUE_RULE_CASES = [
     ("1/2", True, True),
     (3, True, True),
     (F(1, 3), True, True),
+    # Strings the direct route of from_matrix reads or hands to the rule.
+    ("007/3", True, True),
+    ("3/006", True, True),
+    ("0/5", True, True),
+    ("-0/1", True, True),
+    ("1/00", False, False),
+    ("+1/2", True, True),
+    (" 1/2", True, True),
+    # Fraction reads PEP 515 underscores from Python 3.11 on.
+    ("1_000/3", sys.version_info >= (3, 11), sys.version_info >= (3, 11)),
+    ("\u0661/\u0662", True, True),  # Arabic-Indic digits: int() reads them
+    ("\u00b2/3", False, False),  # "²".isdigit() is True, but int() rejects it
+    ("1/2/3", False, False),
+    ("/2", False, False),
+    ("1/", False, False),
 ]
 
 
