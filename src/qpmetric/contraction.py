@@ -22,13 +22,13 @@ witness minimizes its own defect with ties broken by universe order (the
 step greedy ``solve`` takes), and a violation reports the smallest-index x
 with no admissible candidate.
 
-On a finite EXACT space with int rows over a common denominator D (see
-:mod:`qpmetric.space`), the defect memo and the admissibility scan read
-the rows by index, and a certified gamma becomes an integer test: with
-t = T/D and defect(y) = Y/D, ``linear(p/q)`` checks q*Y <= (q - p)*T and
-``rational_shrink`` checks Y*(D + T) <= T^2 (SYMMETRIC checks both
-directions).  User gammas are evaluated on ``Fraction(T, D)``.  Every
-value handed out is still the exact ``Fraction``.
+One defect memo and one admissibility scan serve every space: stored rows
+(see :mod:`qpmetric.space`) are read by index, other spaces through
+``d``, and a defect stays in the rows' scale until it is handed out as
+the value ``d`` would give.  On int rows over a denominator D, with
+t = T/D and defect(y) = Y/D, ``linear(p/q)`` tests q*Y <= (q - p)*T and
+``rational_shrink`` tests Y*(D + T) <= T^2; other tests use ``leq`` on
+the values.  SYMMETRIC admits y when FORWARD and DUAL both do.
 """
 
 from __future__ import annotations
@@ -129,7 +129,9 @@ def admissibility_bound(
     x: Point,
     y: Point,
 ) -> Value:
-    """Right-hand side of the mode's inequality at the pair (x, y)."""
+    """Right-hand side of the mode's inequality at the pair (x, y); for
+    SYMMETRIC the smaller side, or NaN (t - gamma(t) at t = inf) if either
+    side is NaN."""
     if mode is ContractionMode.FORWARD:
         t = space.d(x, y)
         return t - gamma(t)
@@ -138,7 +140,8 @@ def admissibility_bound(
         return s - gamma(s)
     t = space.d(x, y)
     s = space.d(y, x)
-    return min(t - gamma(t), s - gamma(s))
+    forward, dual = t - gamma(t), s - gamma(s)
+    return dual if dual != dual else min(forward, dual)  # min() drops a NaN second
 
 
 def _image_in_universe(
@@ -156,108 +159,92 @@ def _image_in_universe(
 def _memo_defect(
     space: QSpace, F: SetValuedMap, mode: ContractionMode
 ) -> Callable[[Point], Value]:
-    """``mode_defect`` memoized per point.  On a finite space, an image
-    point outside the universe is a ValueError, raised before any distance
-    to it is asked for.
-
-    On a space with int rows (``space.den`` set) the memo holds the defect
-    scaled by the common denominator, read from the rows by index;
-    ``defect.scaled(x)`` returns it, and ``defect(x)`` its Fraction, built
-    once per point.
-    """
-    order = space.order
-    cache: dict[Point, Value] = {}
-    if space.den is None:
-
-        def defect(x: Point) -> Value:
-            if x not in cache:
-                if order is not None:
-                    _image_in_universe(F, x, order)
-                cache[x] = mode_defect(space, x, F, mode)
-            return cache[x]
-
-        return defect
-
-    rows, den = space.rows, space.den
+    """``mode_defect`` memoized per point, in the scale of the space's
+    stored rows, read by index (see :func:`_value`); a space without rows
+    is read through ``d``.  On a finite space, an image point outside the
+    universe is a ValueError, raised before any distance to it is read."""
+    order, rows = space.order, space.rows
     forward = mode is not ContractionMode.DUAL
     backward = mode is not ContractionMode.FORWARD
-    scaled_cache: dict[Point, int] = {}
-
-    def scaled(x: Point) -> int:
-        if x not in scaled_cache:
-            image = [order[y] for y in _image_in_universe(F, x, order)]
-            i = order[x]
-            row = rows[i]
-            # Distances are nonnegative, so 0 stands in for the unused half.
-            scaled_cache[x] = max(
-                max(row[j] for j in image) if forward else 0,
-                max(rows[j][i] for j in image) if backward else 0,
-            )
-        return scaled_cache[x]
+    cache: dict[Point, Value] = {}
 
     def defect(x: Point) -> Value:
         if x not in cache:
-            cache[x] = Fraction(scaled(x), den)
+            if order is not None:
+                image = _image_in_universe(F, x, order)
+            if rows is None:
+                cache[x] = mode_defect(space, x, F, mode)
+            else:
+                i = order[x]
+                js = [order[y] for y in image]
+                if forward:
+                    v = max(map(rows[i].__getitem__, js))
+                if backward:
+                    back = max([rows[j][i] for j in js])
+                    v = max(v, back) if forward else back
+                cache[x] = v
         return cache[x]
 
-    defect.scaled = scaled  # type: ignore[attr-defined]
     return defect
 
 
-def _scaled_test(gamma: ComparisonFunction, den: int) -> Callable[[int, int], bool] | None:
-    """The inequality defect(y) <= t - gamma(t) for t = T/den and
-    defect(y) = Y/den as an integer test on (Y, T), for the certified
-    gammas; None for user gammas, which are evaluated on Fractions."""
+def _value(space: QSpace, v: Value) -> Value:
+    """A value in the scale of the stored rows as the value ``d`` gives."""
+    return v if space.den is None else Fraction(v, space.den)
+
+
+def _bound_test(space: QSpace, gamma: ComparisonFunction) -> Callable[[Value, Value], bool]:
+    """defect(y) <= t - gamma(t) as a test on Y = defect(y) and T = t in
+    the scale of the stored rows: an integer test for a certified gamma on
+    int rows, otherwise ``leq`` on the values."""
+    den, leq = space.den, space.leq
+    if den is None:
+        return lambda Y, T: leq(Y, T - gamma(T))
     if gamma.kind == "linear" and isinstance(gamma.c, Fraction):
-        # t - (p/q) t = (q - p) t / q.
-        p, q = gamma.c.numerator, gamma.c.denominator
-        r = q - p
+        # t - (p/q) t = (q - p) t / q = r t / q.
+        q, r = gamma.c.denominator, gamma.c.denominator - gamma.c.numerator
         return lambda Y, T: q * Y <= r * T
     if gamma.kind == "rational_shrink":
         # t - t/(1 + t) = t^2/(1 + t) = T^2 / (den (den + T)).
         return lambda Y, T: Y * (den + T) <= T * T
-    return None
+    return lambda Y, T: leq(Fraction(Y, den), Fraction(T, den) - gamma(Fraction(T, den)))
 
 
-def _admissible(
-    space: QSpace,
-    F: SetValuedMap,
-    gamma: ComparisonFunction,
-    x: Point,
-    mode: ContractionMode,
-    defect: Callable[[Point], Value],
-) -> list[tuple[Point, Value]]:
-    """The (candidate, defect) pairs of F(x) that satisfy the mode's
+def _scan(
+    space: QSpace, F: SetValuedMap, gamma: ComparisonFunction, mode: ContractionMode
+) -> tuple[Callable[[Point], Value], Callable[[Point], list[tuple[Point, Value]]]]:
+    """One run's defect memo and admissibility scan.  ``admissible(x)``
+    lists the (candidate, defect) pairs of F(x) that satisfy the mode's
     inequality, in universe order on a finite space and in image order
-    otherwise.  ``defect`` is the caller's memo from :func:`_memo_defect`;
-    on a space with int rows a certified gamma is tested on the ints."""
-    order = space.order
-    if order is None:
-        candidates = F(x)
-    else:
-        candidates = sorted(_image_in_universe(F, x, order), key=order.__getitem__)
-    out = []
-    test = None if space.den is None else _scaled_test(gamma, space.den)
-    if test is not None:
-        rows, scaled = space.rows, defect.scaled  # type: ignore[attr-defined]
-        i = order[x]
+    otherwise, with defects in the memo's scale; SYMMETRIC admits y when
+    the FORWARD and DUAL tests both hold."""
+    defect, within = _memo_defect(space, F, mode), _bound_test(space, gamma)
+    order, rows, d = space.order, space.rows, space.d
+    forward = mode is not ContractionMode.DUAL
+    backward = mode is not ContractionMode.FORWARD
+
+    def admissible(x: Point) -> list[tuple[Point, Value]]:
+        if order is None:
+            candidates = F(x)
+        else:
+            candidates = sorted(_image_in_universe(F, x, order), key=order.__getitem__)
+        if rows is not None:
+            i = order[x]
+            row = rows[i]
+        out = []
         for y in candidates:
-            j = order[y]
-            Y = scaled(y)
-            if mode is ContractionMode.FORWARD:
-                ok = test(Y, rows[i][j])
-            elif mode is ContractionMode.DUAL:
-                ok = test(Y, rows[j][i])
+            Y = defect(y)
+            if rows is None:
+                T = d(x, y) if forward else None
+                S = d(y, x) if backward else None
             else:
-                ok = test(Y, rows[i][j]) and test(Y, rows[j][i])
-            if ok:
-                out.append((y, defect(y)))
+                j = order[y]
+                T, S = row[j], rows[j][i]
+            if (not forward or within(Y, T)) and (not backward or within(Y, S)):
+                out.append((y, Y))
         return out
-    for y in candidates:
-        dy = defect(y)
-        if space.leq(dy, admissibility_bound(space, gamma, mode, x, y)):
-            out.append((y, dy))
-    return out
+
+    return defect, admissible
 
 
 @dataclass(frozen=True)
@@ -295,14 +282,14 @@ def verify_weak_contraction(
     raises ``ValueError``.
     """
     universe = space.universe()
-    defect = _memo_defect(space, F, mode)
+    admissible = _scan(space, F, gamma, mode)[1]
     witnesses: dict[Point, Point] = {}
     for x in universe:
-        admissible = _admissible(space, F, gamma, x, mode, defect)
-        if not admissible:
+        found = admissible(x)
+        if not found:
             return Violation(mode=mode, point=x)
         # The first minimum-defect candidate: the step greedy solve takes.
-        witnesses[x] = min(admissible, key=lambda pair: pair[1])[0]
+        witnesses[x] = min(found, key=lambda pair: pair[1])[0]
     return ContractionCertificate(mode=mode, witnesses=witnesses, checked_points=universe)
 
 

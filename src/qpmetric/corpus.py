@@ -121,11 +121,14 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     and comparisons run on Python ints over one common denominator when
     every entry is an int or a Fraction and that denominator is not too
     large, and the result is mapped back to exact values: Fraction input
-    gives Fractions, all-int input gives ints.
+    gives Fractions, all-int input gives ints.  A matrix that is not
+    square is a ValueError.
     """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"distance matrix must be {n}x{n}")
     scaled = _scaled_values(matrix)
     d, den = scaled if scaled is not None else ([list(row) for row in matrix], None)
-    n = len(d)
     for k in range(n):
         dk = d[k]
         for i in range(n):

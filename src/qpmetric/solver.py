@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
-from .contraction import ContractionMode, SetValuedMap, _admissible, _memo_defect
+from .contraction import ContractionMode, SetValuedMap, _scan, _value
 from .space import INFINITY, Point, QSpace, Value, conjugate
 
 
@@ -147,6 +147,11 @@ class IterationTrace:
         return (self.start,) + tuple(s.y for s in self.steps)
 
 
+def _check_point(space: QSpace, x: Point) -> None:
+    if space.order is not None and x not in space.order:
+        raise ValueError(f"{x!r} is not in the universe")
+
+
 def admissible_candidates(
     space: QSpace,
     F: SetValuedMap,
@@ -158,10 +163,11 @@ def admissible_candidates(
 
     The hook for custom selection experiments: everything the solver knows
     about one step is in this list.  Order is universe order when the
-    space is finite, image encounter order otherwise.  An image point
-    outside a finite universe raises ``ValueError``.
+    space is finite, image encounter order otherwise.  On a finite space,
+    an x or image point outside the universe raises ``ValueError``.
     """
-    return _admissible(space, F, gamma, x, mode, _memo_defect(space, F, mode))
+    _check_point(space, x)
+    return [(y, _value(space, Y)) for y, Y in _scan(space, F, gamma, mode)[1](x)]
 
 
 def solve(
@@ -185,11 +191,12 @@ def solve(
       orbit kept revisiting points without improving the defect, which on
       a finite space only happens when the hypothesis fails.
 
-    Malformed input is an error, not an outcome: an image point outside a
-    finite universe raises ``ValueError``.  Identical inputs and config
-    produce identical traces.
+    Malformed input is an error, not an outcome: on a finite space, an x0
+    or image point outside the universe raises ``ValueError``.  Identical
+    inputs and config produce identical traces.
     """
     config = config or SolverConfig()
+    _check_point(space, x0)
     if not space.exact and config.tolerance == 0:
         raise ValueError("tolerance 0 requires EXACT arithmetic")
     if not gamma.certified:
@@ -202,14 +209,12 @@ def solve(
 
     work = conjugate(space) if config.mode is SolveMode.ENDPOINT else space
     cmode = _CONTRACTION_OF[config.mode]
-    defect = _memo_defect(work, F, cmode)
+    defect, scan = _scan(work, F, gamma, cmode)
 
     steps: list[Step] = []
-    x = x0
-    current = defect(x)
-    initial = current
+    x, current = x0, _value(work, defect(x0))
+    initial = best = current
     visited = {x}
-    best = current
     stall = 0
     outcome: Outcome | None = None
 
@@ -221,15 +226,16 @@ def solve(
             outcome = Outcome(Status.MAX_ITERATIONS, x, current)
             break
 
-        admissible = _admissible(work, F, gamma, x, cmode, defect)
+        admissible = scan(x)
         if not admissible:
             outcome = Outcome(Status.CONTRACTION_VIOLATED, x, current)
             break
         if config.selection is Selection.GREEDY_MIN_DEFECT:
-            y, dy = min(admissible, key=lambda pair: pair[1])
+            y, Y = min(admissible, key=lambda pair: pair[1])
         else:
-            y, dy = admissible[0]
+            y, Y = admissible[0]
 
+        dy = _value(work, Y)
         t = work.d(x, y)
         steps.append(Step(n=len(steps) + 1, x=x, y=y, d=t, gamma_d=gamma(t), defect=dy))
         x, current = y, dy

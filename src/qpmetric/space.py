@@ -71,9 +71,9 @@ class QSpace:
     oracle-backed universe that cannot be enumerated.  The oracle ``d``
     must be pure: repeated calls with equal arguments return equal values.
 
-    ``exact`` selects the arithmetic mode; ``tolerance`` is only consulted
-    in FLOAT mode.  ``t0`` records whether the space claims the T0
-    condition (it is checked by :func:`check_axioms`, never assumed).
+    ``exact`` selects the arithmetic mode; ``tolerance`` (finite, >= 0) is
+    only consulted in FLOAT mode.  ``t0`` records whether the space claims
+    the T0 condition (it is checked by :func:`check_axioms`, never assumed).
     ``order`` maps each point of a finite universe to its position; every
     finite scan reads it.
 
@@ -97,6 +97,8 @@ class QSpace:
     den: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.tolerance < INFINITY:
+            raise FieldError("tolerance", "must be a nonnegative finite number")
         order = None if self.points is None else {p: i for i, p in enumerate(self.points)}
         object.__setattr__(self, "order", order)
 

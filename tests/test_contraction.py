@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from qpmetric import (
     ContractionMode,
     GeneratorSeed,
     SetValuedMap,
+    SolveMode,
     SolverConfig,
+    Status,
     Violation,
     admissibility_bound,
+    admissible_candidates,
     conjugate,
     dyadic_halving_system,
     dyadic_halving_truncated,
@@ -20,6 +24,7 @@ from qpmetric import (
     enumerate_startpoints,
     fixed_defect,
     from_matrix,
+    from_oracle,
     hausdorff,
     linear,
     mode_defect,
@@ -179,6 +184,40 @@ class TestVerify:
         assert type(dual_cert) is type(conj_cert)
         if isinstance(dual_cert, ContractionCertificate):
             assert dual_cert.witnesses == conj_cert.witnesses
+
+
+class TestSymmetricRule:
+    """SYMMETRIC admits y exactly when the FORWARD and DUAL inequalities
+    both hold; at an infinite distance t - gamma(t) is NaN and holds for
+    nothing, whichever direction it is in."""
+
+    @pytest.mark.parametrize(
+        "ab, ba",
+        [(1, math.inf), (math.inf, 1), (1, math.nan)],
+        ids=["forward-finite", "dual-finite", "dual-nan"],
+    )
+    def test_a_nan_side_admits_nothing(self, ab, ba):
+        far = {("a", "b"): ab, ("b", "a"): ba}
+        space = from_oracle(lambda x, y: 0 if x == y else far[x, y], points=("a", "b"))
+        Fm = SetValuedMap({"a": ["b"], "b": ["b"]})
+        gamma = linear(F(1, 2))
+        mode = ContractionMode.SYMMETRIC
+        assert verify_weak_contraction(space, Fm, gamma, mode) == Violation(mode, "a")
+        assert admissible_candidates(space, Fm, gamma, "a", mode) == []
+        bound = admissibility_bound(space, gamma, mode, "a", "b")
+        assert bound != bound
+        trace = solve(space, Fm, gamma, "a", SolverConfig(mode=SolveMode.FIXEDPOINT))
+        assert trace.outcome.status is Status.CONTRACTION_VIOLATED
+        assert trace.outcome.point == "a"
+
+    def test_finite_sides_take_the_smaller_bound(self):
+        space = from_matrix(("a", "b"), [[0, 1], [F(1, 2), 0]])
+        Fm = SetValuedMap({"a": ["b"], "b": ["b"]})
+        gamma = linear(F(1, 2))
+        assert admissibility_bound(space, gamma, ContractionMode.SYMMETRIC, "a", "b") == F(1, 4)
+        assert admissible_candidates(space, Fm, gamma, "a", ContractionMode.SYMMETRIC) == [
+            ("b", 0)
+        ]
 
 
 class TestEnumerate:

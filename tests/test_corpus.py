@@ -100,6 +100,11 @@ class TestMinplusClosure:
         assert closed[0][2] == 2  # a->b->c beats the direct 5
         assert closed[0][1] == 1
 
+    @pytest.mark.parametrize("m", [[[0, 1, 2], [1, 0, 3]], [[0, 1], [1]], [[0, 1]]])
+    def test_non_square_matrix_is_rejected(self, m):
+        with pytest.raises(ValueError, match="must be"):
+            minplus_closure(m)
+
     def test_entries_never_grow(self):
         import random
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qpmetric import (
     EPSILON_SCHEDULE,
     INFINITY,
+    ContractionMode,
     GeneratorSeed,
     IterationTrace,
     Outcome,
@@ -20,6 +21,9 @@ from qpmetric import (
     admissible_candidates,
     conjugate,
     dyadic_halving_system,
+    dyadic_halving_truncated,
+    enumerate_endpoints,
+    enumerate_fixed_points,
     enumerate_startpoints,
     from_matrix,
     from_oracle,
@@ -28,6 +32,7 @@ from qpmetric import (
     solve,
     user_function,
     validate_trace,
+    verify_weak_contraction,
 )
 
 F = Fraction
@@ -167,6 +172,25 @@ class TestSolve:
             solve(space, Fm, linear(F(1, 2)), "a")
         with pytest.raises(ValueError, match=r"'a'.*'c'"):
             admissible_candidates(space, Fm, linear(F(1, 2)), "a")
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            from_matrix((0, 1, 2), [[abs(i - j) for j in range(3)] for i in range(3)]),
+            from_oracle(lambda x, y: abs(x - y), points=(0, 1, 2)),
+        ],
+        ids=["matrix", "oracle"],
+    )
+    def test_point_outside_universe_is_named(self, space):
+        Fm = SetValuedMap(lambda x: [0])
+        gamma = linear(F(1, 2))
+        for mode in SolveMode:
+            with pytest.raises(ValueError, match="5 is not in the universe"):
+                solve(space, Fm, gamma, 5, SolverConfig(mode=mode))
+        for mode in ContractionMode:
+            with pytest.raises(ValueError, match="5 is not in the universe"):
+                admissible_candidates(space, Fm, gamma, 5, mode)
+        assert solve(space, Fm, gamma, 2).outcome.point == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -398,3 +422,36 @@ def test_oracle_call_counts_on_a_staircase():
     assert calls[0] == (L + 1) * (L + 2) // 2
     assert report.ok
     assert report.cauchy == _brute_force_cauchy(space, trace.points)
+
+
+def test_oracle_call_counts_on_the_truncated_dyadic_system():
+    # Counts per FORWARD/DUAL/SYMMETRIC (STARTPOINT/ENDPOINT/FIXEDPOINT for
+    # solve) when this gate was set; they are deterministic.
+    inner, Fm, gamma = dyadic_halving_truncated(12)
+    calls = [0]
+
+    def d(x, y):
+        calls[0] += 1
+        return inner.d(x, y)
+
+    space = from_oracle(d, points=inner.universe(), t0=True)
+
+    def count(run):
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    modes = list(ContractionMode)
+    enumerators = (enumerate_startpoints, enumerate_endpoints, enumerate_fixed_points)
+    assert [count(lambda: verify_weak_contraction(space, Fm, gamma, m)) for m in modes] == [
+        50,
+        50,
+        100,
+    ]
+    assert [count(lambda: fn(space, Fm)) for fn in enumerators] == [26, 26, 52]
+    assert [
+        count(lambda: solve(space, Fm, gamma, ONE, SolverConfig(mode=m))) for m in SolveMode
+    ] == [8, 8, 15]
+    assert [
+        count(lambda: admissible_candidates(space, Fm, gamma, ONE, m)) for m in modes
+    ] == [5, 5, 10]

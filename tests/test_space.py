@@ -239,6 +239,15 @@ def test_matrix_validation():
         from_matrix(("a", "b"), [[0, -1], [1, 0]])
 
 
+@pytest.mark.parametrize("tolerance", [-1, -1e-12, math.nan, math.inf])
+def test_bad_tolerance_is_named(tolerance):
+    with pytest.raises(ValueError, match="^tolerance: "):
+        from_matrix(("a", "b"), [[0, 1], [1, 0]], exact=False, tolerance=tolerance)
+    with pytest.raises(ValueError, match="^tolerance: "):
+        from_oracle(lambda x, y: 0, points=("a",), tolerance=tolerance)
+    assert from_matrix(("a",), [[0]], exact=False, tolerance=0).tolerance == 0
+
+
 def test_universe_index_and_matrix(dyadic):
     space = from_matrix(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     from qpmetric import distance_matrix
