@@ -10,7 +10,8 @@ being distinguished for F:
 
 A point is a startpoint / endpoint / fixed point exactly when the matching
 defect is zero (within tolerance in FLOAT mode; the docs are explicit that
-a FLOAT-mode "startpoint" means defect <= tolerance).
+a FLOAT-mode "startpoint" means defect <= tolerance).  A defect is NaN
+when any distance it reads is NaN, whatever the order of the image.
 
 ``verify_weak_contraction`` checks, over a whole finite universe, the
 existential inequality that powers the iteration: every x must admit some
@@ -39,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .comparison import ComparisonFunction
-from .space import Point, QSpace, Value, _unique
+from .space import Point, QSpace, Value, _max_keeping_nan, _unique
 
 
 class SetValuedMap:
@@ -72,26 +73,30 @@ class SetValuedMap:
         return members
 
     def __call__(self, x: Point) -> tuple[Point, ...]:
-        if x not in self._table:
+        image = self._table.get(x)
+        if image is None:
             if self._fn is None:
                 raise KeyError(f"map is not defined at {x!r}")
-            self._table[x] = self._normalize(x, self._fn(x))
-        return self._table[x]
+            image = self._table[x] = self._normalize(x, self._fn(x))
+        return image
 
 
 def startpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """H({x}, Fx): zero exactly when x is a startpoint of F."""
-    return max(space.d(x, b) for b in F(x))
+    """H({x}, Fx): zero exactly when x is a startpoint of F; NaN when any
+    d(x, b) is."""
+    return _image_defect(space, x, F(x), ContractionMode.FORWARD)
 
 
 def endpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """H(Fx, {x}): the startpoint defect computed in the conjugate space."""
-    return max(space.d(a, x) for a in F(x))
+    """H(Fx, {x}): the startpoint defect computed in the conjugate space;
+    NaN when any d(a, x) is."""
+    return _image_defect(space, x, F(x), ContractionMode.DUAL)
 
 
 def fixed_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """The symmetrized defect max{H({x}, Fx), H(Fx, {x})}."""
-    return max(startpoint_defect(space, x, F), endpoint_defect(space, x, F))
+    """The symmetrized defect max{H({x}, Fx), H(Fx, {x})}; NaN when any
+    distance it reads is."""
+    return _image_defect(space, x, F(x), ContractionMode.SYMMETRIC)
 
 
 class ContractionMode(enum.Enum):
@@ -108,18 +113,23 @@ class ContractionMode(enum.Enum):
     SYMMETRIC = "symmetric"
 
 
-_DEFECTS = {
-    ContractionMode.FORWARD: startpoint_defect,
-    ContractionMode.DUAL: endpoint_defect,
-    ContractionMode.SYMMETRIC: fixed_defect,
-}
+def _image_defect(
+    space: QSpace, x: Point, image: tuple[Point, ...], mode: ContractionMode
+) -> Value:
+    """The mode's defect at x from its image, read through ``d``: every
+    d(x, b), then every d(a, x), as the mode needs them."""
+    d = space.d
+    values = [] if mode is ContractionMode.DUAL else [d(x, b) for b in image]
+    if mode is not ContractionMode.FORWARD:
+        values += [d(a, x) for a in image]
+    return _max_keeping_nan(values)
 
 
 def mode_defect(
     space: QSpace, x: Point, F: SetValuedMap, mode: ContractionMode
 ) -> Value:
     """The defect functional matching a contraction mode."""
-    return _DEFECTS[mode](space, x, F)
+    return _image_defect(space, x, F(x), mode)
 
 
 def admissibility_bound(
@@ -144,16 +154,21 @@ def admissibility_bound(
     return dual if dual != dual else min(forward, dual)  # min() drops a NaN second
 
 
-def _image_in_universe(
+def _positions(
     F: SetValuedMap, x: Point, order: Mapping[Point, int]
-) -> tuple[Point, ...]:
-    """F(x); an image point outside the universe is a ValueError naming
-    it and x."""
+) -> tuple[tuple[Point, ...], list[int | None]]:
+    """F(x) and the universe position of each member, one lookup per
+    member; an image point outside the universe is a ValueError naming it
+    and x."""
     image = F(x)
-    for y in image:
-        if y not in order:
-            raise ValueError(f"image of {x!r} contains {y!r}, which is not in the universe")
-    return image
+    js = [order.get(y) for y in image]
+    if None in js:
+        stray = image[js.index(None)]
+        raise ValueError(f"image of {x!r} contains {stray!r}, which is not in the universe")
+    return image, js
+
+
+_MISSING = object()
 
 
 def _memo_defect(
@@ -169,21 +184,23 @@ def _memo_defect(
     cache: dict[Point, Value] = {}
 
     def defect(x: Point) -> Value:
-        if x not in cache:
-            if order is not None:
-                image = _image_in_universe(F, x, order)
-            if rows is None:
-                cache[x] = mode_defect(space, x, F, mode)
+        v = cache.get(x, _MISSING)
+        if v is _MISSING:
+            if order is None:
+                v = _image_defect(space, x, F(x), mode)
+            elif rows is None:
+                v = _image_defect(space, x, _positions(F, x, order)[0], mode)
             else:
+                # Stored rows hold no NaN, so builtin max is exact here.
+                js = _positions(F, x, order)[1]
                 i = order[x]
-                js = [order[y] for y in image]
                 if forward:
                     v = max(map(rows[i].__getitem__, js))
                 if backward:
                     back = max([rows[j][i] for j in js])
                     v = max(v, back) if forward else back
-                cache[x] = v
-        return cache[x]
+            cache[x] = v
+        return v
 
     return defect
 
@@ -212,36 +229,44 @@ def _bound_test(space: QSpace, gamma: ComparisonFunction) -> Callable[[Value, Va
 
 def _scan(
     space: QSpace, F: SetValuedMap, gamma: ComparisonFunction, mode: ContractionMode
-) -> tuple[Callable[[Point], Value], Callable[[Point], list[tuple[Point, Value]]]]:
+) -> tuple[
+    Callable[[Point], Value], Callable[[Point], list[tuple[Point, Value, Value | None]]]
+]:
     """One run's defect memo and admissibility scan.  ``admissible(x)``
-    lists the (candidate, defect) pairs of F(x) that satisfy the mode's
-    inequality, in universe order on a finite space and in image order
-    otherwise, with defects in the memo's scale; SYMMETRIC admits y when
-    the FORWARD and DUAL tests both hold."""
+    lists the (candidate, defect, d(x, candidate)) triples of F(x) that
+    satisfy the mode's inequality, in universe order on a finite space and
+    in image order otherwise, with defects and distances in the memo's
+    scale; DUAL mode reads no d(x, candidate) on a space without rows and
+    gives None there.  SYMMETRIC admits y when the FORWARD and DUAL tests
+    both hold."""
     defect, within = _memo_defect(space, F, mode), _bound_test(space, gamma)
     order, rows, d = space.order, space.rows, space.d
     forward = mode is not ContractionMode.DUAL
     backward = mode is not ContractionMode.FORWARD
 
-    def admissible(x: Point) -> list[tuple[Point, Value]]:
+    def admissible(x: Point) -> list[tuple[Point, Value, Value | None]]:
         if order is None:
-            candidates = F(x)
+            candidates: Iterable[tuple[int | None, Point]] = ((None, y) for y in F(x))
         else:
-            candidates = sorted(_image_in_universe(F, x, order), key=order.__getitem__)
+            image, js = _positions(F, x, order)
+            # Positions are distinct, so the points themselves are never compared.
+            candidates = sorted(zip(js, image))
         if rows is not None:
             i = order[x]
             row = rows[i]
         out = []
-        for y in candidates:
+        T = S = None
+        for j, y in candidates:
             Y = defect(y)
             if rows is None:
-                T = d(x, y) if forward else None
-                S = d(y, x) if backward else None
+                if forward:
+                    T = d(x, y)
+                if backward:
+                    S = d(y, x)
             else:
-                j = order[y]
                 T, S = row[j], rows[j][i]
             if (not forward or within(Y, T)) and (not backward or within(Y, S)):
-                out.append((y, Y))
+                out.append((y, Y, T))
         return out
 
     return defect, admissible

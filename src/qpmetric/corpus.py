@@ -29,12 +29,13 @@ from typing import Sequence
 from .comparison import ComparisonFunction, linear, verify_gamma1
 from .contraction import SetValuedMap
 from .space import (
+    DEFAULT_TOLERANCE,
     FieldError,
     Point,
     QSpace,
     Value,
+    _matrix_space,
     _scaled_values,
-    from_matrix,
     from_oracle,
 )
 
@@ -124,6 +125,15 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     gives Fractions, all-int input gives ints.  A matrix that is not
     square is a ValueError.
     """
+    d, den = _closure(matrix)
+    if den is None:
+        return d
+    return [[Fraction(v, den) for v in row] for row in d]
+
+
+def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int | None]:
+    """The closure of :func:`minplus_closure` as Python ints over the
+    common denominator it returns, or as the values with None."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError(f"distance matrix must be {n}x{n}")
@@ -138,9 +148,7 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
                 via = dik + dk[j]
                 if via < row[j]:
                     row[j] = via
-    if den is None:
-        return d
-    return [[Fraction(v, den) for v in row] for row in d]
+    return d, den
 
 
 #: Rational weights are drawn on a grid of this many steps across the range.
@@ -156,8 +164,11 @@ def _random_t0_from_rng(rng: random.Random, g: GeneratorSeed) -> QSpace:
         [ZERO if i == j else lo + step * rng.randint(int(i > j), _WEIGHT_STEPS) for j in range(n)]
         for i in range(n)
     ]
-    names = [f"p{i}" for i in range(n)]
-    return from_matrix(names, minplus_closure(matrix), exact=True, t0=True)
+    # The closure's rows and denominator are the space's: no Fraction is
+    # built, split or rescaled on the way.
+    rows, den = _closure(matrix)
+    names = tuple(f"p{i}" for i in range(n))
+    return _matrix_space(names, rows, den, True, True, DEFAULT_TOLERANCE)
 
 
 def random_t0_qspace(g: GeneratorSeed) -> QSpace:

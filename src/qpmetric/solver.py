@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
 from .contraction import ContractionMode, SetValuedMap, _scan, _value
-from .space import INFINITY, Point, QSpace, Value, conjugate
+from .space import INFINITY, Point, QSpace, Value, _max_keeping_nan, conjugate
 
 
 class SolveMode(enum.Enum):
@@ -167,7 +167,7 @@ def admissible_candidates(
     an x or image point outside the universe raises ``ValueError``.
     """
     _check_point(space, x)
-    return [(y, _value(space, Y)) for y, Y in _scan(space, F, gamma, mode)[1](x)]
+    return [(y, _value(space, Y)) for y, Y, _ in _scan(space, F, gamma, mode)[1](x)]
 
 
 def solve(
@@ -231,12 +231,12 @@ def solve(
             outcome = Outcome(Status.CONTRACTION_VIOLATED, x, current)
             break
         if config.selection is Selection.GREEDY_MIN_DEFECT:
-            y, Y = min(admissible, key=lambda pair: pair[1])
+            y, Y, T = min(admissible, key=lambda found: found[1])
         else:
-            y, Y = admissible[0]
+            y, Y, T = admissible[0]
 
-        dy = _value(work, Y)
-        t = work.d(x, y)
+        # FORWARD and SYMMETRIC, the modes solve runs, read d(x, y) in the scan.
+        dy, t = _value(work, Y), _value(work, T)
         steps.append(Step(n=len(steps) + 1, x=x, y=y, d=t, gamma_d=gamma(t), defect=dy))
         x, current = y, dy
 
@@ -289,9 +289,9 @@ class TraceReport:
     ``cauchy``: per epsilon of the fixed schedule, the smallest index n0
     such that every recorded forward distance d(x_k, x_n) with
     n0 <= k <= n stays below epsilon (the last index when no start
-    qualifies, which a user oracle with d(x, x) > 0 or NaN can cause);
-    None when no space was available to evaluate distances (e.g. a
-    hand-built trace).
+    qualifies, which a user oracle with d(x, x) > 0 or NaN can cause; a
+    NaN distance is below no epsilon); None when no space was available to
+    evaluate distances (e.g. a hand-built trace).
     """
 
     steps_monotone: CheckResult
@@ -319,7 +319,10 @@ def validate_trace(
     recorded step distances, not trusted).  The left-K-Cauchy certificate
     additionally needs the distance oracle; it uses ``space`` or, by
     default, the space the trace ran in, and is skipped (None) when
-    neither is available.
+    neither is available.  It reads d(x_k, x_n) once for each pair
+    k <= n of the orbit x_0, ..., x_L, the diagonal included: (L + 1)(L + 2)/2
+    oracle calls.  A NaN distance counts as ``INFINITY``, so no tail that
+    holds it is Cauchy, whatever its position in the orbit.
     """
     space = space if space is not None else trace.space
     if space is not None:
@@ -354,7 +357,7 @@ def validate_trace(
 
     cauchy = None
     if space is not None:
-        pts = trace.points
+        pts, d = trace.points, space.d
         last = len(pts) - 1
         # worst[s] is the largest d(x_k, x_n) over s <= k <= n <= last, so
         # the tail from s is eps-Cauchy exactly when worst[s] < eps.  The
@@ -362,13 +365,12 @@ def validate_trace(
         worst: list[Value] = []
         w = None
         for s in range(last, -1, -1):
-            for n in range(s, last + 1):
-                v = space.d(pts[s], pts[n])
-                if v != v:
-                    # NaN is below no epsilon; max() would drop it.
-                    v = INFINITY
-                if w is None or v > w:
-                    w = v
+            x = pts[s]
+            v = _max_keeping_nan([d(x, y) for y in pts[s:]])
+            if v != v:
+                v = INFINITY  # NaN is below no epsilon
+            if w is None or v > w:
+                w = v
             worst.append(w)
         worst.reverse()
         # worst never decreases toward the start of the orbit, so the

@@ -54,13 +54,24 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 def _unique(points: Sequence[Point]) -> tuple[Point, ...]:
-    out: list[Point] = []
-    seen = set()
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return tuple(out)
+    """The points without repeats, first occurrences in order; each point
+    is hashed once."""
+    return tuple(dict.fromkeys(points))
+
+
+#: Value types that are never NaN.
+_NEVER_NAN = {int, Fraction}
+
+
+def _max_keeping_nan(values: Sequence[Value]) -> Value:
+    """The largest of ``values`` (nonempty), or a NaN among them if there is
+    one: builtin ``max`` keeps a NaN only when it comes first.  Values that
+    are all ints and Fractions skip the NaN scan."""
+    if not _NEVER_NAN.issuperset(map(type, values)):
+        for v in values:
+            if v != v:
+                return v
+    return max(values)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -218,6 +219,40 @@ class TestSymmetricRule:
         assert admissible_candidates(space, Fm, gamma, "a", ContractionMode.SYMMETRIC) == [
             ("b", 0)
         ]
+
+
+class TestNaNDistances:
+    """A defect is NaN when any distance it reads is NaN, whatever the
+    order of the image: builtin max keeps a NaN only when it comes first."""
+
+    @pytest.mark.parametrize(
+        "nan_pair, mode",
+        [(("a", "c"), ContractionMode.FORWARD), (("c", "a"), ContractionMode.DUAL)],
+        ids=["forward", "dual"],
+    )
+    @pytest.mark.parametrize("image", list(itertools.permutations("abc")), ids="".join)
+    def test_one_nan_in_any_image_order(self, nan_pair, mode, image):
+        # Every distance is 0 but one NaN, read by the defects at a only.
+        space = from_oracle(
+            lambda x, y: math.nan if (x, y) == nan_pair else 0.0,
+            points=("a", "b", "c"),
+            exact=False,
+        )
+        Fm = SetValuedMap({"a": image, "b": ("b",), "c": ("c",)})
+        forward = mode is ContractionMode.FORWARD
+        defect = startpoint_defect if forward else endpoint_defect
+        other = endpoint_defect if forward else startpoint_defect
+        assert math.isnan(defect(space, "a", Fm))
+        assert math.isnan(fixed_defect(space, "a", Fm))
+        assert other(space, "a", Fm) == 0
+        enumerated = enumerate_startpoints if forward else enumerate_endpoints
+        assert enumerated(space, Fm) == ["b", "c"]
+        assert enumerate_fixed_points(space, Fm) == ["b", "c"]
+        # a's own defect is NaN, and so is its distance to or from c: b is
+        # the only admissible candidate at a.
+        for m in (mode, ContractionMode.SYMMETRIC):
+            certificate = verify_weak_contraction(space, Fm, linear(F(1, 2)), m)
+            assert certificate.witnesses == {"a": "b", "b": "b", "c": "c"}
 
 
 class TestEnumerate:

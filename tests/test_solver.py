@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qpmetric import (
     EPSILON_SCHEDULE,
@@ -337,25 +338,48 @@ _EXACT_DISTANCES = st.one_of(
     st.sampled_from([ZERO, INFINITY] + [eps for eps in EPSILON_SCHEDULE[:6]]),
     st.fractions(min_value=0, max_value=2, max_denominator=64),
 )
+
+
+class _Float(float):
+    """A float subclass: its NaN must read as a NaN too."""
+
+
 _FLOAT_DISTANCES = st.one_of(
-    st.sampled_from([0.0, math.inf, math.nan, 0.5, 0.25, 2.0**-16]),
+    st.sampled_from([0.0, math.inf, math.nan, _Float(math.nan), 0.5, 0.25, 2.0**-16]),
     st.floats(min_value=0, max_value=2),
+)
+#: Rows mixing ints, Fractions and floats, NaN included.
+_MIXED_DISTANCES = st.one_of(
+    st.integers(min_value=0, max_value=2),
+    _EXACT_DISTANCES,
+    _FLOAT_DISTANCES,
 )
 
 
 @st.composite
 def _random_orbits(draw):
-    exact = draw(st.booleans())
+    exact, values = draw(
+        st.sampled_from(
+            [(True, _EXACT_DISTANCES), (False, _FLOAT_DISTANCES), (False, _MIXED_DISTANCES)]
+        )
+    )
     n = draw(st.integers(min_value=1, max_value=5))
-    values = _EXACT_DISTANCES if exact else _FLOAT_DISTANCES
     table = {(i, j): draw(values) for i in range(n) for j in range(n)}
     space = from_oracle(lambda x, y: table[(x, y)], points=range(n), exact=exact)
     orbit = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=9))
     return space, orbit
 
 
+def _table_space(rows):
+    return from_oracle(lambda x, y: rows[x][y], points=range(len(rows)), exact=False)
+
+
 class TestCauchyTable:
     @given(case=_random_orbits())
+    # A float-subclass NaN after a smaller int in its row, and a row that
+    # mixes ints, Fractions and floats: neither may skip the NaN scan.
+    @example(case=(_table_space([[0, _Float(math.nan)], [0, 0]]), [0, 1]))
+    @example(case=(_table_space([[0, F(1, 4), 0.125], [0, 0, math.nan], [0, 0, 0]]), [0, 1, 2]))
     def test_matches_brute_force(self, case):
         space, orbit = case
         report = validate_trace(_orbit_trace(space, orbit), linear(F(1, 2)))
@@ -378,21 +402,32 @@ class TestCauchyTable:
         assert report.cauchy == tuple((eps, n0) for eps in EPSILON_SCHEDULE)
         assert report.cauchy == _brute_force_cauchy(space, orbit)
 
+    def test_decimal_nan_distance_fails_its_start(self):
+        # A NaN that is no float, in a row of ints, is still found; the
+        # brute force cannot compare a Decimal NaN with eps.
+        space = from_oracle(
+            lambda x, y: Decimal("NaN") if (x, y) == (1, 2) else 0, points=range(4), exact=False
+        )
+        report = validate_trace(_orbit_trace(space, [0, 1, 2, 3]), linear(F(1, 2)))
+        assert report.cauchy == tuple((eps, 2) for eps in EPSILON_SCHEDULE)
 
-def _staircase(length):
+
+def _staircase(length, point=F):
     """A zero-slack staircase 1, 1/2, ..., 2**-length on a counting oracle.
 
     The dyadic-gap distance charges y - x upward and 2(x - y) downward.
     Each x_i maps to x_{i+1} and two decoys between them that map to the
-    far sink 2, which makes them inadmissible.
+    far sink 2, which makes them inadmissible.  Every point is made by
+    ``point``.  Returns the oracle, the universe, the images, the orbit
+    and the oracle's call counter.
     """
-    xs = [F(1, 2**i) for i in range(length + 1)]
-    sink = F(2)
+    xs = [point(1, 2**i) for i in range(length + 1)]
+    sink = point(2)
     images = {sink: (sink,), xs[length]: (xs[length],)}
     universe = [sink, *xs]
     for i in range(length):
         gap = xs[i] - xs[i + 1]
-        decoys = [xs[i + 1] + gap * F(1, 3), xs[i + 1] + gap * F(2, 3)]
+        decoys = [point(xs[i + 1] + gap * F(1, 3)), point(xs[i + 1] + gap * F(2, 3))]
         for c in decoys:
             images[c] = (sink,)
         universe += decoys
@@ -403,18 +438,19 @@ def _staircase(length):
         calls[0] += 1
         return y - x if y >= x else 2 * (x - y)
 
-    return from_oracle(d, points=universe, t0=True), SetValuedMap(images), xs, calls
+    return d, universe, images, xs, calls
 
 
 def test_oracle_call_counts_on_a_staircase():
     # Oracle calls are deterministic, so they gate regressions: the Cauchy
-    # table reads each pair k <= n of the orbit once, and 361 is solve's
-    # count when this gate was set.
+    # table reads each pair k <= n of the orbit once, and solve reads
+    # d(x, y) and the candidate's defect once per candidate.
     L = 40
-    space, Fm, xs, calls = _staircase(L)
+    d, universe, images, xs, calls = _staircase(L)
+    space, Fm = from_oracle(d, points=universe, t0=True), SetValuedMap(images)
     gamma = linear(F(1, 2))
     trace = solve(space, Fm, gamma, ONE)
-    assert calls[0] <= 361
+    assert calls[0] == 321
     assert trace.outcome == Outcome(Status.CONVERGED, xs[L], ZERO)
     assert [s.y for s in trace.steps] == xs[1:]
     calls[0] = 0
@@ -422,6 +458,30 @@ def test_oracle_call_counts_on_a_staircase():
     assert calls[0] == (L + 1) * (L + 2) // 2
     assert report.ok
     assert report.cauchy == _brute_force_cauchy(space, trace.points)
+
+
+class _HashCountingFraction(Fraction):
+    """A Fraction that counts the calls of its (Python-level) ``__hash__``."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _HashCountingFraction.hashes += 1
+        return super().__hash__()
+
+
+def test_point_hash_counts_on_a_staircase():
+    # Fraction points hash in Python code, so every dict or set lookup of a
+    # point costs; the counts are deterministic and gate regressions.
+    counting = _HashCountingFraction
+    d, universe, images, xs, _ = _staircase(40, point=counting)
+    counting.hashes = 0
+    space, Fm = from_oracle(d, points=universe, t0=True), SetValuedMap(images)
+    assert counting.hashes == 568
+    counting.hashes = 0
+    trace = solve(space, Fm, linear(F(1, 2)), counting(1))
+    assert counting.hashes == 806
+    assert [s.y for s in trace.steps] == xs[1:]
 
 
 def test_oracle_call_counts_on_the_truncated_dyadic_system():
@@ -451,7 +511,7 @@ def test_oracle_call_counts_on_the_truncated_dyadic_system():
     assert [count(lambda: fn(space, Fm)) for fn in enumerators] == [26, 26, 52]
     assert [
         count(lambda: solve(space, Fm, gamma, ONE, SolverConfig(mode=m))) for m in SolveMode
-    ] == [8, 8, 15]
+    ] == [7, 7, 14]
     assert [
         count(lambda: admissible_candidates(space, Fm, gamma, ONE, m)) for m in modes
     ] == [5, 5, 10]
