@@ -34,7 +34,9 @@ from .space import (
     Point,
     QSpace,
     Value,
+    _lane_width,
     _matrix_space,
+    _packed_floyd_warshall,
     _scaled_values,
     from_oracle,
 )
@@ -122,13 +124,18 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     and comparisons run on Python ints over one common denominator when
     every entry is an int or a Fraction and that denominator is not too
     large, and the result is mapped back to exact values: Fraction input
-    gives Fractions, all-int input gives ints.  A matrix that is not
-    square is a ValueError.
+    gives Fractions, all-int input gives ints.  When those ints are also
+    nonnegative and below 2^62, each row is packed into one int and one
+    relaxation updates a whole row; floats, NaN, ``INFINITY``, negative
+    or larger entries relax one entry at a time.  Both give the same
+    result.  A matrix that is not square is a ValueError.
     """
     d, den = _closure(matrix)
     if den is None:
         return d
-    return [[Fraction(v, den) for v in row] for row in d]
+    # A closure holds few distinct values, and each Fraction costs a gcd.
+    exact = {v: Fraction(v, den) for v in {v for row in d for v in row}}
+    return [list(map(exact.__getitem__, row)) for row in d]
 
 
 def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int | None]:
@@ -139,6 +146,14 @@ def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int 
         raise ValueError(f"distance matrix must be {n}x{n}")
     scaled = _scaled_values(matrix)
     d, den = scaled if scaled is not None else ([list(row) for row in matrix], None)
+    w = _lane_width(d)
+    return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
+
+
+def _floyd_warshall(d: list[list[Value]]) -> list[list[Value]]:
+    """Floyd-Warshall on the values, one comparison per triple, in place:
+    the fallback of :func:`qpmetric.space._packed_floyd_warshall`."""
+    n = len(d)
     for k in range(n):
         dk = d[k]
         for i in range(n):
@@ -148,7 +163,7 @@ def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int 
                 via = dik + dk[j]
                 if via < row[j]:
                     row[j] = via
-    return d, den
+    return d
 
 
 #: Rational weights are drawn on a grid of this many steps across the range.

@@ -29,6 +29,13 @@ comparisons of those ints agree exactly with those of the rationals, and
 values instead.  The axiom checker and the min-plus closure scale the
 values they read under the same bound.
 
+On such int rows, when every entry is below 2^62, the triangle scan and
+the min-plus closure pack each row into one Python int of fixed-width
+lanes and compare a whole row per big-int operation (see
+:func:`_first_packed_violation`); the results are those of one exact
+comparison per triple.  FLOAT rows, ``Fraction`` rows, negative entries,
+bools, NaN, ``INFINITY`` and larger ints take the per-triple loops.
+
 All operations here are pure functions of immutable values and may be
 called concurrently from any number of threads.
 """
@@ -63,15 +70,28 @@ def _unique(points: Sequence[Point]) -> tuple[Point, ...]:
 _NEVER_NAN = {int, Fraction}
 
 
-def _max_keeping_nan(values: Sequence[Value]) -> Value:
-    """The largest of ``values`` (nonempty), or a NaN among them if there is
-    one: builtin ``max`` keeps a NaN only when it comes first.  Values that
-    are all ints and Fractions skip the NaN scan."""
+def _first_nan(values: Sequence[Value]) -> Value | None:
+    """The first NaN in ``values``, or None; values that are all ints and
+    Fractions are not scanned."""
     if not _NEVER_NAN.issuperset(map(type, values)):
         for v in values:
             if v != v:
                 return v
-    return max(values)
+    return None
+
+
+def _max_keeping_nan(values: Sequence[Value]) -> Value:
+    """The largest of ``values`` (nonempty), or a NaN among them if there is
+    one: builtin ``max`` keeps a NaN only when it comes first."""
+    nan = _first_nan(values)
+    return max(values) if nan is None else nan
+
+
+def _min_keeping_nan(values: Sequence[Value]) -> Value:
+    """The smallest of ``values`` (nonempty), or a NaN among them if there
+    is one, as :func:`_max_keeping_nan`."""
+    nan = _first_nan(values)
+    return min(values) if nan is None else nan
 
 
 @dataclass(frozen=True)
@@ -175,10 +195,10 @@ def _entry(raw: Value | str, exact: bool, i: int, j: int) -> Value:
 #: Largest common denominator, in bits, that a matrix is scaled to; above
 #: it the values stay Fractions.  An int over a D of b bits takes about
 #: b/8 bytes.  Measured on Python 3.11 at n = 40: with a 1,061-bit D, int
-#: rows took 164 bytes per entry against 104 for Fraction rows, and the
-#: triangle scan 20 ms against 452 ms; with 4,588 bits, 625 bytes against
-#: 104, and 46 ms against 457 ms.  The bound keeps the rows' memory within
-#: about 1.6 times that of Fraction rows.
+#: rows took 164 bytes per entry against 104 for Fraction rows; with
+#: 4,588 bits, 625 bytes against 104.  The bound keeps the rows' memory
+#: within about 1.6 times that of Fraction rows.  (Lanes that wide are
+#: past ``_MAX_LANE_BITS``, so such rows take the per-triple loops.)
 _MAX_DENOMINATOR_BITS = 1024
 
 
@@ -370,7 +390,7 @@ def symmetrize(space: QSpace) -> QSpace:
     inner = space.d
 
     def d(x: Point, y: Point) -> Value:
-        return max(inner(x, y), inner(y, x))
+        return _max_keeping_nan((inner(x, y), inner(y, x)))
 
     return replace(space, d=d)
 
@@ -411,16 +431,101 @@ class AxiomReport:
 
 
 def _first_triangle_violation(
-    rows: list[list[Value]], tol: Value
+    rows: Sequence[Sequence[Value]], tol: Value
 ) -> tuple[int, int, int] | None:
     """Indices (i, j, k) of the first triple in row-major order with
-    rows[i][k] > rows[i][j] + rows[j][k] + tol, or None.  NaN fails."""
+    rows[i][k] > rows[i][j] + rows[j][k] + tol, or None.  NaN fails.
+
+    One comparison per triple: the fallback of
+    :func:`_first_packed_violation`."""
     for i, row_x in enumerate(rows):
         for j, dxy in enumerate(row_x):
             holds = [a <= dxy + b + tol for a, b in zip(row_x, rows[j])]
             if not all(holds):
                 return i, j, holds.index(False)
     return None
+
+
+# Packed rows.  A row of n nonnegative ints below 2^(w-1) packs into one
+# int of n lanes of w bits, entry k in bits [k*w, (k+1)*w).  ONES holds a
+# 1 in every lane and G the top ("guard") bit of every lane.  With
+# w = (2*max).bit_length() + 1 a sum of two entries stays below the guard
+# bit, so for packed rows A and B (plus d*ONES) the lanes of (B | G) - A
+# neither carry nor borrow into each other, and lane k keeps its guard bit
+# exactly when a_k <= b_k.  One big-int operation then compares whole rows.
+
+#: Widest lane the packed kernels take, in bits: every entry below 2^62.
+#: Spreading d over the lanes, d*ONES, costs the product of the lane width
+#: and the row width, so wide lanes lose to one comparison per triple.
+#: Measured on Python 3.11 at n = 40 and 120, the packed triangle scan took
+#: about a fifth of the loop's time with 65-bit lanes and two fifths with
+#: 129-bit lanes, the closure about half and all of it; with a 1,043-bit D
+#: (1,045-bit lanes) the scan took 144 ms against the loop's 20 ms.
+_MAX_LANE_BITS = 64
+
+
+def _lane_width(rows: Sequence[Sequence[Value]]) -> int | None:
+    """The lane width w of ``rows`` when every entry is a nonnegative int
+    (not a bool) and w is at most ``_MAX_LANE_BITS``, else None (no
+    entries, any other value, or a lane too wide)."""
+    if {type(v) for row in rows for v in row} != {int} or min(map(min, rows)) < 0:
+        return None
+    w = (2 * max(map(max, rows))).bit_length() + 1
+    return w if w <= _MAX_LANE_BITS else None
+
+
+def _lanes(n: int, w: int) -> tuple[int, int]:
+    """(ONES, G) for n lanes of w bits."""
+    ones = ((1 << n * w) - 1) // ((1 << w) - 1)
+    return ones, ones << (w - 1)
+
+
+def _pack(row: Sequence[int], w: int) -> int:
+    p = 0
+    for v in reversed(row):
+        p = p << w | v
+    return p
+
+
+def _unpack(p: int, n: int, w: int) -> list[int]:
+    mask = (1 << w) - 1
+    return [p >> s & mask for s in range(0, n * w, w)]
+
+
+def _first_packed_violation(rows: Sequence[Sequence[int]], w: int) -> tuple[int, int, int] | None:
+    """:func:`_first_triangle_violation` with tolerance 0 on rows of lane
+    width ``w``: one guard-bit test per pair (i, j) checks
+    rows[i] <= rows[i][j] + rows[j] in every lane, and a scan of the first
+    failing pair finds k."""
+    ones, guard = _lanes(len(rows), w)
+    packed = [_pack(row, w) for row in rows]
+    guarded = [p | guard for p in packed]
+    for i, (p_x, row_x) in enumerate(zip(packed, rows)):
+        for j, dxy in enumerate(row_x):
+            if (guarded[j] + dxy * ones - p_x) & guard != guard:
+                return i, j, next(k for k, (a, b) in enumerate(zip(row_x, rows[j])) if a > dxy + b)
+    return None
+
+
+def _packed_floyd_warshall(d: Sequence[Sequence[int]], w: int) -> list[list[int]]:
+    """The min-plus closure of rows of lane width ``w``, as Floyd-Warshall
+    gives it: row_i <- min(row_i, d_ik + row_k) in one guard-bit compare
+    and one lane-mask select per (k, i).  d_ik is read from lane k of the
+    packed row i, which relaxing through k leaves as it is (entries are
+    nonnegative)."""
+    n = len(d)
+    ones, guard = _lanes(n, w)
+    lane, top = (1 << w) - 1, w - 1
+    packed = [_pack(row, w) for row in d]
+    for k in range(n):
+        p_k, s = packed[k], k * w
+        for i, a in enumerate(packed):
+            b = (a >> s & lane) * ones + p_k
+            # Guard bits of the lanes where b < a, spread to lane masks.
+            less = ((b | guard) - a) & guard ^ guard
+            if less:
+                packed[i] = a ^ ((a ^ b) & (less - (less >> top)))
+    return [_unpack(p, n, w) for p in packed]
 
 
 def check_axioms(
@@ -433,10 +538,14 @@ def check_axioms(
 
     For a finite universe of n points the n^2 distances are read once (a
     space with stored rows is read from them), then the triangle inequality
-    is checked over all n^3 ordered triples (exact integer comparisons over
-    a common denominator when every distance is an int or a Fraction in
-    EXACT mode).  Violations are
-    reported with the first witness in universe order, never raised.
+    is checked over all n^3 ordered triples.  In EXACT mode, when every
+    distance is an int or a Fraction, the comparisons are exact integer
+    ones over a common denominator; when those ints are also below 2^62,
+    each row is packed into one int and one big-int test per ordered pair
+    checks all n triples through it.  FLOAT mode, NaN, ``INFINITY``, negative or larger values compare
+    one triple at a time.  Violations are reported with the first witness
+    in universe order (row-major over (x, y, z)), never raised; the packed
+    test and the loop give the same witness.
 
     ``points`` supplies a finite sample for oracle-backed universes; the
     report is then marked ``sampled`` (a sampled pass is reported as
@@ -458,13 +567,16 @@ def check_axioms(
         scaled = _scaled_values(rows) if space.exact else None
         if scaled is not None:
             rows = scaled[0]
-    tol = 0 if space.exact else space.tolerance
     is_zero = space.is_zero
 
     bad = next(((x,) for i, x in enumerate(universe) if not is_zero(rows[i][i])), None)
     identity = AxiomCheck("identity", bad is None, bad)
 
-    bad = _first_triangle_violation(rows, tol)
+    w = _lane_width(rows) if space.exact else None
+    if w is not None:
+        bad = _first_packed_violation(rows, w)
+    else:
+        bad = _first_triangle_violation(rows, 0 if space.exact else space.tolerance)
     if bad is not None:
         bad = tuple(universe[i] for i in bad)
     triangle = AxiomCheck("triangle", bad is None, bad)
@@ -494,13 +606,17 @@ def _members(point_set: Iterable[Point]) -> tuple[Point, ...]:
 
 
 def dist_point_set(space: QSpace, x: Point, point_set: Iterable[Point]) -> Value:
-    """d(x, A) = min over a in A of d(x, a).  A must be nonempty."""
-    return min(space.d(x, a) for a in _members(point_set))
+    """d(x, A) = min over a in A of d(x, a).  A must be nonempty; a NaN
+    distance makes the result NaN."""
+    d = space.d
+    return _min_keeping_nan([d(x, a) for a in _members(point_set)])
 
 
 def dist_set_point(space: QSpace, point_set: Iterable[Point], x: Point) -> Value:
-    """d(A, x) = min over a in A of d(a, x).  A must be nonempty."""
-    return min(space.d(a, x) for a in _members(point_set))
+    """d(A, x) = min over a in A of d(a, x).  A must be nonempty; a NaN
+    distance makes the result NaN."""
+    d = space.d
+    return _min_keeping_nan([d(a, x) for a in _members(point_set)])
 
 
 def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> Value:
@@ -510,14 +626,15 @@ def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> 
 
     For singletons this collapses to the plain pointwise maxima:
     H({x}, B) = max_b d(x, b) and H(A, {x}) = max_a d(a, x), because the
-    minimum term is dominated by the maximum term.
+    minimum term is dominated by the maximum term.  A NaN distance makes
+    the result NaN, whatever the order of the sets.
     """
     A = _members(a_set)
     B = _members(b_set)
     d = space.d
-    forward = max(min(d(a, b) for b in B) for a in A)
-    backward = max(min(d(a, b) for a in A) for b in B)
-    return max(forward, backward)
+    forward = [_min_keeping_nan([d(a, b) for b in B]) for a in A]
+    backward = [_min_keeping_nan([d(a, b) for a in A]) for b in B]
+    return _max_keeping_nan(forward + backward)
 
 
 def ball_contains(space: QSpace, center: Point, radius: Value, y: Point) -> bool:

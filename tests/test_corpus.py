@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qpmetric.corpus as corpus_module
+import qpmetric.space as space_module
 from qpmetric import (
     INFINITY,
     ContractionCertificate,
@@ -174,6 +176,81 @@ def test_minplus_closure_matches_brute_force(case, data):
             assert all(isinstance(v, Fraction) for v in values)
         else:
             assert all(type(v) is int for v in values)
+
+
+@st.composite
+def lane_boundary_matrices(draw, max_size=7):
+    """Nonnegative int matrices with ties and zeros whose largest entry is
+    2^m - 1 or 2^m, with a zero or a drawn diagonal, below the 2^62 that
+    needs lanes wider than the packed closure takes."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    m = draw(st.integers(min_value=0, max_value=61))
+    top = draw(st.sampled_from([2**m - 1, 2**m]))
+    entries = st.sampled_from(sorted({0, 1, 2, top // 3, top // 2, top - 1, top} - {-1}))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = top
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+    return rows
+
+
+@given(rows=lane_boundary_matrices())
+def test_packed_closure_matches_the_loop(rows):
+    w = space_module._lane_width(rows)
+    assert w == (2 * max(map(max, rows))).bit_length() + 1
+    want = corpus_module._floyd_warshall([row[:] for row in rows])
+    assert space_module._packed_floyd_warshall(rows, w) == want
+    assert minplus_closure(rows) == want
+
+
+@given(
+    m=st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_packed_closure_on_fraction_matrices(m):
+    want = _brute_force_closure(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_floyd_warshall", _no_loop)
+        got = minplus_closure(m)
+    assert got == want and all(type(v) is Fraction for row in got for v in row)
+
+
+def _no_loop(d):
+    raise AssertionError("the loop must not run on this input")
+
+
+def _no_packed(d, w):
+    raise AssertionError("the packed closure must not run on this input")
+
+
+#: Inputs the packed closure does not take, and the loop does.
+FALLBACK_CLOSURE_INPUTS = {
+    "float": [[0.0, 1.5, 4.0], [2.0, 0.0, 1.0], [0.5, 3.0, 0.0]],
+    "negative": [[0, -1, 5], [2, 0, 1], [0, 3, 0]],
+    "bool": [[False, True], [True, False]],
+    "nan": [[0, math.nan, 4], [1, 0, 1], [0, 2, 0]],
+    "infinity": [[F(0), INFINITY], [F(1, 2), F(0)]],
+    "float-and-fraction": [[F(0), 0.5], [F(1, 3), F(0)]],
+    "wide-lanes": [[0, 2**62, 5], [1, 0, 2**62], [2**62, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CLOSURE_INPUTS))
+def test_fallback_inputs_take_the_closure_loop(case, monkeypatch):
+    m = FALLBACK_CLOSURE_INPUTS[case]
+    monkeypatch.setattr(corpus_module, "_packed_floyd_warshall", _no_packed)
+    got, want = minplus_closure(m), _brute_force_closure(m)
+    assert all(_same(g, w) and type(g) is type(w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+
+
+def test_fraction_closure_over_the_denominator_bound_takes_the_loop(monkeypatch):
+    m = [[F(0), F(1, 3), F(5)], [F(9), F(0), F(1, 7)], [F(2, 5), F(9), F(0)]]
+    monkeypatch.setattr(space_module, "_MAX_DENOMINATOR_BITS", 0)
+    monkeypatch.setattr(corpus_module, "_packed_floyd_warshall", _no_packed)
+    got = minplus_closure(m)
+    assert got == _brute_force_closure(m) and all(type(v) is Fraction for r in got for v in r)
 
 
 WEIGHT_RANGES = [(F(0), F(1)), (F(0), F(8)), (F(1, 2), F(1, 2)), (F(1), F(8))]

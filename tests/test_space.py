@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qpmetric.space as space_module
 from qpmetric import (
     INFINITY,
     AxiomCheck,
@@ -192,6 +193,39 @@ class TestHausdorff:
         space = from_oracle(lambda x, y: 0 if x == y else INFINITY)
         assert hausdorff(space, ["a"], ["b"]) == INFINITY
         assert math.isinf(hausdorff(space, ["a"], ["b"]))
+
+
+class TestNaNSetDistances:
+    """A set distance is NaN when any distance it reads is NaN, whatever the
+    order of the sets: builtin min and max keep a NaN only when it comes
+    first."""
+
+    @pytest.fixture
+    def space(self):
+        # d(a, b) = 0 and d(a, c) = NaN; every other distance off the
+        # diagonal is 1.
+        def d(x, y):
+            return {("a", "c"): math.nan, ("a", "b"): 0.0}.get((x, y), 0.0 if x == y else 1.0)
+
+        return from_oracle(d, points=("a", "b", "c"), exact=False)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations("abc")), ids="".join)
+    def test_every_order_of_a_three_point_set(self, space, order):
+        pair = [p for p in order if p != "a"]  # b and c, in both orders
+        assert math.isnan(dist_point_set(space, "a", order))
+        assert math.isnan(dist_point_set(space, "a", pair))
+        assert math.isnan(dist_set_point(space, order, "c"))
+        assert math.isnan(hausdorff(space, ["a"], pair))
+        assert math.isnan(hausdorff(space, order, order))
+        assert math.isnan(hausdorff(space, order, ["c"]))
+        # Sets that read no NaN keep their values.
+        assert dist_set_point(space, pair, "a") == 1.0
+        assert hausdorff(space, pair, ["a"]) == 1.0
+
+    def test_symmetrize_is_symmetric(self, space):
+        sym = symmetrize(space)
+        assert math.isnan(sym.d("a", "c")) and math.isnan(sym.d("c", "a"))
+        assert sym.d("a", "b") == sym.d("b", "a") == 1.0
 
 
 class TestBall:
@@ -449,3 +483,110 @@ def test_sampled_check_reads_each_sampled_distance_once():
     report = check_axioms(space, points=[4, 1, 4, 2], check_t0=True)
     assert report.ok and report.sampled
     assert len(calls) == 9
+
+
+# ---------------------------------------------------------------------------
+# The packed triangle scan against the per-triple loop it stands in for.
+
+
+def _boom(*args):
+    raise AssertionError("this kernel must not run on this input")
+
+
+@st.composite
+def int_matrices(draw, max_size=7):
+    """Nonnegative int matrices with ties and zeros, closed or not, one in
+    two with a planted violation.  The largest entry is drawn at a lane
+    boundary, 2^m - 1 or 2^m, one in two times; every entry stays below
+    2^62, the widest lanes the packed scan takes."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    m = draw(st.integers(min_value=0, max_value=59))
+    top = draw(st.sampled_from([2**m - 1, 2**m]))
+    entries = st.sampled_from(sorted({0, 1, 2, top // 2, top - 1, top} - {-1}))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = top
+    if draw(st.booleans()):
+        rows = minplus_closure(rows)
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        rows[i][k] = rows[i][j] + rows[j][k] + draw(st.sampled_from([1, top + 1]))
+    return rows
+
+
+@given(rows=int_matrices())
+def test_packed_triangle_scan_matches_the_loop(rows):
+    w = space_module._lane_width(rows)
+    assert w is not None
+    want = space_module._first_triangle_violation(rows, 0)
+    assert space_module._first_packed_violation(rows, w) == want
+    # Also through check_axioms on the same values behind an oracle, on
+    # the packed path only.
+    n = len(rows)
+    space = from_oracle(lambda x, y: rows[x][y], points=range(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_first_triangle_violation", _boom)
+        assert check_axioms(space).triangle.witness == want
+
+
+@given(m=matrices(small_fractions | small_ints, max_size=7), t0=st.booleans())
+def test_packed_triangle_scan_on_fraction_matrices(m, t0):
+    n = len(m)
+    space = from_matrix([f"p{i}" for i in range(n)], m, t0=t0)
+    assert space.den is not None
+    want = space_module._first_triangle_violation(m, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_first_triangle_violation", _boom)
+        got = check_axioms(space).triangle.witness
+    assert got == (None if want is None else tuple(f"p{i}" for i in want))
+
+
+def test_packed_triangle_witness_is_the_first_in_row_major_order():
+    # Violations at (0, 2, 1), (0, 2, 3) and (1, 0, 3); the loop's first.
+    rows = [[0, 9, 1, 5], [0, 0, 9, 9], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert space_module._first_triangle_violation(rows, 0) == (0, 2, 1)
+    assert space_module._first_packed_violation(rows, space_module._lane_width(rows)) == (0, 2, 1)
+
+
+#: Inputs the packed scan does not take, and the loop does: (exact, values
+#: behind an oracle, witness the loop gives).
+FALLBACK_AXIOM_INPUTS = {
+    "float": (False, [[0.0, 1.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], (0, 1, 2)),
+    "float-ints": (False, [[0, 1, 2], [0, 0, 1], [0, 0, 0]], None),
+    "negative": (True, [[0, -1, 0], [0, 0, -1], [0, 0, 0]], (0, 1, 0)),
+    "bool": (True, [[False, True, True], [False, False, False], [False, True, False]], None),
+    "nan": (True, [[0, math.nan], [0, 0]], (0, 0, 1)),
+    "infinity": (True, [[0, INFINITY], [1, 0]], None),
+    "float-in-exact": (True, [[0, 0.5, 2], [0, 0, 1], [0, 0, 0]], (0, 1, 2)),
+    # 2^62 needs 65-bit lanes; 2^62 - 1 fits in 64 and is packed.
+    "wide-lanes": (True, [[0, 1, 2**62], [0, 0, 1], [0, 0, 0]], (0, 1, 2)),
+}
+
+
+def test_lanes_stop_at_64_bits():
+    assert space_module._lane_width([[0, 2**62 - 1], [0, 0]]) == 64
+    assert space_module._lane_width([[0, 2**62], [0, 0]]) is None
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_AXIOM_INPUTS))
+def test_fallback_inputs_take_the_loop(case, monkeypatch):
+    exact, m, witness = FALLBACK_AXIOM_INPUTS[case]
+    space = from_oracle(lambda x, y: m[x][y], points=range(len(m)), exact=exact)
+    monkeypatch.setattr(space_module, "_first_packed_violation", _boom)
+    report = check_axioms(space)
+    assert report == _brute_force_axioms(space)
+    assert report.triangle.witness == witness
+    sample = list(reversed(range(len(m))))
+    assert check_axioms(space, points=sample) == _brute_force_axioms(space, points=sample)
+
+
+def test_fraction_rows_over_the_denominator_bound_take_the_loop(monkeypatch):
+    m = [[F(0), F(1, 3), F(1)], [F(0), F(0), F(1, 2)], [F(0), F(0), F(0)]]
+    monkeypatch.setattr(space_module, "_MAX_DENOMINATOR_BITS", 0)
+    space = from_matrix(range(3), m)
+    assert space.den is None
+    oracle = from_oracle(lambda x, y: m[x][y], points=range(3))
+    monkeypatch.setattr(space_module, "_first_packed_violation", _boom)
+    for s in (space, oracle):
+        assert check_axioms(s).triangle.witness == (0, 1, 2)
+        assert check_axioms(s) == _brute_force_axioms(s)
