@@ -542,10 +542,11 @@ def check_axioms(
     distance is an int or a Fraction, the comparisons are exact integer
     ones over a common denominator; when those ints are also below 2^62,
     each row is packed into one int and one big-int test per ordered pair
-    checks all n triples through it.  FLOAT mode, NaN, ``INFINITY``, negative or larger values compare
-    one triple at a time.  Violations are reported with the first witness
-    in universe order (row-major over (x, y, z)), never raised; the packed
-    test and the loop give the same witness.
+    checks all n triples through it.  FLOAT mode, NaN, ``INFINITY``,
+    negative or larger values compare one triple at a time.  Violations
+    are reported with the first witness in universe order (row-major over
+    (x, y, z)), never raised; the packed test and the loop give the same
+    witness.
 
     ``points`` supplies a finite sample for oracle-backed universes; the
     report is then marked ``sampled`` (a sampled pass is reported as
