@@ -13,10 +13,12 @@ functions into two certification levels:
 
 * CERTIFIED builtins, where both conditions hold by a short argument:
   - ``linear(c)``, gamma(t) = c*t with 0 < c < 1.  (g2): if sum c*t_n is
-    finite then sum t_n = (1/c) * sum c*t_n is finite.
+    finite then sum t_n = (1/c) * sum c*t_n is finite.  Its test on int
+    rows over D (t = T/D, defect Y/D) is q*Y <= (q - p)*T for c = p/q.
   - ``rational_shrink()``, gamma(t) = t/(1+t).  (g2): if sum t_n/(1+t_n)
     is finite its terms tend to 0, so t_n tends to 0 and eventually
-    t_n < 1, whence t_n/(1+t_n) >= t_n/2 and sum t_n is finite.
+    t_n < 1, whence t_n/(1+t_n) >= t_n/2 and sum t_n is finite.  Its
+    test on int rows is Y*(D + T) <= T^2.
 * SAMPLED user functions (tables or callables), where only (g1) is ever
   checked and only on a grid.  A sampled pass never upgrades the
   certification level, and the solver warns when given one.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .space import Value
+from .space import Value, _coerce_value
 
 
 class SampledComparisonWarning(UserWarning):
@@ -74,12 +76,27 @@ class ComparisonFunction:
         if self.kind == "rational_shrink":
             return t / (1 + t)
         if self.table is not None:
-            knots = [k for k, _ in self.table]
-            i = bisect.bisect_right(knots, t)
-            # Previous-knot step rule; below the first knot the implicit
-            # (0, 0) knot applies.
+            i = bisect.bisect_right(self.table, t, key=lambda knot: knot[0])
+            # Previous-knot step rule, with an implicit (0, 0) knot.
             return self.table[i - 1][1] if i > 0 else 0
         return self.fn(t)
+
+    def bound_test(
+        self, den: int | None, leq: Callable[[Value, Value], bool]
+    ) -> Callable[[Value, Value], bool]:
+        """defect(y) <= t - gamma(t) as a test on Y = defect(y) and T = t, in
+        the scale of int rows over ``den`` (the values when ``den`` is None):
+        an integer test for a certified kind, otherwise ``leq`` on the values."""
+        if den is None:
+            return lambda Y, T: leq(Y, T - self(T))
+        if self.kind == "linear" and isinstance(self.c, Fraction):
+            # t - (p/q) t = (q - p) t / q = r t / q.
+            q, r = self.c.denominator, self.c.denominator - self.c.numerator
+            return lambda Y, T: q * Y <= r * T
+        if self.kind == "rational_shrink":
+            # t - t/(1 + t) = t^2/(1 + t) = T^2 / (den (den + T)).
+            return lambda Y, T: Y * (den + T) <= T * T
+        return lambda Y, T: leq(Fraction(Y, den), Fraction(T, den) - self(Fraction(T, den)))
 
     def __repr__(self) -> str:
         if self.kind == "linear":
@@ -88,8 +105,8 @@ class ComparisonFunction:
 
 
 def linear(c: Value | str) -> ComparisonFunction:
-    """gamma(t) = c*t for a rational contraction factor 0 < c < 1."""
-    frac = Fraction(c)
+    """gamma(t) = c*t for 0 < c < 1, c read by the one value rule."""
+    frac = _coerce_value(c, True)
     if not 0 < frac < 1:
         raise ValueError(f"linear factor must satisfy 0 < c < 1, got {frac}")
     return ComparisonFunction(kind="linear", c=frac)
@@ -111,9 +128,10 @@ def user_table(knots: Iterable[Sequence[Value]]) -> ComparisonFunction:
         raise ValueError("user table must contain at least one knot")
     prev = None
     for t, v in table:
-        if t < 0 or v < 0:
-            raise ValueError(f"table knot ({t}, {v}) is negative")
-        if prev is not None and t <= prev:
+        # Negated >= and > tests, so that a NaN knot fails them too.
+        if not (t >= 0 and v >= 0):
+            raise ValueError(f"table knot ({t}, {v}) must have t >= 0 and gamma(t) >= 0")
+        if prev is not None and not t > prev:
             raise ValueError("table knots must be strictly increasing in t")
         prev = t
     return ComparisonFunction(kind="user", table=table)

@@ -26,10 +26,9 @@ with no admissible candidate.
 One defect memo and one admissibility scan serve every space: stored rows
 (see :mod:`qpmetric.space`) are read by index, other spaces through
 ``d``, and a defect stays in the rows' scale until it is handed out as
-the value ``d`` would give.  On int rows over a denominator D, with
-t = T/D and defect(y) = Y/D, ``linear(p/q)`` tests q*Y <= (q - p)*T and
-``rational_shrink`` tests Y*(D + T) <= T^2; other tests use ``leq`` on
-the values.  SYMMETRIC admits y when FORWARD and DUAL both do.
+the value ``d`` would give.  The admissibility test in that scale is
+:meth:`ComparisonFunction.bound_test`.  SYMMETRIC admits y when FORWARD
+and DUAL both do.
 """
 
 from __future__ import annotations
@@ -210,23 +209,6 @@ def _value(space: QSpace, v: Value) -> Value:
     return v if space.den is None else Fraction(v, space.den)
 
 
-def _bound_test(space: QSpace, gamma: ComparisonFunction) -> Callable[[Value, Value], bool]:
-    """defect(y) <= t - gamma(t) as a test on Y = defect(y) and T = t in
-    the scale of the stored rows: an integer test for a certified gamma on
-    int rows, otherwise ``leq`` on the values."""
-    den, leq = space.den, space.leq
-    if den is None:
-        return lambda Y, T: leq(Y, T - gamma(T))
-    if gamma.kind == "linear" and isinstance(gamma.c, Fraction):
-        # t - (p/q) t = (q - p) t / q = r t / q.
-        q, r = gamma.c.denominator, gamma.c.denominator - gamma.c.numerator
-        return lambda Y, T: q * Y <= r * T
-    if gamma.kind == "rational_shrink":
-        # t - t/(1 + t) = t^2/(1 + t) = T^2 / (den (den + T)).
-        return lambda Y, T: Y * (den + T) <= T * T
-    return lambda Y, T: leq(Fraction(Y, den), Fraction(T, den) - gamma(Fraction(T, den)))
-
-
 def _scan(
     space: QSpace, F: SetValuedMap, gamma: ComparisonFunction, mode: ContractionMode
 ) -> tuple[
@@ -239,7 +221,7 @@ def _scan(
     scale; DUAL mode reads no d(x, candidate) on a space without rows and
     gives None there.  SYMMETRIC admits y when the FORWARD and DUAL tests
     both hold."""
-    defect, within = _memo_defect(space, F, mode), _bound_test(space, gamma)
+    defect, within = _memo_defect(space, F, mode), gamma.bound_test(space.den, space.leq)
     order, rows, d = space.order, space.rows, space.d
     forward = mode is not ContractionMode.DUAL
     backward = mode is not ContractionMode.FORWARD

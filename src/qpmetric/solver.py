@@ -80,8 +80,8 @@ class SolverConfig:
     selection: Selection = Selection.GREEDY_MIN_DEFECT
 
     def __post_init__(self) -> None:
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not self.tolerance >= 0:  # NaN fails it too
+            raise ValueError(f"tolerance must be a nonnegative number, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 

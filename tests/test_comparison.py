@@ -1,11 +1,14 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qpmetric import (
     default_grid,
     linear,
+    parse_system,
     rational_shrink,
     user_function,
     user_table,
@@ -55,6 +58,23 @@ class TestEvaluate:
             user_table([(2, 1), (1, F(1, 2))])
         with pytest.raises(ValueError):
             user_table([(1, -1)])
+
+    @pytest.mark.parametrize(
+        "knots",
+        [[(math.nan, 1)], [(1, math.nan)], [(1, 1), (math.nan, 2)], [(1, 1), (2, math.nan)]],
+        ids=["nan-t", "nan-value", "nan-second-t", "nan-second-value"],
+    )
+    def test_table_rejects_nan_knots(self, knots):
+        with pytest.raises(ValueError, match="table knot"):
+            user_table(knots)
+
+    def test_linear_reads_c_by_the_value_rule(self):
+        doc = {"points": ["a"], "d": [["0"]], "gamma": {"kind": "linear", "c": 0.1}}
+        assert linear(0.1) == linear("0.1") == parse_system(doc).gamma
+        assert linear(0.1).c == F(1, 10)
+        for bad in (True, math.nan, math.inf, "x"):
+            with pytest.raises(ValueError):
+                linear(bad)
 
 
 class TestCertification:
@@ -137,3 +157,50 @@ def test_certified_partial_sums_dominated(ts):
     # Finite shadow of the summability-transfer property.
     for gamma in (linear(F(1, 2)), rational_shrink()):
         assert sum(gamma(t) for t in ts) <= sum(ts)
+
+
+#: A SAMPLED table whose values have denominators 16 and 1.
+TABLE = ((F(1, 8), F(1, 16)), (8, 4))
+
+
+@st.composite
+def _bound_cases(draw):
+    """(gamma, den, Y, T) with ints den >= 1 and Y, T >= 0; about half the
+    draws put Y at the bound's floor or one either side of it, and T is
+    chosen so that the bound is an integer (a zero-slack tie) when asked."""
+    kind = draw(st.sampled_from(["linear", "rational_shrink", "user"]))
+    tie = draw(st.booleans())
+    den = draw(st.integers(1, 10**4))
+    T = draw(st.integers(0, 10**6))
+    if kind == "linear":
+        q = draw(st.integers(2, 60))
+        p = draw(st.integers(1, q - 1))
+        gamma = linear(F(p, q))
+        if tie:
+            T -= T % q  # q*Y <= (q - p)*T is a tie at Y = (q - p)*T/q
+    elif kind == "rational_shrink":
+        gamma = rational_shrink()
+        if tie:
+            # T = k*m and den = (k - 1)*T give T^2/(den + T) = m.
+            k, m = draw(st.integers(2, 100)), draw(st.integers(1, 100))
+            T, den = k * m, (k - 1) * k * m
+    else:
+        gamma = user_table(TABLE)
+        if tie:
+            den *= 16
+    bound = (F(T, den) - gamma(F(T, den))) * den
+    near = [max(0, math.floor(bound) + k) for k in (-1, 0, 1)]
+    Y = draw(st.one_of(st.integers(0, 10**6), st.sampled_from(near)))
+    return gamma, den, Y, T
+
+
+@given(case=_bound_cases())
+@example(case=(linear(F(1, 3)), 5, 2, 3))
+@example(case=(rational_shrink(), 2, 1, 2))
+@example(case=(user_table(TABLE), 16, 80, 16 * 9))
+def test_bound_test_is_the_admissibility_inequality(case):
+    gamma, den, Y, T = case
+    y, t = F(Y, den), F(T, den)
+    want = y <= t - gamma(t)
+    assert gamma.bound_test(den, operator.le)(Y, T) is want
+    assert gamma.bound_test(None, operator.le)(y, t) is want

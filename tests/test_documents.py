@@ -25,6 +25,7 @@ from qpmetric import (
     solve,
     system_document,
     trace_document,
+    user_function,
     user_table,
 )
 from qpmetric.documents import encode_value, parse_value
@@ -105,11 +106,16 @@ class TestParsing:
             ({"arithmetic": "float", "d": [[0, 10**400], [0, 0]]}, "d[0][1]"),
             ({"tolerance": True}, "tolerance"),
             ({"tolerance": float("nan")}, "tolerance"),
+            (["not", "an", "object"], "document"),
+            ({"F": ["a"]}, "F"),
+            ({"gamma": {"kind": "user", "table": [["1"]]}}, "gamma.table[0]"),
         ],
     )
     def test_malformed_fields_are_named(self, mutation, field):
+        # A mutation that is not a dict is the whole document.
+        doc = _doc(**mutation) if isinstance(mutation, dict) else mutation
         with pytest.raises(DocumentError) as err:
-            parse_system(_doc(**mutation))
+            parse_system(doc)
         assert err.value.field == field
 
     def test_nonzero_diagonal_is_not_malformed(self):
@@ -119,6 +125,14 @@ class TestParsing:
 
 
 class TestRoundTrip:
+    def test_every_gamma_kind_round_trips(self):
+        space = parse_system(_doc()).space
+        table = user_table([(F(1, 8), F(1, 16)), (8, 4)])
+        for gamma in (linear(F(1, 3)), rational_shrink(), table):
+            assert parse_system(system_document(space, None, gamma)).gamma == gamma
+        with pytest.raises(ValueError, match="do not serialize"):
+            system_document(space, None, user_function(lambda t: t / 2))
+
     def test_generated_system_roundtrips_identically(self, tmp_path):
         gamma = linear(F(1, 2))
         g = GeneratorSeed(seed=2024, size=8)

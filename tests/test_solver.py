@@ -199,6 +199,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
 
+    def test_nan_tolerance_is_rejected(self):
+        # With a NaN tolerance no defect would ever count as reached: this
+        # run would end MAX_ITERATIONS on a cycle at b, whose defect is 0.
+        space = from_matrix(("a", "b"), [["0", "1"], ["0", "0"]])
+        Fm = SetValuedMap({"a": ["b"], "b": ["b"]})
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tolerance=math.nan)
+        trace = solve(space, Fm, linear(F(1, 2)), "a")
+        assert trace.outcome.status is Status.CONVERGED and trace.outcome.point == "b"
+
 
 def _hand_trace(ds, defects, initial=None, gammas=None):
     """Assemble a trace from raw step distances and defects."""
