@@ -3,7 +3,7 @@ startpoint/endpoint/fixed-point machinery for set-valued maps.
 
 The public surface re-exports the main operations of each module:
 
-* :mod:`qpmetric.space`: spaces, transforms, set distances, axiom checks;
+* :mod:`qpmetric.space`: spaces, transforms, set distances, axiom checks, closure;
 * :mod:`qpmetric.comparison`: comparison functions and the (g1) grid check;
 * :mod:`qpmetric.contraction`: defect functionals, weak-contraction
   verification, brute-force enumeration;
@@ -46,7 +46,6 @@ from .corpus import (
     dyadic_halving_system,
     dyadic_halving_truncated,
     halving_point,
-    minplus_closure,
     random_t0_qspace,
     random_weakly_contractive_system,
 )
@@ -89,6 +88,7 @@ from .space import (
     from_matrix,
     from_oracle,
     hausdorff,
+    minplus_closure,
     symmetrize,
 )
 

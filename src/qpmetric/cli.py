@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import corpus, documents
@@ -72,12 +73,26 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _system(args: argparse.Namespace, gamma: bool = True) -> documents.System:
+    """``args.system``; a document without F, or without gamma when asked, is malformed."""
     system = args.system
     if system.map is None:
         raise DocumentError("F", "document has no set-valued map")
-    if system.gamma is None:
+    if gamma and system.gamma is None:
         raise DocumentError("gamma", "document has no comparison function")
+    return system
+
+
+def _write(flag: str, dump, path: str, *parts) -> None:
+    """``dump(path, *parts)``; a path it cannot write is an error naming ``flag``."""
+    try:
+        dump(path, *parts)
+    except OSError as exc:
+        raise DocumentError(flag, f"cannot write {path}: {exc}") from exc
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    system = _system(args)
     mode = ContractionMode(args.mode)
     result = verify_weak_contraction(system.space, system.map, system.gamma, mode)
     if isinstance(result, Violation):
@@ -90,11 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    system = args.system
-    if system.map is None:
-        raise DocumentError("F", "document has no set-valued map")
-    if system.gamma is None:
-        raise DocumentError("gamma", "document has no comparison function")
+    system = _system(args)
     space = system.space
     if args.start not in space.universe():
         raise DocumentError("--from", f"unknown point {args.start!r}")
@@ -118,9 +129,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         max_iterations=args.max_iter,
         selection=Selection(args.select),
     )
-    trace = solve(space, system.map, system.gamma, args.start, config)
+    # One fixed stderr line per warning: the warnings format names this file.
+    with warnings.catch_warnings(record=True) as caught:
+        trace = solve(space, system.map, system.gamma, args.start, config)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     if args.trace is not None:
-        documents.dump_trace(args.trace, trace)
+        _write("--trace", documents.dump_trace, args.trace, trace)
     out = trace.outcome
     if out.status is Status.CONVERGED:
         print(f"CONVERGED {out.point} defect={_value(out.defect)} steps={len(trace.steps)}")
@@ -143,9 +158,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise DocumentError(f"--{exc.field}", exc.message) from exc
     gamma = linear(Fraction(1, 2))
     space, smap = corpus.random_weakly_contractive_system(g, gamma)
-    documents.dump_system(
-        args.out, space, smap, gamma, meta={"seed": g.seed, "size": g.size}
-    )
+    meta = {"seed": g.seed, "size": g.size}
+    _write("--out", documents.dump_system, args.out, space, smap, gamma, meta)
     print(f"wrote {args.out} (seed={g.seed}, size={g.size})")
     return 0
 
@@ -158,9 +172,7 @@ _ENUMERATORS = {
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    system = args.system
-    if system.map is None:
-        raise DocumentError("F", "document has no set-valued map")
+    system = _system(args, gamma=False)
     found = _ENUMERATORS[args.what](system.space, system.map)
     for point in found:
         print(point)

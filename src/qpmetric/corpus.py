@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .comparison import ComparisonFunction, linear, verify_gamma1
 from .contraction import SetValuedMap
@@ -33,12 +32,10 @@ from .space import (
     FieldError,
     Point,
     QSpace,
-    Value,
-    _lane_width,
+    _closure,
     _matrix_space,
-    _packed_floyd_warshall,
-    _scaled_values,
     from_oracle,
+    minplus_closure,  # re-exported: callers import it from here too
 )
 
 ZERO = Fraction(0)
@@ -114,56 +111,6 @@ class GeneratorSeed:
         # hi = 0 makes every weight 0, and no such space is T0.
         if lo < 0 or hi < lo or hi == 0:
             raise FieldError("weight_range", "must satisfy 0 <= lo <= hi and 0 < hi")
-
-
-def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
-    """Min-plus transitive closure (all-pairs shortest path) of a matrix.
-
-    Entries only ever shrink, so a nonnegative weight matrix with a zero
-    diagonal always closes into a triangle-consistent one.  The n^3 sums
-    and comparisons run on Python ints over one common denominator when
-    every entry is an int or a Fraction and that denominator is not too
-    large, and the result is mapped back to exact values: Fraction input
-    gives Fractions, all-int input gives ints.  When those ints are also
-    nonnegative and below 2^62, each row is packed into one int and one
-    relaxation updates a whole row; floats, NaN, ``INFINITY``, negative
-    or larger entries relax one entry at a time.  Both give the same
-    result.  A matrix that is not square is a ValueError.
-    """
-    d, den = _closure(matrix)
-    if den is None:
-        return d
-    # A closure holds few distinct values, and each Fraction costs a gcd.
-    exact = {v: Fraction(v, den) for v in {v for row in d for v in row}}
-    return [list(map(exact.__getitem__, row)) for row in d]
-
-
-def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int | None]:
-    """The closure of :func:`minplus_closure` as Python ints over the
-    common denominator it returns, or as the values with None."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError(f"distance matrix must be {n}x{n}")
-    scaled = _scaled_values(matrix)
-    d, den = scaled if scaled is not None else ([list(row) for row in matrix], None)
-    w = _lane_width(d)
-    return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
-
-
-def _floyd_warshall(d: list[list[Value]]) -> list[list[Value]]:
-    """Floyd-Warshall on the values, one comparison per triple, in place:
-    the fallback of :func:`qpmetric.space._packed_floyd_warshall`."""
-    n = len(d)
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            row = d[i]
-            for j in range(n):
-                via = dik + dk[j]
-                if via < row[j]:
-                    row[j] = via
-    return d
 
 
 #: Rational weights are drawn on a grid of this many steps across the range.

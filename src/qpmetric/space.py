@@ -10,7 +10,8 @@ and d(y, x) may differ.  The axioms kept are
 This module provides the space container (:class:`QSpace`), the two classic
 transforms (conjugate and symmetrization), point-to-set and set-to-set
 distances including the asymmetric Hausdorff distance, membership in open
-balls, and an exhaustive axiom checker for finite universes.
+balls, an exhaustive axiom checker for finite universes, and the min-plus
+closure that enforces the triangle inequality on a matrix.
 
 Arithmetic modes
 ----------------
@@ -31,10 +32,10 @@ values they read under the same bound.
 
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
-lanes and compare a whole row per big-int operation (see
-:func:`_first_packed_violation`); the results are those of one exact
-comparison per triple.  FLOAT rows, ``Fraction`` rows, negative entries,
-bools, NaN, ``INFINITY`` and larger ints take the per-triple loops.
+lanes and compare a whole row per big-int operation (see "Packed rows"
+below); the results are those of one exact comparison per triple.  FLOAT
+rows, ``Fraction`` rows, negative entries, bools, NaN, ``INFINITY`` and
+larger ints take the per-triple loops.
 
 All operations here are pure functions of immutable values and may be
 called concurrently from any number of threads.
@@ -446,6 +447,19 @@ def _first_triangle_violation(
     return None
 
 
+def _floyd_warshall(d: list[list[Value]]) -> list[list[Value]]:
+    """Floyd-Warshall on the values, one comparison per triple, in place:
+    the fallback of :func:`_packed_floyd_warshall`."""
+    for k, dk in enumerate(d):
+        for row in d:
+            dik = row[k]
+            for j, b in enumerate(dk):
+                via = dik + b
+                if via < row[j]:
+                    row[j] = via
+    return d
+
+
 # Packed rows.  A row of n nonnegative ints below 2^(w-1) packs into one
 # int of n lanes of w bits, entry k in bits [k*w, (k+1)*w).  ONES holds a
 # 1 in every lane and G the top ("guard") bit of every lane.  With
@@ -528,6 +542,35 @@ def _packed_floyd_warshall(d: Sequence[Sequence[int]], w: int) -> list[list[int]
     return [_unpack(p, n, w) for p in packed]
 
 
+def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
+    """Min-plus transitive closure (all-pairs shortest path) of a matrix.
+
+    Entries only ever shrink, so a nonnegative weight matrix with a zero
+    diagonal always closes into a triangle-consistent one.  The result is
+    exact, and that of one comparison per triple: Fraction input gives
+    Fractions, all-int input gives ints.  A matrix that is not square is a
+    ValueError.
+    """
+    d, den = _closure(matrix)
+    if den is None:
+        return d
+    # A closure holds few distinct values, and each Fraction costs a gcd.
+    exact = {v: Fraction(v, den) for v in {v for row in d for v in row}}
+    return [list(map(exact.__getitem__, row)) for row in d]
+
+
+def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int | None]:
+    """The closure of :func:`minplus_closure` as Python ints over the
+    common denominator it returns, or as the values with None."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"distance matrix must be {n}x{n}")
+    scaled = _scaled_values(matrix)
+    d, den = scaled if scaled is not None else ([list(row) for row in matrix], None)
+    w = _lane_width(d)
+    return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
+
+
 def check_axioms(
     space: QSpace,
     *,
@@ -538,15 +581,10 @@ def check_axioms(
 
     For a finite universe of n points the n^2 distances are read once (a
     space with stored rows is read from them), then the triangle inequality
-    is checked over all n^3 ordered triples.  In EXACT mode, when every
-    distance is an int or a Fraction, the comparisons are exact integer
-    ones over a common denominator; when those ints are also below 2^62,
-    each row is packed into one int and one big-int test per ordered pair
-    checks all n triples through it.  FLOAT mode, NaN, ``INFINITY``,
-    negative or larger values compare one triple at a time.  Violations
-    are reported with the first witness in universe order (row-major over
-    (x, y, z)), never raised; the packed test and the loop give the same
-    witness.
+    is checked over all n^3 ordered triples, exactly in EXACT mode.
+    Violations are never raised: the report names the first witness in
+    universe order (row-major over (x, y, z)), the one a comparison per
+    triple finds.
 
     ``points`` supplies a finite sample for oracle-backed universes; the
     report is then marked ``sampled`` (a sampled pass is reported as

@@ -16,6 +16,7 @@ from qpmetric import (
     from_matrix,
     linear,
     SetValuedMap,
+    user_table,
 )
 from qpmetric.cli import main
 
@@ -45,6 +46,21 @@ def swap_doc(tmp_path, swap_system):
     path = tmp_path / "swap.json"
     dump_system(path, space, Fm, gamma)
     return str(path)
+
+
+@pytest.fixture
+def sampled_doc(tmp_path):
+    space, Fm, _ = dyadic_halving_truncated(10)
+    path = tmp_path / "sampled.json"
+    dump_system(path, space, Fm, user_table([(F(1, 8), F(1, 16)), (8, 4)]))
+    return str(path)
+
+
+#: The one stderr line of a solve with a SAMPLED gamma.
+SAMPLED_WARNING = (
+    "warning: gamma is only SAMPLED: the summability condition (g2) is not "
+    "certified, so convergence is not guaranteed\n"
+)
 
 
 def run(capsys, *argv):
@@ -128,6 +144,28 @@ class TestVerify:
         assert "gamma" in err
 
 
+#: A one-point document lacking F, and one lacking gamma.
+NO_MAP = {"points": ["a"], "d": [["0"]], "gamma": {"kind": "linear", "c": "1/2"}}
+NO_GAMMA = {"points": ["a"], "d": [["0"]], "F": {"a": ["a"]}}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (NO_MAP, ["verify"], "error: F: document has no set-valued map"),
+        (NO_MAP, ["solve", "--from", "a"], "error: F: document has no set-valued map"),
+        (NO_MAP, ["enumerate"], "error: F: document has no set-valued map"),
+        (NO_GAMMA, ["verify"], "error: gamma: document has no comparison function"),
+        (NO_GAMMA, ["solve", "--from", "a"], "error: gamma: document has no comparison function"),
+    ],
+)
+def test_missing_part_is_malformed(tmp_path, capsys, doc, argv, message):
+    path = tmp_path / "part.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 class TestSolve:
     def test_dyadic_from_one(self, dyadic_doc, capsys):
         code, out, _ = run(capsys, "solve", dyadic_doc, "--from", "1", "--tol", "0")
@@ -158,6 +196,22 @@ class TestSolve:
         doc = json.loads(trace_path.read_text())
         assert doc["outcome"]["status"] == "converged"
         assert doc["steps"][0]["x"] == "1/2"
+
+    def test_unwritable_trace_is_named(self, dyadic_doc, tmp_path, capsys):
+        trace_path = tmp_path / "missing" / "trace.json"
+        argv = ["solve", dyadic_doc, "--from", "1/2", "--trace", str(trace_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --trace: cannot write {trace_path}: ")
+        assert err.count("\n") == 1
+
+    def test_sampled_gamma_warns_in_one_fixed_line(self, dyadic_doc, sampled_doc, capsys):
+        want = run(capsys, "solve", dyadic_doc, "--from", "1")
+        assert want[0] == 0
+        # Twice: the warnings module shows a default-action warning once
+        # per source line, and every run must print it.
+        for _ in range(2):
+            assert run(capsys, "solve", sampled_doc, "--from", "1") == (*want[:2], SAMPLED_WARNING)
 
     def test_endpoint_and_fixedpoint_modes(self, dyadic_doc, capsys):
         for mode in ("endpoint", "fixedpoint"):
@@ -230,6 +284,13 @@ class TestGenEnumerate:
         assert out.strip()
         doc = json.loads(out_path.read_text())
         assert doc["meta"] == {"seed": 9, "size": 6}
+
+    def test_unwritable_out_is_named(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "gen.json"
+        code, out, err = run(capsys, "gen", "--seed", "1", "--size", "4", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --out: cannot write {out_path}: ")
+        assert err.count("\n") == 1
 
     def test_gen_roundtrip_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -369,6 +430,17 @@ def test_installed_qpm_on_path(dyadic_doc):
     res = _run_child([exe, "enumerate", dyadic_doc])
     assert res.returncode == 0
     assert res.stdout.strip() == "0"
+
+
+def test_sampled_gamma_warning_in_a_child(sampled_doc):
+    """The child's stderr is the one fixed line, wherever the package is
+    installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(qpmetric.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "qpmetric.cli", "solve", sampled_doc, "--from", "1"]
+    res = _run_child(argv, env)
+    assert res.returncode == 0
+    assert (res.stdout, res.stderr) == ("CONVERGED 0 defect=0 steps=1\n", SAMPLED_WARNING)
 
 
 def test_closed_stdout_ends_quietly(dyadic_doc):

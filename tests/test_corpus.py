@@ -92,6 +92,11 @@ class TestTruncation:
 
 
 class TestMinplusClosure:
+    def test_corpus_reexports_the_space_closure(self):
+        # The closure lives in space beside the triangle scan; callers that
+        # import it from corpus get the same function.
+        assert corpus_module.minplus_closure is space_module.minplus_closure
+
     def test_consistent_matrix_unchanged(self):
         m = [[F(0), F(1)], [F(0), F(0)]]
         assert minplus_closure(m) == m
@@ -199,7 +204,7 @@ def lane_boundary_matrices(draw, max_size=7):
 def test_packed_closure_matches_the_loop(rows):
     w = space_module._lane_width(rows)
     assert w == (2 * max(map(max, rows))).bit_length() + 1
-    want = corpus_module._floyd_warshall([row[:] for row in rows])
+    want = space_module._floyd_warshall([row[:] for row in rows])
     assert space_module._packed_floyd_warshall(rows, w) == want
     assert minplus_closure(rows) == want
 
@@ -212,7 +217,7 @@ def test_packed_closure_matches_the_loop(rows):
 def test_packed_closure_on_fraction_matrices(m):
     want = _brute_force_closure(m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus_module, "_floyd_warshall", _no_loop)
+        mp.setattr(space_module, "_floyd_warshall", _no_loop)
         got = minplus_closure(m)
     assert got == want and all(type(v) is Fraction for row in got for v in row)
 
@@ -240,7 +245,7 @@ FALLBACK_CLOSURE_INPUTS = {
 @pytest.mark.parametrize("case", sorted(FALLBACK_CLOSURE_INPUTS))
 def test_fallback_inputs_take_the_closure_loop(case, monkeypatch):
     m = FALLBACK_CLOSURE_INPUTS[case]
-    monkeypatch.setattr(corpus_module, "_packed_floyd_warshall", _no_packed)
+    monkeypatch.setattr(space_module, "_packed_floyd_warshall", _no_packed)
     got, want = minplus_closure(m), _brute_force_closure(m)
     for grow, wrow in zip(got, want):
         assert all(_same(g, w) and type(g) is type(w) for g, w in zip(grow, wrow))
@@ -249,7 +254,7 @@ def test_fallback_inputs_take_the_closure_loop(case, monkeypatch):
 def test_fraction_closure_over_the_denominator_bound_takes_the_loop(monkeypatch):
     m = [[F(0), F(1, 3), F(5)], [F(9), F(0), F(1, 7)], [F(2, 5), F(9), F(0)]]
     monkeypatch.setattr(space_module, "_MAX_DENOMINATOR_BITS", 0)
-    monkeypatch.setattr(corpus_module, "_packed_floyd_warshall", _no_packed)
+    monkeypatch.setattr(space_module, "_packed_floyd_warshall", _no_packed)
     got = minplus_closure(m)
     assert got == _brute_force_closure(m) and all(type(v) is Fraction for r in got for v in r)
 
