@@ -17,18 +17,19 @@ when any distance it reads is NaN, whatever the order of the image.
 existential inequality that powers the iteration: every x must admit some
 y in Fx whose own defect is bounded by d(x, y) - gamma(d(x, y)) (FORWARD
 mode; DUAL and SYMMETRIC use the conjugate and symmetrized variants).  The
-verifier is exhaustive and deterministic: candidates are scanned in
-universe order by the same admissibility scan the solver runs, the stored
-witness minimizes its own defect with ties broken by universe order (the
-step greedy ``solve`` takes), and a violation reports the smallest-index x
-with no admissible candidate.
+verifier is exhaustive and deterministic: it runs the same admissibility
+scan as the solver, the stored witness minimizes its own defect with ties
+broken by universe order (the step greedy ``solve`` takes), and a
+violation reports the smallest-index x with no admissible candidate.
 
-One defect memo and one admissibility scan serve every space: stored rows
-(see :mod:`qpmetric.space`) are read by index, other spaces through
-``d``, and a defect stays in the rows' scale until it is handed out as
-the value ``d`` would give.  The admissibility test in that scale is
-:meth:`ComparisonFunction.bound_test`.  SYMMETRIC admits y when FORWARD
-and DUAL both do.
+One scan (:class:`_Scan`) serves the verifier, the enumerators and the
+solver on every space.  On a finite space it resolves each point's image
+to universe positions once per run and keeps defects in a list indexed by
+position; stored rows (see :mod:`qpmetric.space`) are read a whole image
+at a time, other spaces through ``d``.  A defect stays in the rows' scale
+until it is handed out as the value ``d`` would give.  The admissibility
+test in that scale is :meth:`ComparisonFunction.bound_test`.  SYMMETRIC
+admits y when FORWARD and DUAL both do.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .comparison import ComparisonFunction
 from .space import Point, QSpace, Value, _max_keeping_nan, _unique
@@ -153,55 +156,7 @@ def admissibility_bound(
     return dual if dual != dual else min(forward, dual)  # min() drops a NaN second
 
 
-def _positions(
-    F: SetValuedMap, x: Point, order: Mapping[Point, int]
-) -> tuple[tuple[Point, ...], list[int | None]]:
-    """F(x) and the universe position of each member, one lookup per
-    member; an image point outside the universe is a ValueError naming it
-    and x."""
-    image = F(x)
-    js = [order.get(y) for y in image]
-    if None in js:
-        stray = image[js.index(None)]
-        raise ValueError(f"image of {x!r} contains {stray!r}, which is not in the universe")
-    return image, js
-
-
 _MISSING = object()
-
-
-def _memo_defect(
-    space: QSpace, F: SetValuedMap, mode: ContractionMode
-) -> Callable[[Point], Value]:
-    """``mode_defect`` memoized per point, in the scale of the space's
-    stored rows, read by index (see :func:`_value`); a space without rows
-    is read through ``d``.  On a finite space, an image point outside the
-    universe is a ValueError, raised before any distance to it is read."""
-    order, rows = space.order, space.rows
-    forward = mode is not ContractionMode.DUAL
-    backward = mode is not ContractionMode.FORWARD
-    cache: dict[Point, Value] = {}
-
-    def defect(x: Point) -> Value:
-        v = cache.get(x, _MISSING)
-        if v is _MISSING:
-            if order is None:
-                v = _image_defect(space, x, F(x), mode)
-            elif rows is None:
-                v = _image_defect(space, x, _positions(F, x, order)[0], mode)
-            else:
-                # Stored rows hold no NaN, so builtin max is exact here.
-                js = _positions(F, x, order)[1]
-                i = order[x]
-                if forward:
-                    v = max(map(rows[i].__getitem__, js))
-                if backward:
-                    back = max([rows[j][i] for j in js])
-                    v = max(v, back) if forward else back
-            cache[x] = v
-        return v
-
-    return defect
 
 
 def _value(space: QSpace, v: Value) -> Value:
@@ -209,49 +164,133 @@ def _value(space: QSpace, v: Value) -> Value:
     return v if space.den is None else Fraction(v, space.den)
 
 
-def _scan(
-    space: QSpace, F: SetValuedMap, gamma: ComparisonFunction, mode: ContractionMode
-) -> tuple[
-    Callable[[Point], Value], Callable[[Point], list[tuple[Point, Value, Value | None]]]
-]:
-    """One run's defect memo and admissibility scan.  ``admissible(x)``
-    lists the (candidate, defect, d(x, candidate)) triples of F(x) that
-    satisfy the mode's inequality, in universe order on a finite space and
-    in image order otherwise, with defects and distances in the memo's
-    scale; DUAL mode reads no d(x, candidate) on a space without rows and
-    gives None there.  SYMMETRIC admits y when the FORWARD and DUAL tests
-    both hold."""
-    defect, within = _memo_defect(space, F, mode), gamma.bound_test(space.den, space.leq)
-    order, rows, d = space.order, space.rows, space.d
-    forward = mode is not ContractionMode.DUAL
-    backward = mode is not ContractionMode.FORWARD
+class _Scan:
+    """One run's defect memo and admissibility scan (see the module
+    docstring), in the scale of the stored rows (see :func:`_value`).  A
+    space without a universe keeps its defects in a dict keyed by point.
+    An image point outside the universe is a ValueError naming it, raised
+    when that image is first needed and before any distance to it is
+    read."""
 
-    def admissible(x: Point) -> list[tuple[Point, Value, Value | None]]:
-        if order is None:
-            candidates: Iterable[tuple[int | None, Point]] = ((None, y) for y in F(x))
-        else:
-            image, js = _positions(F, x, order)
-            # Positions are distinct, so the points themselves are never compared.
-            candidates = sorted(zip(js, image))
+    def __init__(
+        self,
+        space: QSpace,
+        F: SetValuedMap,
+        mode: ContractionMode,
+        gamma: ComparisonFunction | None = None,
+    ) -> None:
+        self.space, self.F, self.mode = space, F, mode
+        self.forward = mode is not ContractionMode.DUAL
+        self.backward = mode is not ContractionMode.FORWARD
+        self.within = None if gamma is None else gamma.bound_test(space.den, space.leq)
+        n = 0 if space.points is None else len(space.points)
+        self.images: list[list[int] | None] = [None] * n
+        self.defects: list = [_MISSING] * n
+        self.cache: dict[Point, Value] = {}
+
+    def positions(self, i: int, image: tuple[Point, ...] | None = None) -> list[int]:
+        """The universe positions of the image of the i-th point, sorted;
+        ``image`` is that image when the caller has it already."""
+        js = self.images[i]
+        if js is None:
+            x, order = self.space.points[i], self.space.order
+            if image is None:
+                image = self.F(x)
+            js = sorted(map(order.get, image, repeat(-1)))
+            if js[0] < 0:
+                stray = next(y for y in image if y not in order)
+                raise ValueError(f"image of {x!r} contains {stray!r}, which is not in the universe")
+            self.images[i] = js
+        return js
+
+    def at(self, i: int) -> Value:
+        """The defect of the i-th point of the universe."""
+        v = self.defects[i]
+        if v is _MISSING:
+            rows = self.space.rows
+            if rows is None:
+                x = self.space.points[i]
+                image = self.F(x)
+                self.positions(i, image)
+                v = _image_defect(self.space, x, image, self.mode)
+            else:
+                js = self.positions(i)
+                # A tuple of the image's entries even for a one-point image.
+                pick = itemgetter(js[0], *js)
+                # Stored rows hold no NaN, so builtin max is exact here.
+                if self.forward:
+                    v = max(pick(rows[i]))
+                if self.backward:
+                    back = max(map(itemgetter(i), pick(rows)))
+                    v = max(v, back) if self.forward else back
+            self.defects[i] = v
+        return v
+
+    def defect(self, x: Point) -> Value:
+        """The defect of the point x."""
+        order = self.space.order
+        if order is not None:
+            return self.at(order[x])
+        v = self.cache.get(x, _MISSING)
+        if v is _MISSING:
+            v = self.cache[x] = _image_defect(self.space, x, self.F(x), self.mode)
+        return v
+
+    def vector(self) -> list[Value]:
+        """The defect of every point of a finite universe, in its order."""
+        return list(map(self.at, range(len(self.defects))))
+
+    def admissible(
+        self, x: Point, by_defect: bool = False
+    ) -> Iterator[tuple[Point, Value, Value | None]]:
+        """The (candidate, defect, d(x, candidate)) triples of F(x) that
+        satisfy the mode's inequality, in universe order on a finite space
+        and in image order otherwise; with ``by_defect``, in (defect, that
+        order) order, so the first is the one a ``min`` by defect picks.
+
+        Every candidate's defect is read before the first triple comes.
+        Stored rows are then tested lazily, one candidate per triple taken;
+        a space without rows reads d(x, y), and d(y, x) as the mode needs,
+        for every candidate y first (in DUAL mode d(x, y) is None)."""
+        space, within = self.space, self.within
+        forward, backward = self.forward, self.backward
+        rows, order, points = space.rows, space.order, space.points
         if rows is not None:
             i = order[x]
+            js, defects = self.positions(i), self.defects
+            for j in js:
+                if defects[j] is _MISSING:
+                    self.at(j)
+            if by_defect:
+                # A stable sort: equal defects stay in universe order.
+                js = sorted(js, key=defects.__getitem__)
             row = rows[i]
-        out = []
+            for j in js:
+                Y, T = defects[j], row[j]
+                if (not forward or within(Y, T)) and (not backward or within(Y, rows[j][i])):
+                    yield points[j], Y, T
+            return
+        d = space.d
+        if order is None:
+            keyed: list[tuple[Point, Point]] = [(y, y) for y in self.F(x)]
+            defect = self.defect
+        else:
+            keyed = [(j, points[j]) for j in self.positions(order[x])]
+            defect = self.at
+        found = []
         T = S = None
-        for j, y in candidates:
-            Y = defect(y)
-            if rows is None:
-                if forward:
-                    T = d(x, y)
-                if backward:
-                    S = d(y, x)
-            else:
-                T, S = row[j], rows[j][i]
+        for key, y in keyed:
+            Y = defect(key)
+            if forward:
+                T = d(x, y)
+            if backward:
+                S = d(y, x)
             if (not forward or within(Y, T)) and (not backward or within(Y, S)):
-                out.append((y, Y, T))
-        return out
-
-    return defect, admissible
+                found.append((y, Y, T))
+        if by_defect:
+            # NaN defects are never admissible, so the sort is total.
+            found.sort(key=itemgetter(1))
+        yield from found
 
 
 @dataclass(frozen=True)
@@ -284,26 +323,26 @@ def verify_weak_contraction(
     Returns a :class:`ContractionCertificate` or a :class:`Violation`;
     a violation is a reported value, not an error.  Deterministic: the
     universe is scanned in order and within one x the candidates are
-    scanned in universe order, so the result does not depend on set
-    iteration order or scheduling.  An image point outside the universe
+    tested in (defect, universe) order, so the result does not depend on
+    set iteration order or scheduling.  An image point outside the universe
     raises ``ValueError``.
     """
     universe = space.universe()
-    admissible = _scan(space, F, gamma, mode)[1]
+    admissible = _Scan(space, F, mode, gamma).admissible
     witnesses: dict[Point, Point] = {}
     for x in universe:
-        found = admissible(x)
-        if not found:
-            return Violation(mode=mode, point=x)
         # The first minimum-defect candidate: the step greedy solve takes.
-        witnesses[x] = min(found, key=lambda pair: pair[1])[0]
+        found = next(admissible(x, True), None)
+        if found is None:
+            return Violation(mode=mode, point=x)
+        witnesses[x] = found[0]
     return ContractionCertificate(mode=mode, witnesses=witnesses, checked_points=universe)
 
 
 def _enumerate(space: QSpace, F: SetValuedMap, mode: ContractionMode) -> list[Point]:
     universe = space.universe()
-    defect = _memo_defect(space, F, mode)
-    return [x for x in universe if space.is_zero(defect(x))]
+    is_zero = space.is_zero
+    return [x for x, v in zip(universe, _Scan(space, F, mode).vector()) if is_zero(v)]
 
 
 def enumerate_startpoints(space: QSpace, F: SetValuedMap) -> list[Point]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
-from .contraction import ContractionMode, SetValuedMap, _scan, _value
+from .contraction import ContractionMode, SetValuedMap, _Scan, _value
 from .space import INFINITY, Point, QSpace, Value, _max_keeping_nan, conjugate
 
 
@@ -167,7 +167,7 @@ def admissible_candidates(
     an x or image point outside the universe raises ``ValueError``.
     """
     _check_point(space, x)
-    return [(y, _value(space, Y)) for y, Y, _ in _scan(space, F, gamma, mode)[1](x)]
+    return [(y, _value(space, Y)) for y, Y, _ in _Scan(space, F, mode, gamma).admissible(x)]
 
 
 def solve(
@@ -209,10 +209,11 @@ def solve(
 
     work = conjugate(space) if config.mode is SolveMode.ENDPOINT else space
     cmode = _CONTRACTION_OF[config.mode]
-    defect, scan = _scan(work, F, gamma, cmode)
+    scan = _Scan(work, F, cmode, gamma)
+    greedy = config.selection is Selection.GREEDY_MIN_DEFECT
 
     steps: list[Step] = []
-    x, current = x0, _value(work, defect(x0))
+    x, current = x0, _value(work, scan.defect(x0))
     initial = best = current
     visited = {x}
     stall = 0
@@ -226,14 +227,11 @@ def solve(
             outcome = Outcome(Status.MAX_ITERATIONS, x, current)
             break
 
-        admissible = scan(x)
-        if not admissible:
+        found = next(scan.admissible(x, greedy), None)
+        if found is None:
             outcome = Outcome(Status.CONTRACTION_VIOLATED, x, current)
             break
-        if config.selection is Selection.GREEDY_MIN_DEFECT:
-            y, Y, T = min(admissible, key=lambda found: found[1])
-        else:
-            y, Y, T = admissible[0]
+        y, Y, T = found
 
         # FORWARD and SYMMETRIC, the modes solve runs, read d(x, y) in the scan.
         dy, t = _value(work, Y), _value(work, T)

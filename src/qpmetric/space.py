@@ -28,7 +28,11 @@ comparisons of those ints agree exactly with those of the rationals, and
 ``d`` still returns a ``Fraction``.  When D would exceed a fixed bound
 (``_MAX_DENOMINATOR_BITS``, 1,024 bits) the rows hold the ``Fraction``
 values instead.  The axiom checker and the min-plus closure scale the
-values they read under the same bound.
+values they read under the same bound.  Entries are read in bulk: one
+C-level pass finds the value types of a matrix, and a matrix of ints and
+``Fraction``s has its numerators and denominators read a whole row at a
+time, its sign checked once; only strings, and naming the first bad
+entry, take a loop over single entries.
 
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
@@ -46,6 +50,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
+from numbers import Number
+from operator import attrgetter, mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Point = Hashable
@@ -203,34 +210,47 @@ def _entry(raw: Value | str, exact: bool, i: int, j: int) -> Value:
 _MAX_DENOMINATOR_BITS = 1024
 
 
+#: The types whose entries are read in bulk: exact rationals.  A bool is
+#: not an int here (its type is ``bool``).
+_RATIONAL = frozenset({int, Fraction})
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+
+
+def _kinds(matrix: Sequence[Sequence[object]]) -> set[type]:
+    """The value types of the entries of ``matrix``, in one C-level pass."""
+    return set(map(type, chain.from_iterable(matrix)))
+
+
 def _over_common_denominator(
-    nums: Sequence[Sequence[int]], dens: Sequence[Sequence[int]]
+    nums: Iterable[Iterable[int]], dens: Sequence[Sequence[int]]
 ) -> tuple[list[list[int]], int] | None:
     """Rows of the rationals nums[i][j] / dens[i][j] as Python ints over
     their least common denominator D, with D: sums and comparisons of the
     ints agree exactly with those of the rationals.  None when D has more
-    than ``_MAX_DENOMINATOR_BITS`` bits."""
-    qs = {q for row in dens for q in row}
+    than ``_MAX_DENOMINATOR_BITS`` bits.  ``nums`` is read once, a row at
+    a time."""
+    qs = set(chain.from_iterable(dens))
     den = 1
     for q in qs:
         den = math.lcm(den, q)
         if den.bit_length() > _MAX_DENOMINATOR_BITS:
             return None
-    scale = {q: den // q for q in qs}
-    return [[a * scale[q] for a, q in zip(ra, rq)] for ra, rq in zip(nums, dens)], den
+    scale = {q: den // q for q in qs}.__getitem__
+    return [list(map(mul, ra, map(scale, rq))) for ra, rq in zip(nums, dens)], den
 
 
-def _scaled_values(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[int]], int] | None:
+def _scaled_values(
+    matrix: Sequence[Sequence[Value]], kinds: set[type]
+) -> tuple[list[list[int]], int] | None:
     """``matrix`` over one common denominator (see
-    :func:`_over_common_denominator`) when every entry is an int or a
-    Fraction and at least one is a Fraction; None otherwise (all ints
+    :func:`_over_common_denominator`) when its entry types ``kinds`` are
+    ints and Fractions, at least one a Fraction; None otherwise (all ints
     already, or any float, ``INFINITY``, NaN or other value)."""
-    kinds = {type(v) for row in matrix for v in row}
-    if Fraction not in kinds or not kinds <= {int, Fraction}:
+    if Fraction not in kinds or not kinds <= _RATIONAL:
         return None
     return _over_common_denominator(
-        [[v.numerator for v in row] for row in matrix],
-        [[v.denominator for v in row] for row in matrix],
+        (map(_NUMERATOR, row) for row in matrix),
+        [list(map(_DENOMINATOR, row)) for row in matrix],
     )
 
 
@@ -239,19 +259,25 @@ def _exact_parts(
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Numerators and denominators of the entries of an EXACT matrix.
 
-    Nonnegative ints (not bools) and Fractions, and strings of ASCII digits
-    optionally over a nonzero ASCII-digit denominator, are read directly.
-    Every other entry goes through the value rule, so it is accepted or
-    rejected, with the same message, as the rule alone would.
+    A matrix of nonnegative ints (not bools) and Fractions is read a row
+    at a time.  Otherwise each entry is read on its own: strings of ASCII
+    digits, optionally over a nonzero ASCII-digit denominator, directly,
+    and every other entry through the value rule, so it is accepted or
+    rejected, with the same message, as the rule alone would.  A matrix
+    whose first entry is a string (a document's) goes straight to that
+    loop, without the type pass.
     """
-    nums: list[list[int]] = []
+    if type(matrix[0][0]) is not str and _kinds(matrix) <= _RATIONAL:
+        nums = [list(map(_NUMERATOR, row)) for row in matrix]
+        if min(map(min, nums)) >= 0:
+            return nums, [list(map(_DENOMINATOR, row)) for row in matrix]
+    nums = []
     dens: list[list[int]] = []
     for i, row in enumerate(matrix):
         num: list[int] = []
         den: list[int] = []
         for j, raw in enumerate(row):
-            kind = type(raw)
-            if kind is str:
+            if type(raw) is str:
                 a, slash, b = raw.partition("/")
                 # str.isdigit alone also admits digits int() rejects, like "²".
                 if a.isdigit() and a.isascii():
@@ -265,10 +291,6 @@ def _exact_parts(
                             num.append(int(a))
                             den.append(q)
                             continue
-            elif (kind is int or kind is Fraction) and raw >= 0:
-                num.append(raw.numerator)
-                den.append(raw.denominator)
-                continue
             v = _entry(raw, True, i, j)
             num.append(v.numerator)
             den.append(v.denominator)
@@ -482,9 +504,15 @@ def _lane_width(rows: Sequence[Sequence[Value]]) -> int | None:
     """The lane width w of ``rows`` when every entry is a nonnegative int
     (not a bool) and w is at most ``_MAX_LANE_BITS``, else None (no
     entries, any other value, or a lane too wide)."""
-    if {type(v) for row in rows for v in row} != {int} or min(map(min, rows)) < 0:
+    if _kinds(rows) != {int} or min(map(min, rows)) < 0:
         return None
-    w = (2 * max(map(max, rows))).bit_length() + 1
+    return _lane_bits(max(map(max, rows)))
+
+
+def _lane_bits(top: int) -> int | None:
+    """The lane width for nonnegative ints up to ``top``, or None when it
+    is wider than ``_MAX_LANE_BITS``."""
+    w = (2 * top).bit_length() + 1
     return w if w <= _MAX_LANE_BITS else None
 
 
@@ -548,8 +576,9 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     Entries only ever shrink, so a nonnegative weight matrix with a zero
     diagonal always closes into a triangle-consistent one.  The result is
     exact, and that of one comparison per triple: Fraction input gives
-    Fractions, all-int input gives ints.  A matrix that is not square is a
-    ValueError.
+    Fractions, all-int input gives ints.  A matrix that is not square, or
+    an entry that is not a number (say, a string), is a ValueError; the
+    latter is a :class:`FieldError` naming the first such ``d[i][j]``.
     """
     d, den = _closure(matrix)
     if den is None:
@@ -565,7 +594,16 @@ def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int 
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError(f"distance matrix must be {n}x{n}")
-    scaled = _scaled_values(matrix)
+    kinds = _kinds(matrix)
+    if not all(issubclass(kind, Number) for kind in kinds):
+        i, j, v = next(
+            (i, j, v)
+            for i, row in enumerate(matrix)
+            for j, v in enumerate(row)
+            if not isinstance(v, Number)
+        )
+        raise FieldError(f"d[{i}][{j}]", f"not a number: {v!r}")
+    scaled = _scaled_values(matrix, kinds)
     d, den = scaled if scaled is not None else ([list(row) for row in matrix], None)
     w = _lane_width(d)
     return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
@@ -588,30 +626,36 @@ def check_axioms(
 
     ``points`` supplies a finite sample for oracle-backed universes; the
     report is then marked ``sampled`` (a sampled pass is reported as
-    SAMPLED-PASS, not PASS).  The T0 check runs only if requested, either
-    explicitly via ``check_t0`` or implicitly because the space carries the
-    ``t0`` flag.
+    SAMPLED-PASS, not PASS), and an empty sample is a ValueError.  The T0
+    check runs only if requested, either explicitly via ``check_t0`` or
+    implicitly because the space carries the ``t0`` flag.
     """
     sampled = points is not None
     if points is None:
         universe: Sequence[Point] = space.universe()
     else:
         universe = _unique(points)
+        if not universe:
+            raise ValueError("point sample must be nonempty")
     rows = space.rows
     if sampled or rows is None:
         d = space.d
         rows = [[d(x, y) for y in universe] for x in universe]
         # Scaling by a positive integer keeps "= 0" and "<=" exact; FLOAT
         # comparisons widen by the tolerance and so stay on the values.
-        scaled = _scaled_values(rows) if space.exact else None
+        scaled = _scaled_values(rows, _kinds(rows)) if space.exact else None
         if scaled is not None:
             rows = scaled[0]
+    if space.den is not None and not sampled:
+        # Stored int rows are nonnegative ints by construction.
+        w = _lane_bits(max(map(max, rows)))
+    else:
+        w = _lane_width(rows) if space.exact else None
     is_zero = space.is_zero
 
     bad = next(((x,) for i, x in enumerate(universe) if not is_zero(rows[i][i])), None)
     identity = AxiomCheck("identity", bad is None, bad)
 
-    w = _lane_width(rows) if space.exact else None
     if w is not None:
         bad = _first_packed_violation(rows, w)
     else:
@@ -623,10 +667,12 @@ def check_axioms(
     want_t0 = space.t0 if check_t0 is None else check_t0
     t0_check: AxiomCheck | None = None
     if want_t0:
+        # An EXACT row with no zero off its diagonal holds no pair to test.
         bad = next(
             (
                 (x, y)
                 for i, x in enumerate(universe)
+                if not space.exact or rows[i].count(0) > (rows[i][i] == 0)
                 for j, y in enumerate(universe)
                 if x != y and is_zero(rows[i][j]) and is_zero(rows[j][i])
             ),
@@ -677,8 +723,9 @@ def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> 
 
 
 def ball_contains(space: QSpace, center: Point, radius: Value, y: Point) -> bool:
-    """Membership in the open ball: d(center, y) < radius, strictly."""
-    if radius <= 0:
+    """Membership in the open ball: d(center, y) < radius, strictly.  A
+    radius that is not positive (NaN included) is a ValueError."""
+    if not radius > 0:
         raise ValueError("radius must be positive")
     return space.d(center, y) < radius
 

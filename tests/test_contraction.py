@@ -371,3 +371,98 @@ def test_verify_brute_force_sees_ties_and_violations():
     violation = verify_weak_contraction(space, swap, linear(F(1, 2)))
     assert violation == _brute_force_verify(space, swap, linear(F(1, 2)))
     assert violation == Violation(ContractionMode.FORWARD, "b")
+
+
+def _min_of_admissible(space, Fm, gamma, mode):
+    """Reference: for each x, the min by defect of admissible_candidates
+    (the first of equal defects); the first x with none is the Violation."""
+    witnesses = {}
+    for x in space.universe():
+        found = admissible_candidates(space, Fm, gamma, x, mode)
+        if not found:
+            return Violation(mode=mode, point=x)
+        witnesses[x] = min(found, key=lambda pair: pair[1])[0]
+    return ContractionCertificate(mode=mode, witnesses=witnesses, checked_points=space.universe())
+
+
+def _planted_system():
+    """Among a's candidates, c has the least defect but is inadmissible, d
+    and e tie on the next defect, and b, first in universe order, is
+    admissible with a larger one.  The matrix is symmetric, so this holds
+    in every mode."""
+    points = ("a", "b", "c", "d", "e", "s")
+    h, q = F(1, 2), F(1, 4)
+    m = [
+        [0, 2, q, 3, 3, 2],
+        [2, 0, 1, 1, 1, 1],
+        [q, 1, 0, 1, 1, q],
+        [3, 1, 1, 0, 1, h],
+        [3, 1, 1, 1, 0, h],
+        [2, 1, q, h, h, 0],
+    ]
+    images = {x: ["s"] for x in points}
+    images["a"] = ["e", "d", "c", "b"]
+    return points, m, SetValuedMap(images)
+
+
+@pytest.mark.parametrize("kind", ["rows", "oracle"])
+def test_verify_takes_the_min_of_the_admissible_candidates(kind):
+    points, m, Fm = _planted_system()
+    space = from_matrix(points, m)
+    if kind == "oracle":
+        space = from_oracle(space.d, points=points)
+    gamma = linear(F(1, 2))
+    for mode in ContractionMode:
+        assert mode_defect(space, "c", Fm, mode) < mode_defect(space, "d", Fm, mode)
+        assert admissible_candidates(space, Fm, gamma, "a", mode) == [
+            ("b", 1),
+            ("d", F(1, 2)),
+            ("e", F(1, 2)),
+        ]
+        result = verify_weak_contraction(space, Fm, gamma, mode)
+        assert result == _min_of_admissible(space, Fm, gamma, mode)
+        assert result.witnesses["a"] == "d"
+
+
+def test_verify_takes_the_min_of_the_admissible_candidates_on_corpus_systems():
+    # Four points map to themselves (defect 0 in every mode, so ties); the
+    # rest to a random part of the universe.
+    import random
+
+    for seed in range(12):
+        space, _ = random_weakly_contractive_system(GeneratorSeed(seed=seed, size=9))
+        points = space.universe()
+        rng = random.Random(seed)
+        fixed = set(rng.sample(points, 4))
+        images = {x: [x] if x in fixed else rng.sample(points, rng.randint(1, 9)) for x in points}
+        Fm = SetValuedMap(images)
+        for gamma in (linear(F(1, 2)), linear(F(1, 8)), rational_shrink()):
+            oracle = from_oracle(space.d, points=points)
+            for target in (space, conjugate(space), oracle):
+                for mode in ContractionMode:
+                    got = verify_weak_contraction(target, Fm, gamma, mode)
+                    assert got == _min_of_admissible(target, Fm, gamma, mode)
+
+
+@pytest.mark.parametrize("kind", ["rows", "oracle"])
+def test_a_violation_met_before_a_stray_image_stays_a_violation(kind):
+    # a's only candidate b is inadmissible in every mode; c, a candidate
+    # of b but not of a, has an image outside the universe.
+    space = from_matrix(("a", "b", "c"), [[0, 1, 1], [1, 0, 5], [1, 5, 0]])
+    if kind == "oracle":
+        space = from_oracle(space.d, points=space.universe())
+    Fm = SetValuedMap({"a": ["b"], "b": ["c"], "c": ["z"]})
+    for mode in ContractionMode:
+        assert verify_weak_contraction(space, Fm, linear(F(1, 2)), mode) == Violation(mode, "a")
+
+
+@pytest.mark.parametrize("kind", ["rows", "oracle"])
+def test_a_stray_image_of_a_candidate_is_named(kind):
+    # a's candidate b has an image outside the universe.
+    space = from_matrix(("a", "b", "c"), [[0, 1, 1], [5, 0, 5], [1, 1, 0]])
+    if kind == "oracle":
+        space = from_oracle(space.d, points=space.universe())
+    Fm = SetValuedMap({"a": ["c", "b"], "b": ["z", "a"], "c": ["c"]})
+    for mode in ContractionMode:
+        with pytest.raises(ValueError, match="^image of 'b' contains 'z', which is not in"):
+            verify_weak_contraction(space, Fm, linear(F(1, 2)), mode)

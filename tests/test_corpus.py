@@ -112,6 +112,21 @@ class TestMinplusClosure:
         with pytest.raises(ValueError, match="must be"):
             minplus_closure(m)
 
+    @pytest.mark.parametrize(
+        "m, field",
+        [
+            ([["0", "1"], ["1", "0"]], "d[0][0]"),
+            ([[0, F(1, 2)], [None, 0]], "d[1][0]"),
+            ([[0, 1.5, 2], [1, 0, "2"], [b"1", 1, 0]], "d[1][2]"),
+        ],
+    )
+    def test_an_entry_that_is_not_a_number_is_named(self, m, field):
+        # "+" would concatenate strings and "<" compare them as text.
+        with pytest.raises(FieldError) as got:
+            minplus_closure(m)
+        assert got.value.field == field
+        assert got.value.message == f"not a number: {m[int(field[2])][int(field[5])]!r}"
+
     def test_entries_never_grow(self):
         import random
 

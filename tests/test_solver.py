@@ -490,7 +490,7 @@ def test_point_hash_counts_on_a_staircase():
     assert counting.hashes == 568
     counting.hashes = 0
     trace = solve(space, Fm, linear(F(1, 2)), counting(1))
-    assert counting.hashes == 806
+    assert counting.hashes == 445
     assert [s.y for s in trace.steps] == xs[1:]
 
 

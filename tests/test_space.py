@@ -244,6 +244,11 @@ class TestBall:
         with pytest.raises(ValueError):
             ball_contains(dyadic, ZERO, 0, ZERO)
 
+    @pytest.mark.parametrize("radius", [-1, F(-1, 2), math.nan, -INFINITY])
+    def test_a_nan_or_negative_radius_is_refused(self, dyadic, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ball_contains(dyadic, ZERO, radius, ZERO)
+
 
 dyadic_points = st.integers(min_value=0, max_value=40).map(halving_point) | st.just(ZERO)
 
@@ -280,6 +285,92 @@ def test_bad_tolerance_is_named(tolerance):
     with pytest.raises(ValueError, match="^tolerance: "):
         from_oracle(lambda x, y: 0, points=("a",), tolerance=tolerance)
     assert from_matrix(("a",), [[0]], exact=False, tolerance=0).tolerance == 0
+
+
+def _reference_int_rows(matrix):
+    """from_matrix's EXACT rows by the value rule alone, entry by entry:
+    (rows, den), or the FieldError of the first bad entry."""
+    values = [
+        [space_module._entry(raw, True, i, j) for j, raw in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+    den = math.lcm(*(v.denominator for row in values for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in values], den
+
+
+#: Entries of every kind the value rule meets, most of them valid.
+rule_entries = st.one_of(
+    st.integers(min_value=-2, max_value=30),
+    st.builds(F, st.integers(min_value=-3, max_value=40), st.integers(1, 12)),
+    st.booleans(),
+    st.sampled_from(["0", "7", "3/4", "06/8", "1.5", "-1", "-2/3", "1/0", "x", "²", ""]),
+)
+
+
+@given(
+    m=st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 9) | rule_entries, min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_from_matrix_reads_entries_as_the_value_rule_does(m):
+    # Whole-row reads of ints and Fractions, the per-entry loop for the
+    # rest: same rows and denominator, or the same named error.
+    points = [f"p{i}" for i in range(len(m))]
+    try:
+        want = _reference_int_rows(m)
+    except space_module.FieldError as exc:
+        with pytest.raises(space_module.FieldError) as got:
+            from_matrix(points, m)
+        assert (got.value.field, got.value.message) == (exc.field, exc.message)
+        return
+    space = from_matrix(points, m)
+    assert all(type(v) is int for row in space.rows for v in row)
+    rows, den = want
+    if all(type(v) is not str for row in m for v in row):
+        assert ([list(row) for row in space.rows], space.den) == want
+    else:
+        # A "p/q" string keeps its written denominator, say 8 in "06/8".
+        assert [[F(v, space.den) for v in row] for row in space.rows] == [
+            [F(v, den) for v in row] for row in rows
+        ]
+
+
+@pytest.mark.parametrize(
+    "m, field, message",
+    [
+        ([[0, 1], [-1, 0]], "d[1][0]", "distances must be nonnegative"),
+        ([[0, F(-1, 2)], [F(-1, 3), 0]], "d[0][1]", "distances must be nonnegative"),
+        ([[0, True], [1, 0]], "d[0][1]", "not a valid number: True"),
+        ([[0, 1], ["x", -1]], "d[1][0]", "not a valid number: 'x'"),
+    ],
+)
+def test_a_bad_entry_among_ints_and_fractions_is_named(m, field, message):
+    with pytest.raises(space_module.FieldError) as got:
+        from_matrix(("a", "b"), m)
+    assert (got.value.field, got.value.message) == (field, message)
+
+
+def test_an_empty_axiom_sample_is_refused(dyadic):
+    with pytest.raises(ValueError, match="^point sample must be nonempty$"):
+        check_axioms(dyadic, points=[])
+    space = from_matrix(("a", "b"), [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="^point sample must be nonempty$"):
+        check_axioms(space, points=())
+
+
+def test_t0_scan_finds_the_first_pair_past_rows_without_zeros():
+    # Rows 0 and 1 hold no off-diagonal zero; (p2, p3) is the first pair.
+    m = [[0, 1, 2, 1], [1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
+    for space in (
+        from_matrix([f"p{i}" for i in range(4)], m),
+        from_matrix([f"p{i}" for i in range(4)], [[F(v) for v in row] for row in m]),
+    ):
+        assert check_axioms(space, check_t0=True).t0.witness == ("p2", "p3")
+        assert check_axioms(space, check_t0=True) == _brute_force_axioms(space, check_t0=True)
 
 
 def test_universe_index_and_matrix(dyadic):
@@ -388,6 +479,10 @@ def test_check_axioms_matches_brute_force(case, data):
     space = from_oracle(lambda x, y: m[x][y], points=range(len(m)), exact=exact, t0=t0)
     assert check_axioms(space, check_t0=check_t0) == _brute_force_axioms(space, check_t0=check_t0)
     sample = data.draw(st.lists(st.integers(0, len(m) - 1), max_size=6))
+    if not sample:
+        with pytest.raises(ValueError, match="point sample must be nonempty"):
+            check_axioms(space, points=sample, check_t0=check_t0)
+        return
     assert check_axioms(space, points=sample, check_t0=check_t0) == _brute_force_axioms(
         space, points=sample, check_t0=check_t0
     )
