@@ -24,12 +24,19 @@ violation reports the smallest-index x with no admissible candidate.
 
 One scan (:class:`_Scan`) serves the verifier, the enumerators and the
 solver on every space.  On a finite space it resolves each point's image
-to universe positions once per run and keeps defects in a list indexed by
-position; stored rows (see :mod:`qpmetric.space`) are read a whole image
-at a time, other spaces through ``d``.  A defect stays in the rows' scale
-until it is handed out as the value ``d`` would give.  The admissibility
-test in that scale is :meth:`ComparisonFunction.bound_test`.  SYMMETRIC
-admits y when FORWARD and DUAL both do.
+to sorted universe positions, lazily, and keeps defects in a list indexed
+by position.  A space with stored rows (see :mod:`qpmetric.space`) shares
+these per (space, map): every call on the same space and map reuses the
+image positions, the row getter built from them and each mode's defect
+vector, so an image is resolved and a defect computed once however many
+calls ask.  Stored rows are read a whole image at a time, and a SYMMETRIC
+defect there is the larger of the FORWARD and DUAL ones.  Other spaces are
+read through ``d`` and resolved afresh by every call, so a user oracle sees
+the same calls on every run.  Two threads may fill one shared slot twice,
+always with the same value.  A defect stays in the rows' scale until it is
+handed out as the value ``d`` would give.  The admissibility test in that
+scale is :meth:`ComparisonFunction.bound_test`.  SYMMETRIC admits y when
+FORWARD and DUAL both do.
 """
 
 from __future__ import annotations
@@ -164,13 +171,38 @@ def _value(space: QSpace, v: Value) -> Value:
     return v if space.den is None else Fraction(v, space.den)
 
 
+class _Resolution:
+    """What scans learn of one map on one finite space, filled slot by slot
+    as they need it: the sorted universe positions of each image
+    (``images``), the row getter built from them (``getters``) and each
+    mode's defect vector (``defects``).  It holds neither the space nor the
+    map, so a stored-rows space keeps it under the map's weak key
+    (``QSpace.resolved``) without keeping either alive."""
+
+    __slots__ = ("images", "getters", "defects")
+
+    def __init__(self, n: int) -> None:
+        self.images: list[list[int] | None] = [None] * n
+        self.getters: list[Callable | None] = [None] * n
+        self.defects: dict[ContractionMode, list] = {}
+
+    def defects_of(self, mode: ContractionMode) -> list:
+        """The mode's defect vector; a slot not yet computed is ``_MISSING``."""
+        v = self.defects.get(mode)
+        if v is None:
+            v = self.defects.setdefault(mode, [_MISSING] * len(self.images))
+        return v
+
+
 class _Scan:
-    """One run's defect memo and admissibility scan (see the module
-    docstring), in the scale of the stored rows (see :func:`_value`).  A
-    space without a universe keeps its defects in a dict keyed by point.
-    An image point outside the universe is a ValueError naming it, raised
-    when that image is first needed and before any distance to it is
-    read."""
+    """One run's admissibility scan (see the module docstring), in the
+    scale of the stored rows (see :func:`_value`).  On a stored-rows space
+    it shares the space's :class:`_Resolution` of F; any other finite space
+    gets a fresh one, and a space without a universe keeps its defects in a
+    dict keyed by point.  An image point outside the universe is a
+    ValueError naming it, raised when that image is first needed and before
+    any distance to it is read; the failed slot stays empty, so every later
+    scan that needs it raises again."""
 
     def __init__(
         self,
@@ -183,9 +215,14 @@ class _Scan:
         self.forward = mode is not ContractionMode.DUAL
         self.backward = mode is not ContractionMode.FORWARD
         self.within = None if gamma is None else gamma.bound_test(space.den, space.leq)
-        n = 0 if space.points is None else len(space.points)
-        self.images: list[list[int] | None] = [None] * n
-        self.defects: list = [_MISSING] * n
+        memo = space.resolved
+        shared = None if memo is None else memo.get(F)
+        if shared is None:
+            shared = _Resolution(0 if space.points is None else len(space.points))
+            if memo is not None:
+                shared = memo.setdefault(F, shared)
+        self.shared, self.images = shared, shared.images
+        self.defects = shared.defects_of(mode)
         self.cache: dict[Point, Value] = {}
 
     def positions(self, i: int, image: tuple[Point, ...] | None = None) -> list[int]:
@@ -203,26 +240,41 @@ class _Scan:
             self.images[i] = js
         return js
 
+    def side(self, i: int, mode: ContractionMode) -> Value:
+        """The FORWARD or DUAL defect of the i-th point, read from the
+        stored rows a whole image at a time."""
+        defects = self.shared.defects_of(mode)
+        v = defects[i]
+        if v is _MISSING:
+            pick = self.shared.getters[i]
+            if pick is None:
+                js = self.positions(i)
+                # A tuple of the image's entries even for a one-point image.
+                pick = self.shared.getters[i] = itemgetter(js[0], *js)
+            rows = self.space.rows
+            # Stored rows hold no NaN, so builtin max is exact here.
+            if mode is ContractionMode.FORWARD:
+                v = max(pick(rows[i]))
+            else:
+                v = max(map(itemgetter(i), pick(rows)))
+            defects[i] = v
+        return v
+
     def at(self, i: int) -> Value:
         """The defect of the i-th point of the universe."""
         v = self.defects[i]
         if v is _MISSING:
-            rows = self.space.rows
-            if rows is None:
+            if self.space.rows is None:
                 x = self.space.points[i]
                 image = self.F(x)
                 self.positions(i, image)
                 v = _image_defect(self.space, x, image, self.mode)
+            elif self.mode is ContractionMode.SYMMETRIC:
+                # The entrywise max of the FORWARD and DUAL vectors, which
+                # the scans of those modes share; builtin max is exact here.
+                v = max(self.side(i, ContractionMode.FORWARD), self.side(i, ContractionMode.DUAL))
             else:
-                js = self.positions(i)
-                # A tuple of the image's entries even for a one-point image.
-                pick = itemgetter(js[0], *js)
-                # Stored rows hold no NaN, so builtin max is exact here.
-                if self.forward:
-                    v = max(pick(rows[i]))
-                if self.backward:
-                    back = max(map(itemgetter(i), pick(rows)))
-                    v = max(v, back) if self.forward else back
+                v = self.side(i, self.mode)
             self.defects[i] = v
         return v
 

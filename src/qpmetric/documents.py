@@ -19,8 +19,9 @@ space, optionally with a set-valued map and a comparison function:
 In EXACT mode distance entries are rationals, written as "p/q" strings
 (plain integers also parse); FLOAT mode uses JSON numbers.  Entries and
 gamma fields follow the one value rule of
-:func:`qpmetric.space.from_matrix`: booleans, NaN, infinities and numbers
-beyond the float range are rejected, and so are negative distances.
+:func:`qpmetric.space.from_matrix`: booleans, NaN, infinities, numbers
+beyond the float range and strings past the rule's size bounds are
+rejected, and so are negative distances.  Image members must be point ids.
 Malformed input raises :class:`DocumentError` carrying the offending field
 (``document`` for a file that cannot be read or is not JSON), which the
 CLI turns into exit code 2; semantically bad but well-formed content (say,
@@ -203,6 +204,8 @@ def parse_system(
                 raise DocumentError(f"F.{x}", "not a point of the space")
             if not isinstance(image, list) or not image:
                 raise DocumentError(f"F.{x}", "image must be a nonempty list")
+            if any(not isinstance(y, str) for y in image):
+                raise DocumentError(f"F.{x}", "image point ids must be strings")
             if len(set(image)) != len(image):
                 raise DocumentError(f"F.{x}", "image contains duplicates")
             for target in image:
@@ -261,7 +264,8 @@ def load_system(
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("document", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or a number past the int-string limit.
         raise DocumentError("document", f"invalid JSON: {exc}") from exc
     return parse_system(raw, force_float=force_float, default_tolerance=default_tolerance)
 

@@ -42,18 +42,23 @@ rows, ``Fraction`` rows, negative entries, bools, NaN, ``INFINITY`` and
 larger ints take the per-triple loops.
 
 All operations here are pure functions of immutable values and may be
-called concurrently from any number of threads.
+called concurrently from any number of threads.  (A stored-rows space's
+``resolved`` memo is filled as maps are scanned on it; a slot filled twice
+by two threads gets the same value both times.)
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from numbers import Number
 from operator import attrgetter, mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 Point = Hashable
 #: Distances are nonnegative rationals (EXACT mode), floats (FLOAT mode),
@@ -119,9 +124,11 @@ class QSpace:
     A space built by :func:`from_matrix` also holds its distances as
     ``rows``, index-addressed by ``order``: ints over the common
     denominator ``den`` (d(x, y) = rows[i][j] / den), or, when ``den`` is
-    None, the values ``d`` returns.  Other spaces, and any space rebuilt
-    with :func:`dataclasses.replace`, have neither and are read through
-    ``d``.
+    None, the values ``d`` returns.  Such a space also keeps, in
+    ``resolved``, what the scans of :mod:`qpmetric.contraction` learn of
+    each set-valued map on it, keyed weakly by the map.  Other spaces, and
+    any space rebuilt with :func:`dataclasses.replace`, have none of the
+    three and are read through ``d``.
     """
 
     d: Callable[[Point, Point], Value]
@@ -134,6 +141,7 @@ class QSpace:
         default=None, init=False, repr=False, compare=False
     )
     den: int | None = field(default=None, init=False, repr=False, compare=False)
+    resolved: WeakKeyDictionary | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.tolerance < INFINITY:
@@ -169,11 +177,46 @@ class FieldError(ValueError):
         self.message = message
 
 
+#: Largest decimal exponent, in magnitude, that the value rule reads:
+#: "1e<k>" builds 10**k, whose time and memory grow without bound in k.
+#: CPython's default int-string limit is 4,300 digits, so a larger exponent
+#: gives a value whose digits Python by default neither reads nor writes.
+_MAX_EXPONENT = 4300
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+
+
+def _digit_limit() -> int:
+    """The most digits ``int`` reads from a string: CPython's int-string
+    limit, or ``sys.maxsize`` where it is off or absent (before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", int)() or sys.maxsize
+
+
+def _check_size(raw: str) -> None:
+    """Refuse a string that the value rule would read without bound, or
+    refuse only with an error naming no entry: a run of digits past the
+    int-string limit, or a decimal exponent beyond ``_MAX_EXPONENT``.  The
+    exponent is what follows the last "e", as :class:`fractions.Fraction`
+    reads it."""
+    limit = _digit_limit()
+    if len(raw) > limit and any(
+        len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(raw)
+    ):
+        raise ValueError(f"more than {limit} digits")
+    e = max(raw.rfind("e"), raw.rfind("E"))
+    digits = raw[e + 1 :].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e >= 0 and digits.isdecimal():
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
+
+
 def _coerce_value(raw: Value | str, exact: bool) -> Value:
     """The one value rule: EXACT gives a Fraction, FLOAT a finite float
-    (see :func:`from_matrix`); anything else is a ValueError."""
+    (see :func:`from_matrix`); anything else, and a string past the bounds
+    of :func:`_check_size`, is a ValueError."""
     if isinstance(raw, bool):
         raise ValueError(f"not a valid number: {raw!r}")
+    if isinstance(raw, str):
+        _check_size(raw)
     try:
         if exact:
             if isinstance(raw, Fraction):
@@ -281,16 +324,19 @@ def _exact_parts(
                 a, slash, b = raw.partition("/")
                 # str.isdigit alone also admits digits int() rejects, like "²".
                 if a.isdigit() and a.isascii():
-                    if not slash:
-                        num.append(int(a))
-                        den.append(1)
-                        continue
-                    if b.isdigit() and b.isascii():
-                        q = int(b)
-                        if q:
+                    try:
+                        if not slash:
                             num.append(int(a))
-                            den.append(q)
+                            den.append(1)
                             continue
+                        if b.isdigit() and b.isascii():
+                            q = int(b)
+                            if q:
+                                num.append(int(a))
+                                den.append(q)
+                                continue
+                    except ValueError:
+                        pass  # Past the int-string limit: the value rule names it.
             v = _entry(raw, True, i, j)
             num.append(v.numerator)
             den.append(v.denominator)
@@ -320,6 +366,7 @@ def _matrix_space(
     order = space.order
     object.__setattr__(space, "rows", table)
     object.__setattr__(space, "den", den)
+    object.__setattr__(space, "resolved", WeakKeyDictionary())
     return space
 
 
@@ -337,8 +384,9 @@ def from_matrix(
     documents, reads every entry: EXACT mode takes ints, Fractions, "p/q"
     or decimal strings and decimal floats to Fractions; FLOAT mode takes
     numbers and such strings to finite floats.  Booleans, NaN, infinities,
-    values beyond the float range and negative entries raise
-    :class:`FieldError` naming the entry ``d[i][j]``.  The values are kept
+    values beyond the float range, negative entries and strings past the
+    rule's size bounds (see :func:`_check_size`) raise :class:`FieldError`
+    naming the entry ``d[i][j]``.  The values are kept
     in index-addressed rows, in EXACT mode as ints over one common
     denominator (see :class:`QSpace`); the axioms are *not* enforced here
     (use :func:`check_axioms`).

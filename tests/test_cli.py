@@ -116,6 +116,60 @@ class TestCheck:
         assert "error" in err
 
 
+#: A well-formed two-point document; each malformed case replaces one field.
+GOOD_DOC = {
+    "points": ["a", "b"],
+    "d": [["0", "1"], ["1", "0"]],
+    "F": {"a": ["b"], "b": ["b"]},
+    "gamma": {"kind": "linear", "c": "1/2"},
+}
+#: Past the value rule's bounds, but small enough to end quickly without them.
+BIG_EXPONENT = "1e4301"
+LONG_DIGITS = "1" * 5000
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("F.a", {"F": {"a": [["b"]], "b": ["b"]}}),
+            ("F.a", {"F": {"a": [1], "b": ["b"]}}),
+            ("d[0][1]", {"d": [["0", BIG_EXPONENT], ["1", "0"]]}),
+            ("d[0][1]", {"d": [["0", "1E-4_301"], ["1", "0"]]}),
+            ("d[0][1]", {"d": [["0", LONG_DIGITS], ["1", "0"]]}),
+            ("d[0][1]", {"d": [["0", "1/" + LONG_DIGITS], ["1", "0"]]}),
+            ("d[0][1]", {"d": [["0", LONG_DIGITS], ["1", "0"]], "arithmetic": "float"}),
+            ("gamma.c", {"gamma": {"kind": "linear", "c": BIG_EXPONENT}}),
+            ("gamma.table[0][1]", {"gamma": {"kind": "user", "table": [["1", BIG_EXPONENT]]}}),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["check"], ["verify"], ["solve", "--from", "a"]])
+    def test_field_is_named_with_exit_two(self, tmp_path, capsys, field, change, argv):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**GOOD_DOC, **change}))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+    def test_a_json_number_past_the_digit_limit_names_the_document(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(GOOD_DOC).replace('"1"', LONG_DIGITS, 1))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: document: ")
+
+    def test_tolerances_past_the_bound_are_named(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(GOOD_DOC))
+        code, out, err = run(capsys, "solve", str(path), "--from", "a", "--tol", BIG_EXPONENT)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tol: decimal exponent beyond 4300")
+        monkeypatch.setenv("QPM_TOLERANCE", BIG_EXPONENT)
+        code, out, err = run(capsys, "enumerate", str(path), "--float")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: QPM_TOLERANCE: decimal exponent beyond 4300")
+
+
 class TestVerify:
     def test_forward_certificate_witnesses_zero(self, dyadic_doc, capsys):
         code, out, _ = run(capsys, "verify", dyadic_doc, "--mode", "forward")

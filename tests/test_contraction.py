@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from qpmetric import (
     ContractionCertificate,
     ContractionMode,
     GeneratorSeed,
+    Selection,
     SetValuedMap,
     SolveMode,
     SolverConfig,
@@ -33,6 +37,7 @@ from qpmetric import (
     rational_shrink,
     solve,
     startpoint_defect,
+    user_table,
     verify_weak_contraction,
 )
 
@@ -466,3 +471,92 @@ def test_a_stray_image_of_a_candidate_is_named(kind):
     for mode in ContractionMode:
         with pytest.raises(ValueError, match="^image of 'b' contains 'z', which is not in"):
             verify_weak_contraction(space, Fm, linear(F(1, 2)), mode)
+
+
+# ---------------------------------------------------------------------------
+# A stored-rows space resolves each map once and shares it across calls.
+
+_ENUMERATORS = (enumerate_startpoints, enumerate_endpoints, enumerate_fixed_points)
+
+
+def _every_scan(space, images, gamma, share, verify_first):
+    """What verify, the enumerators, admissible_candidates and solve (every
+    mode and selection, from every point) return on ``space``, each call
+    given the one shared map or a fresh one; verify runs before the
+    enumerators or after them."""
+    shared = SetValuedMap(images)
+
+    def fm():
+        return shared if share else SetValuedMap(images)
+
+    calls = {
+        "verify": lambda: [verify_weak_contraction(space, fm(), gamma, m) for m in ContractionMode],
+        "enumerate": lambda: [fn(space, fm()) for fn in _ENUMERATORS],
+    }
+    order = ("verify", "enumerate") if verify_first else ("enumerate", "verify")
+    results = {name: calls[name]() for name in order}
+    for x in space.universe():
+        results[x] = [admissible_candidates(space, fm(), gamma, x, m) for m in ContractionMode]
+        for mode, selection in itertools.product(SolveMode, Selection):
+            trace = solve(space, fm(), gamma, x, SolverConfig(mode=mode, selection=selection))
+            # An ENDPOINT trace holds a fresh conjugate space; compare the rest.
+            results[x].append((trace.initial_defect, trace.steps, trace.outcome))
+    return results
+
+
+def _corpus_systems():
+    """Twelve generated systems as in the test above, each with a random
+    map, and the planted system."""
+    for seed in range(12):
+        space, _ = random_weakly_contractive_system(GeneratorSeed(seed=seed, size=9))
+        points = space.universe()
+        rng = random.Random(seed)
+        fixed = set(rng.sample(points, 4))
+        yield space, {x: [x] if x in fixed else rng.sample(points, rng.randint(1, 9)) for x in points}
+    points, m, Fm = _planted_system()
+    yield from_matrix(points, m), {x: Fm(x) for x in points}
+
+
+@pytest.mark.filterwarnings("ignore::qpmetric.SampledComparisonWarning")
+def test_calls_sharing_a_map_return_what_calls_with_fresh_maps_do():
+    gammas = (linear(F(1, 2)), rational_shrink(), user_table([(F(1, 8), F(1, 16)), (8, 4)]))
+    for space, images in _corpus_systems():
+        for target, gamma in itertools.product((space, conjugate(space)), gammas):
+            want = _every_scan(target, images, gamma, False, True)
+            assert _every_scan(target, images, gamma, True, True) == want
+            assert _every_scan(target, images, gamma, False, False) == want
+            assert _every_scan(target, images, gamma, True, False) == want
+        # Two maps alive on one space are resolved apart.
+        Fm, identity = SetValuedMap(images), SetValuedMap({x: [x] for x in space.universe()})
+        want = [fn(space, Fm) for fn in _ENUMERATORS]
+        for fn in _ENUMERATORS:
+            assert fn(space, identity) == list(space.universe())
+        assert [fn(space, Fm) for fn in _ENUMERATORS] == want
+
+
+def test_a_stray_image_raises_on_every_call_sharing_the_map():
+    space = from_matrix(("a", "b", "c"), [[0, 1, 1], [5, 0, 5], [1, 1, 0]])
+    Fm = SetValuedMap({"a": ["c", "b"], "b": ["z", "a"], "c": ["c"]})
+    calls = [lambda m=m: verify_weak_contraction(space, Fm, linear(F(1, 2)), m) for m in ContractionMode]
+    calls += [lambda fn=fn: fn(space, Fm) for fn in _ENUMERATORS]
+    calls += [lambda: solve(space, Fm, linear(F(1, 2)), "b")]
+    for call in calls:
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^image of 'b' contains 'z', which is not in"):
+                call()
+
+
+def test_the_shared_resolution_keeps_neither_space_nor_map_alive():
+    points, m, Fm = _planted_system()
+    space = from_matrix(points, m)
+    for mode in ContractionMode:
+        verify_weak_contraction(space, Fm, linear(F(1, 2)), mode)
+    assert len(space.resolved) == 1
+    map_ref = weakref.ref(Fm)
+    del Fm
+    gc.collect()
+    assert map_ref() is None and len(space.resolved) == 0
+    space_ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert space_ref() is None

@@ -339,6 +339,39 @@ def test_from_matrix_and_documents_share_one_value_rule(entry, ok_exact, ok_floa
     assert str(direct.value).startswith("d[1][0]: ")
 
 
+#: Strings past the value rule's size bounds, in both arithmetic modes.
+#: Each also ends quickly where the rule has no bound.
+OVERSIZED = [
+    ("1e4301", "decimal exponent beyond 4300 in magnitude"),
+    (" 1.5E-4_301 ", "decimal exponent beyond 4300 in magnitude"),
+    ("1" * 4301, "more than 4300 digits"),
+    ("1/" + "1" * 4301, "more than 4300 digits"),
+    ("0." + "1" * 4301, "more than 4300 digits"),
+    ("1e" + "1" * 4301, "more than 4300 digits"),
+]
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", int)() != 4300, reason="needs the default int-string limit"
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("entry, message", OVERSIZED, ids=lambda v: repr(v)[:16])
+def test_oversized_strings_are_refused_by_the_value_rule(entry, message, exact):
+    matrix = [[0, 0], [entry, 0]]
+    doc = {"points": ["a", "b"], "d": matrix, "arithmetic": "exact" if exact else "float"}
+    with pytest.raises(ValueError) as direct:
+        from_matrix(("a", "b"), matrix, exact=exact)
+    with pytest.raises(DocumentError) as parsed:
+        parse_system(doc)
+    assert str(direct.value) == str(parsed.value) == f"d[1][0]: {message}"
+
+
+@pytest.mark.parametrize("entry", ["1e4300", "1e-4300", "1.5e+4300", "1" * 4300, "12e0000000000"])
+def test_the_value_rule_reads_strings_at_its_bounds(entry):
+    space = from_matrix(("a", "b"), [[0, 0], [entry, 0]])
+    assert space.d("b", "a") == F(entry)
+
+
 class TestUnreadableDocuments:
     @pytest.fixture(params=["missing", "directory", "not-utf8"])
     def unreadable(self, request, tmp_path):

@@ -494,6 +494,34 @@ def test_point_hash_counts_on_a_staircase():
     assert [s.y for s in trace.steps] == xs[1:]
 
 
+def test_point_hash_counts_on_a_stored_rows_system():
+    # A stored-rows space resolves each image to universe positions once
+    # per map: one F(x) lookup and |F(x)| position lookups per point, 89
+    # here.  Each verify then hashes every point twice (its position and
+    # its witness key), the enumerators read the shared defects, and solve
+    # takes one step.
+    counting = _HashCountingFraction
+    space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=3, size=12))
+    universe = space.universe()
+    relabel = dict(zip(universe, map(counting, range(len(universe)))))
+    points = tuple(relabel.values())
+    matrix = [[space.d(x, y) for y in universe] for x in universe]
+    images = {relabel[x]: [relabel[y] for y in Fm(x)] for x in universe}
+    assert (len(points), sum(map(len, images.values()))) == (12, 77)
+    space, Fm = from_matrix(points, matrix, t0=True), SetValuedMap(images)
+    gamma = linear(F(1, 2))
+    counting.hashes = 0
+    for mode in ContractionMode:
+        verify_weak_contraction(space, Fm, gamma, mode)
+    assert counting.hashes == 89 + 3 * 2 * 12
+    for fn in (enumerate_startpoints, enumerate_endpoints, enumerate_fixed_points):
+        assert fn(space, Fm) == [counting(4)]
+    assert counting.hashes == 161
+    trace = solve(space, Fm, gamma, points[0])
+    assert counting.hashes == 167
+    assert [s.y for s in trace.steps] == [counting(4)]
+
+
 def test_oracle_call_counts_on_the_truncated_dyadic_system():
     # Counts per FORWARD/DUAL/SYMMETRIC (STARTPOINT/ENDPOINT/FIXEDPOINT for
     # solve) when this gate was set; they are deterministic.
