@@ -27,6 +27,12 @@ Malformed input raises :class:`DocumentError` carrying the offending field
 CLI turns into exit code 2; semantically bad but well-formed content (say,
 a nonzero diagonal) parses fine and is left to the axiom checker.
 
+:func:`dump_system` writes exactly the bytes of
+``json.dumps(doc, indent=2, allow_nan=False)`` and a newline, where
+``doc`` is :func:`system_document`'s output.  Reading an EXACT matrix
+checks and reads each row of "p/q" strings as a whole (see
+:func:`qpmetric.space.from_matrix`).
+
 Iteration traces serialize one way (they are outputs):
 
     {"mode": ..., "start": ..., "initial_defect": ...,
@@ -45,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -65,6 +72,9 @@ from .space import (
 
 class DocumentError(FieldError):
     """Malformed document; ``field`` names the offending entry."""
+
+
+_STR = frozenset({str})
 
 
 def encode_value(v: Value, exact: bool) -> str | float:
@@ -204,14 +214,18 @@ def parse_system(
                 raise DocumentError(f"F.{x}", "not a point of the space")
             if not isinstance(image, list) or not image:
                 raise DocumentError(f"F.{x}", "image must be a nonempty list")
-            if any(not isinstance(y, str) for y in image):
+            # Whole-image checks; the loops only name the offending member.
+            if not _STR.issuperset(map(type, image)) and any(
+                not isinstance(y, str) for y in image
+            ):
                 raise DocumentError(f"F.{x}", "image point ids must be strings")
-            if len(set(image)) != len(image):
+            members = set(image)
+            if len(members) != len(image):
                 raise DocumentError(f"F.{x}", "image contains duplicates")
-            for target in image:
-                if target not in universe:
-                    raise DocumentError(f"F.{x}", f"image point {target!r} is not in the space")
-            images[x] = list(image)
+            if not universe.issuperset(members):
+                stray = next(y for y in image if y not in universe)
+                raise DocumentError(f"F.{x}", f"image point {stray!r} is not in the space")
+            images[x] = image
         missing = [p for p in points if p not in images]
         if missing:
             raise DocumentError(f"F.{missing[0]}", "no image for this point")
@@ -255,6 +269,51 @@ def system_document(
     return doc
 
 
+def _block(opening: str, items: list[str], closing: str, level: int, quote: str = "") -> str:
+    """The array or object of ``items``, each already encoded and written
+    between two ``quote``s, laid out as ``json.dumps(indent=2)`` lays it
+    out at nesting ``level``."""
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (level + 1)
+    body = f"{quote},{inner}{quote}".join(items)
+    return f"{opening}{inner}{quote}{body}{quote}\n{'  ' * level}{closing}"
+
+
+def _strings(items: list[str], level: int) -> str:
+    """A list of strings as ``json.dumps(indent=2)`` lays it out at nesting
+    ``level``."""
+    plain = "".join(items)
+    if len(encode_basestring_ascii(plain)) == len(plain) + 2:
+        # No item holds a character to escape.
+        return _block("[", items, "]", level, '"')
+    return _block("[", list(map(encode_basestring_ascii, items)), "]", level)
+
+
+def _system_text(doc: dict[str, Any]) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a
+    :func:`system_document`, byte for byte.  The point ids, the images
+    and an EXACT matrix (all strings) are written by string joins; every
+    other field, a FLOAT matrix among them, goes through ``json.dumps``
+    and is indented one level, so a ``meta`` that cannot be written fails
+    as it does there."""
+    fields = []
+    for key, value in doc.items():
+        if key == "points":
+            text = _strings(value, 1)
+        elif key == "F":
+            images = [
+                f"{encode_basestring_ascii(x)}: {_strings(image, 2)}" for x, image in value.items()
+            ]
+            text = _block("{", images, "}", 1)
+        elif key == "d" and doc["arithmetic"] == "exact":
+            text = _block("[", [_strings(row, 2) for row in value], "]", 1)
+        else:
+            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        fields.append(f"{encode_basestring_ascii(key)}: {text}")
+    return _block("{", fields, "}", 0) + "\n"
+
+
 def load_system(
     path: str | Path, *, force_float: bool = False, default_tolerance: float = DEFAULT_TOLERANCE
 ) -> System:
@@ -277,8 +336,8 @@ def dump_system(
     gamma: ComparisonFunction | None = None,
     meta: Mapping[str, Any] | None = None,
 ) -> None:
-    doc = system_document(space, F, gamma, meta)
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    text = _system_text(system_document(space, F, gamma, meta))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def trace_document(trace: IterationTrace) -> dict[str, Any]:

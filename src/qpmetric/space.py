@@ -31,8 +31,10 @@ values instead.  The axiom checker and the min-plus closure scale the
 values they read under the same bound.  Entries are read in bulk: one
 C-level pass finds the value types of a matrix, and a matrix of ints and
 ``Fraction``s has its numerators and denominators read a whole row at a
-time, its sign checked once; only strings, and naming the first bad
-entry, take a loop over single entries.
+time, its sign checked once.  A row of "p" and "p/q" digit strings (a
+document's) is checked as one string and read a row at a time too; only
+other rows, and naming the first bad entry, take a loop over single
+entries.
 
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
@@ -54,7 +56,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Number
 from operator import attrgetter, mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -191,10 +193,12 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)() or sys.maxsize
 
 
-def _check_size(raw: str) -> None:
-    """Refuse a string that the value rule would read without bound, or
-    refuse only with an error naming no entry: a run of digits past the
-    int-string limit, or a decimal exponent beyond ``_MAX_EXPONENT``.  The
+def _rational(raw: str) -> Fraction:
+    """The rational a string spells, refused (a ValueError) when it cannot
+    be read, or when the value rule would read it without bound or a
+    writer could not print it: a run of digits past the int-string limit,
+    a decimal exponent beyond ``_MAX_EXPONENT``, or a value whose
+    numerator or denominator has more digits than that limit.  The
     exponent is what follows the last "e", as :class:`fractions.Fraction`
     reads it."""
     limit = _digit_limit()
@@ -207,23 +211,31 @@ def _check_size(raw: str) -> None:
     if e >= 0 and digits.isdecimal():
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
+    try:
+        value = Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a valid number: {raw!r}") from exc
+    # Only an int of more than 3 * limit bits can reach 10**limit.
+    big = max(abs(value.numerator), value.denominator)
+    if big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"more than {limit} digits")
+    return value
 
 
 def _coerce_value(raw: Value | str, exact: bool) -> Value:
     """The one value rule: EXACT gives a Fraction, FLOAT a finite float
     (see :func:`from_matrix`); anything else, and a string past the bounds
-    of :func:`_check_size`, is a ValueError."""
+    of :func:`_rational`, is a ValueError."""
     if isinstance(raw, bool):
         raise ValueError(f"not a valid number: {raw!r}")
-    if isinstance(raw, str):
-        _check_size(raw)
+    value = _rational(raw) if isinstance(raw, str) else raw
     try:
         if exact:
-            if isinstance(raw, Fraction):
-                return raw
+            if isinstance(value, Fraction):
+                return value
             # Read floats as their decimal literal, not their binary expansion.
-            return Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
-        v = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+            return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+        v = float(value)
     except OverflowError as exc:
         raise ValueError(f"out of the float range: {raw!r}") from exc
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -297,52 +309,88 @@ def _scaled_values(
     )
 
 
+#: What ``str.translate`` deletes from a row of "p" and "p/q" strings:
+#: ASCII digits and the slash.
+_DIGITS_AND_SLASH = dict.fromkeys(b"0123456789/")
+
+
+def _digit_row(row: Sequence[Value | str]) -> tuple[list[int], list[int]] | None:
+    """Numerators and denominators of a row whose entries are all "p" or
+    "p/q" strings of ASCII digits with q nonzero, or None for any other
+    row.  The row is checked as one string, and its parts are read with
+    ``int`` alone."""
+    try:
+        text = "".join(row)
+    except TypeError:
+        return None
+    if not text.isascii() or text.translate(_DIGITS_AND_SLASH):
+        return None
+    heads, slashes, tails = zip(*map(str.partition, row, repeat("/")))
+    if tails.count("") != slashes.count(""):
+        return None  # "p/"
+    try:
+        num = list(map(int, heads))
+        # A row has few distinct denominators; "" is that of a plain "p".
+        table = {q: int(q or 1) for q in set(tails)}
+    except ValueError:
+        return None  # An empty part, a second slash, or past the int-string limit.
+    return None if 0 in table.values() else (num, list(map(table.__getitem__, tails)))
+
+
 def _exact_parts(
     matrix: Sequence[Sequence[Value | str]],
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Numerators and denominators of the entries of an EXACT matrix.
 
     A matrix of nonnegative ints (not bools) and Fractions is read a row
-    at a time.  Otherwise each entry is read on its own: strings of ASCII
-    digits, optionally over a nonzero ASCII-digit denominator, directly,
-    and every other entry through the value rule, so it is accepted or
-    rejected, with the same message, as the rule alone would.  A matrix
-    whose first entry is a string (a document's) goes straight to that
-    loop, without the type pass.
+    at a time, and so is each row of "p" and "p/q" digit strings (see
+    :func:`_digit_row`); any other row is read an entry at a time (see
+    :func:`_entry_parts`).  A matrix whose first entry is a string (a
+    document's) skips the type pass.
     """
     if type(matrix[0][0]) is not str and _kinds(matrix) <= _RATIONAL:
         nums = [list(map(_NUMERATOR, row)) for row in matrix]
         if min(map(min, nums)) >= 0:
             return nums, [list(map(_DENOMINATOR, row)) for row in matrix]
     nums = []
-    dens: list[list[int]] = []
+    dens = []
     for i, row in enumerate(matrix):
-        num: list[int] = []
-        den: list[int] = []
-        for j, raw in enumerate(row):
-            if type(raw) is str:
-                a, slash, b = raw.partition("/")
-                # str.isdigit alone also admits digits int() rejects, like "²".
-                if a.isdigit() and a.isascii():
-                    try:
-                        if not slash:
-                            num.append(int(a))
-                            den.append(1)
-                            continue
-                        if b.isdigit() and b.isascii():
-                            q = int(b)
-                            if q:
-                                num.append(int(a))
-                                den.append(q)
-                                continue
-                    except ValueError:
-                        pass  # Past the int-string limit: the value rule names it.
-            v = _entry(raw, True, i, j)
-            num.append(v.numerator)
-            den.append(v.denominator)
+        num, den = _digit_row(row) or _entry_parts(row, i)
         nums.append(num)
         dens.append(den)
     return nums, dens
+
+
+def _entry_parts(row: Sequence[Value | str], i: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of row ``i`` of an EXACT matrix, read
+    an entry at a time: strings of ASCII digits, optionally over a nonzero
+    ASCII-digit denominator, directly, and every other entry through the
+    value rule, so it is accepted or rejected, with the same message, as
+    the rule alone would."""
+    num: list[int] = []
+    den: list[int] = []
+    for j, raw in enumerate(row):
+        if type(raw) is str:
+            a, slash, b = raw.partition("/")
+            # str.isdigit alone also admits digits int() rejects, like "²".
+            if a.isdigit() and a.isascii():
+                try:
+                    if not slash:
+                        num.append(int(a))
+                        den.append(1)
+                        continue
+                    if b.isdigit() and b.isascii():
+                        q = int(b)
+                        if q:
+                            num.append(int(a))
+                            den.append(q)
+                            continue
+                except ValueError:
+                    pass  # Past the int-string limit: the value rule names it.
+        v = _entry(raw, True, i, j)
+        num.append(v.numerator)
+        den.append(v.denominator)
+    return num, den
 
 
 def _matrix_space(
@@ -385,7 +433,7 @@ def from_matrix(
     or decimal strings and decimal floats to Fractions; FLOAT mode takes
     numbers and such strings to finite floats.  Booleans, NaN, infinities,
     values beyond the float range, negative entries and strings past the
-    rule's size bounds (see :func:`_check_size`) raise :class:`FieldError`
+    rule's size bounds (see :func:`_rational`) raise :class:`FieldError`
     naming the entry ``d[i][j]``.  The values are kept
     in index-addressed rows, in EXACT mode as ints over one common
     denominator (see :class:`QSpace`); the axioms are *not* enforced here

@@ -126,6 +126,8 @@ GOOD_DOC = {
 #: Past the value rule's bounds, but small enough to end quickly without them.
 BIG_EXPONENT = "1e4301"
 LONG_DIGITS = "1" * 5000
+#: Within both bounds, but a value of 4,302 digits, which str() cannot write.
+MANY_DIGITS = "12e4300"
 
 
 class TestMalformedInput:
@@ -141,6 +143,10 @@ class TestMalformedInput:
             ("d[0][1]", {"d": [["0", LONG_DIGITS], ["1", "0"]], "arithmetic": "float"}),
             ("gamma.c", {"gamma": {"kind": "linear", "c": BIG_EXPONENT}}),
             ("gamma.table[0][1]", {"gamma": {"kind": "user", "table": [["1", BIG_EXPONENT]]}}),
+            ("d[0][1]", {"d": [["0", MANY_DIGITS], ["1", "0"]]}),
+            ("d[0][1]", {"d": [["0", MANY_DIGITS], ["1", "0"]], "arithmetic": "float"}),
+            ("gamma.c", {"gamma": {"kind": "linear", "c": "1e-4300"}}),
+            ("gamma.table[0][0]", {"gamma": {"kind": "user", "table": [[MANY_DIGITS, "1"]]}}),
         ],
     )
     @pytest.mark.parametrize("argv", [["check"], ["verify"], ["solve", "--from", "a"]])
@@ -168,6 +174,15 @@ class TestMalformedInput:
         code, out, err = run(capsys, "enumerate", str(path), "--float")
         assert (code, out) == (2, "")
         assert err.startswith("error: QPM_TOLERANCE: decimal exponent beyond 4300")
+
+    def test_tolerances_past_the_digit_limit_are_named(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(GOOD_DOC))
+        code, out, err = run(capsys, "solve", str(path), "--from", "a", "--tol", "1e-4300")
+        assert (code, out, err) == (2, "", "error: --tol: more than 4300 digits\n")
+        monkeypatch.setenv("QPM_TOLERANCE", "1e-4300")
+        code, out, err = run(capsys, "enumerate", str(path), "--float")
+        assert (code, out, err) == (2, "", "error: QPM_TOLERANCE: more than 4300 digits\n")
 
 
 class TestVerify:

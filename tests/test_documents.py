@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qpmetric.space as space_module
 from qpmetric import (
     INFINITY,
     DocumentError,
@@ -348,6 +349,11 @@ OVERSIZED = [
     ("1/" + "1" * 4301, "more than 4300 digits"),
     ("0." + "1" * 4301, "more than 4300 digits"),
     ("1e" + "1" * 4301, "more than 4300 digits"),
+    # Values of 4,301 or more digits, which str() cannot write back.
+    ("1e4300", "more than 4300 digits"),
+    ("1e-4300", "more than 4300 digits"),
+    ("1.5e+4300", "more than 4300 digits"),
+    ("12e4300", "more than 4300 digits"),
 ]
 
 
@@ -366,7 +372,7 @@ def test_oversized_strings_are_refused_by_the_value_rule(entry, message, exact):
     assert str(direct.value) == str(parsed.value) == f"d[1][0]: {message}"
 
 
-@pytest.mark.parametrize("entry", ["1e4300", "1e-4300", "1.5e+4300", "1" * 4300, "12e0000000000"])
+@pytest.mark.parametrize("entry", ["1e4299", "1e-4299", "1.5e+4299", "1" * 4300, "12e0000000000"])
 def test_the_value_rule_reads_strings_at_its_bounds(entry):
     space = from_matrix(("a", "b"), [[0, 0], [entry, 0]])
     assert space.d("b", "a") == F(entry)
@@ -394,3 +400,157 @@ class TestUnreadableDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: document: ")
+
+
+def _parity_systems():
+    """(name, space, F, gamma, meta) cases for the document writer."""
+    half = linear(F(1, 2))
+    for size in (2, 40, 240):
+        space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=size, size=size), half)
+        yield f"generated-{size}", space, Fm, half, {"seed": size, "size": size}
+    one = from_matrix(("only",), [[0]])
+    yield "one-point", one, SetValuedMap({"only": ["only"]}), half, None
+    wide = from_matrix(
+        ("a", "b", "c"),
+        [[0, F(1, 3**700), 1], [F(2, 5**700), 0, F(7, 2)], [3, F(1, 7**400), 0]],
+    )
+    assert wide.den is None  # Past the 1,024-bit bound: the rows hold Fractions.
+    yield "fraction-rows", wide, SetValuedMap({"a": ["b", "c"], "b": ["b"], "c": ["a"]}), half, None
+    floats = from_matrix(
+        ("a", "b", "c"),
+        [[0, 0.1, 1e-300], [1e300, 0, 2.5], [3, 1 / 3, 0]],
+        exact=False,
+        tolerance=1e-6,
+    )
+    table = user_table([(F(1, 8), F(1, 16)), (8, 4)])
+    yield "float", floats, SetValuedMap({"a": ["b"], "b": ["c"], "c": ["c"]}), table, None
+    yield "float-bare", floats, None, None, None
+    yield "no-map", one, None, rational_shrink(), None
+    yield "no-gamma", wide, SetValuedMap({"a": ["a"], "b": ["a"], "c": ["a"]}), None, {}
+    far = {("a", "b"): INFINITY}
+    for exact in (True, False):
+        oracle = from_oracle(lambda x, y: far.get((x, y), 0), points=("a", "b"), exact=exact)
+        yield f"oracle-inf-{exact}", oracle, None, None, None
+    yield "empty-universe", from_oracle(lambda x, y: 0, points=()), None, None, None
+    ids = ['q"uote', "back\\slash", "ctrl\x01\x1f\x7f", "tab\tnl\n", "caf\u00e9", "\u2603", "", "/"]
+    n = len(ids)
+    odd = from_matrix(ids, [[str(F(i * j, 1 + i)) for j in range(n)] for i in range(n)])
+    images = SetValuedMap({x: ids[: i + 1] for i, x in enumerate(ids)})
+    meta = {
+        "nested": {"a": [1, 2.5, {"b": None, "c": [[], {}]}], "empty": {}, "list": []},
+        "unicode": "snow \u2603, caf\u00e9, \U0001f600",
+        "escaped": 'quote " backslash \\ tab \t nl \n ctrl \x01',
+        "flags": [True, False, None],
+        "big": 10**30,
+        "small": 1e-7,
+        3: "an int key",
+    }
+    yield "odd-ids", odd, images, table, meta
+
+
+PARITY_SYSTEMS = list(_parity_systems())
+
+
+@pytest.mark.parametrize(
+    "space, Fm, gamma, meta",
+    [case[1:] for case in PARITY_SYSTEMS],
+    ids=[case[0] for case in PARITY_SYSTEMS],
+)
+def test_dump_system_writes_the_bytes_of_json_dumps(tmp_path, space, Fm, gamma, meta):
+    path = tmp_path / "doc.json"
+    dump_system(path, space, Fm, gamma, meta)
+    doc = system_document(space, Fm, gamma, meta)
+    assert path.read_bytes() == (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+
+
+def _circular():
+    meta = {"list": []}
+    meta["list"].append(meta)
+    return meta
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [{"w": math.nan}, {"w": [math.inf]}, _circular(), {"w": object()}, {"w": {1j: 1}}],
+    ids=["nan", "inf", "circular", "object", "complex-key"],
+)
+def test_a_meta_json_dumps_refuses_fails_the_same_way(tmp_path, meta):
+    space, Fm, gamma = dyadic_halving_truncated(2)
+    doc = system_document(space, Fm, gamma, meta)
+    with pytest.raises(Exception) as want:
+        json.dumps(doc, indent=2, allow_nan=False)
+    path = tmp_path / "doc.json"
+    with pytest.raises(Exception) as got:
+        dump_system(path, space, Fm, gamma, meta)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert not path.exists()
+
+
+def _clean_matrix(n):
+    """An n x n matrix of "p" and "p/q" strings of ASCII digits."""
+    return [[str(F((7 * i + 13 * j) % 50, 1 + i * j % 8)) for j in range(n)] for i in range(n)]
+
+
+#: Entries for the string path: every value-rule case, and strings that
+#: pass its character check but not its reading, or the reverse.
+STRING_ROW_CASES = [entry for entry, _, _ in VALUE_RULE_CASES] + [
+    "1//2",
+    "2/",
+    "",
+    "/",
+    "+1",
+    " 1",
+    "1_0",
+    "1/0_0",
+    "\u0663\u0664/\u0665",
+    "1" * 4301,
+    "0" * 4301 + "1",
+    "1/" + "1" * 4301,
+    "12e4300",
+    "4300/" + "1" * 4300,
+]
+
+
+@pytest.mark.parametrize("entry", STRING_ROW_CASES, ids=lambda v: repr(v)[:16])
+def test_a_wide_string_row_reads_each_entry_as_the_value_rule_does(entry):
+    # The entry sits among clean entries in a 200-wide row: the row path
+    # must leave it to the value rule, which names it or reads it.
+    n = 200
+    matrix = _clean_matrix(n)
+    matrix[3][117] = entry
+    doc = {"points": [f"p{i}" for i in range(n)], "d": matrix}
+    try:
+        want = space_module._entry(entry, True, 3, 117)
+    except space_module.FieldError as exc:
+        with pytest.raises(DocumentError) as got:
+            parse_system(doc)
+        assert (got.value.field, got.value.message) == (exc.field, exc.message)
+        return
+    space = parse_system(doc).space
+    for i in (3, 4):
+        row = [space.d(f"p{i}", f"p{j}") for j in range(n)]
+        assert row == [space_module._entry(raw, True, i, j) for j, raw in enumerate(matrix[i])]
+    assert space.d("p3", "p117") == want
+
+
+def test_a_clean_document_is_read_a_row_at_a_time(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-entry loop was reached")
+
+    n = 200
+    matrix = _clean_matrix(n)
+    monkeypatch.setattr(space_module, "_entry_parts", refuse)
+    monkeypatch.setattr(space_module, "_entry", refuse)
+    space = parse_system({"points": [f"p{i}" for i in range(n)], "d": matrix}).space
+    assert all(
+        space.d(f"p{i}", f"p{j}") == F(matrix[i][j]) for i in (0, 1, 199) for j in range(n)
+    )
+
+
+def test_a_stray_image_member_is_named_in_image_order():
+    images = {"a": ["b", "y", "x"], "b": ["b"], "c": ["c"]}
+    doc = _doc(points=["a", "b", "c"], d=[["0"] * 3] * 3, F=images)
+    with pytest.raises(DocumentError) as err:
+        parse_system(doc)
+    assert (err.value.field, err.value.message) == ("F.a", "image point 'y' is not in the space")
