@@ -58,8 +58,9 @@ print("brute-force startpoints:", enumerate_startpoints(tspace, tF))
 cert = verify_weak_contraction(tspace, tF, tgamma, ContractionMode.FORWARD)
 print("forward certificate witnesses:", sorted(set(cert.witnesses.values())))
 
-# %% Endpoint and fixed-point solving reuse the same machinery through
-# the conjugate space and the symmetrized defect.
+# %% Endpoint and fixed-point solving reuse the same scan on the same
+# space, with the DUAL inequality (defect H(Fx, {x}), distance d(y, x))
+# and the symmetrized defect.
 for mode in (SolveMode.ENDPOINT, SolveMode.FIXEDPOINT):
     t = solve(space, Fm, gamma, one, SolverConfig(mode=mode))
     print(f"{mode.value}: {t.outcome.status.value} at {t.outcome.point}")

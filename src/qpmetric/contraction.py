@@ -27,10 +27,10 @@ solver on every space.  On a finite space it resolves each point's image
 to sorted universe positions, lazily, and keeps defects in a list indexed
 by position.  A space with stored rows (see :mod:`qpmetric.space`) shares
 these per (space, map): every call on the same space and map reuses the
-image positions, the row getter built from them and each mode's defect
-vector, so an image is resolved and a defect computed once however many
-calls ask.  Stored rows are read a whole image at a time, and a SYMMETRIC
-defect there is the larger of the FORWARD and DUAL ones.  Other spaces are
+image positions and each mode's defect vector, so an image is resolved and
+a defect computed once however many calls ask.  Stored rows are read a
+whole image at a time, and a SYMMETRIC defect there is the larger of the
+FORWARD and DUAL ones.  Other spaces are
 read through ``d`` and resolved afresh by every call, so a user oracle sees
 the same calls on every run.  Two threads may fill one shared slot twice,
 always with the same value.  A defect stays in the rows' scale until it is
@@ -174,16 +174,15 @@ def _value(space: QSpace, v: Value) -> Value:
 class _Resolution:
     """What scans learn of one map on one finite space, filled slot by slot
     as they need it: the sorted universe positions of each image
-    (``images``), the row getter built from them (``getters``) and each
-    mode's defect vector (``defects``).  It holds neither the space nor the
-    map, so a stored-rows space keeps it under the map's weak key
-    (``QSpace.resolved``) without keeping either alive."""
+    (``images``) and each mode's defect vector (``defects``).  It holds
+    neither the space nor the map, so a stored-rows space keeps it under
+    the map's weak key (``QSpace.resolved``) without keeping either
+    alive."""
 
-    __slots__ = ("images", "getters", "defects")
+    __slots__ = ("images", "defects")
 
     def __init__(self, n: int) -> None:
         self.images: list[list[int] | None] = [None] * n
-        self.getters: list[Callable | None] = [None] * n
         self.defects: dict[ContractionMode, list] = {}
 
     def defects_of(self, mode: ContractionMode) -> list:
@@ -246,11 +245,9 @@ class _Scan:
         defects = self.shared.defects_of(mode)
         v = defects[i]
         if v is _MISSING:
-            pick = self.shared.getters[i]
-            if pick is None:
-                js = self.positions(i)
-                # A tuple of the image's entries even for a one-point image.
-                pick = self.shared.getters[i] = itemgetter(js[0], *js)
+            js = self.positions(i)
+            # A tuple of the image's entries even for a one-point image.
+            pick = itemgetter(js[0], *js)
             rows = self.space.rows
             # Stored rows hold no NaN, so builtin max is exact here.
             if mode is ContractionMode.FORWARD:
@@ -294,16 +291,17 @@ class _Scan:
 
     def admissible(
         self, x: Point, by_defect: bool = False
-    ) -> Iterator[tuple[Point, Value, Value | None]]:
-        """The (candidate, defect, d(x, candidate)) triples of F(x) that
-        satisfy the mode's inequality, in universe order on a finite space
-        and in image order otherwise; with ``by_defect``, in (defect, that
-        order) order, so the first is the one a ``min`` by defect picks.
+    ) -> Iterator[tuple[Point, Value, Value]]:
+        """The (candidate, defect, distance) triples of F(x) that satisfy
+        the mode's inequality, in universe order on a finite space and in
+        image order otherwise; with ``by_defect``, in (defect, that order)
+        order, so the first is the one a ``min`` by defect picks.  The
+        distance is d(y, x) in DUAL mode and d(x, y) otherwise.
 
         Every candidate's defect is read before the first triple comes.
-        Stored rows are then tested lazily, one candidate per triple taken;
-        a space without rows reads d(x, y), and d(y, x) as the mode needs,
-        for every candidate y first (in DUAL mode d(x, y) is None)."""
+        Stored rows are then tested lazily, one candidate per triple taken,
+        reading an entry only when the mode tests it; a space without rows
+        reads d(x, y), and d(y, x) as the mode needs, for every y first."""
         space, within = self.space, self.within
         forward, backward = self.forward, self.backward
         rows, order, points = space.rows, space.order, space.points
@@ -316,10 +314,11 @@ class _Scan:
             if by_defect:
                 # A stable sort: equal defects stay in universe order.
                 js = sorted(js, key=defects.__getitem__)
-            row = rows[i]
+            row, both = rows[i], forward and backward
             for j in js:
-                Y, T = defects[j], row[j]
-                if (not forward or within(Y, T)) and (not backward or within(Y, rows[j][i])):
+                Y = defects[j]
+                T = row[j] if forward else rows[j][i]
+                if within(Y, T) and (not both or within(Y, rows[j][i])):
                     yield points[j], Y, T
             return
         d = space.d
@@ -338,7 +337,7 @@ class _Scan:
             if backward:
                 S = d(y, x)
             if (not forward or within(Y, T)) and (not backward or within(Y, S)):
-                found.append((y, Y, T))
+                found.append((y, Y, T if forward else S))
         if by_defect:
             # NaN defects are never admissible, so the sort is total.
             found.sort(key=itemgetter(1))

@@ -6,8 +6,8 @@ inequality
 
     defect(y) <= d(x_n, y) - gamma(d(x_n, y))
 
-(with the conjugate or symmetrized variants for ENDPOINT and FIXEDPOINT
-modes).  Admissible steps force the chain
+(the DUAL and SYMMETRIC variants for ENDPOINT and FIXEDPOINT modes, see
+below).  Admissible steps force the chain
 
     d(x_{n+1}, x_{n+2}) <= defect(x_{n+1}) <= d(x_n, x_{n+1})
                                               - gamma(d(x_n, x_{n+1})),
@@ -22,9 +22,11 @@ the current point drops to the configured tolerance (exactly zero in EXACT
 mode with tolerance 0), which is the conclusion the iteration is after.
 Limit detection over infinite orbits is out of scope.
 
-ENDPOINT mode is the startpoint algorithm run on the conjugate space, so
-its traces coincide step for step with STARTPOINT traces on
-``conjugate(space)``.
+ENDPOINT mode runs the DUAL inequality, defect(y) <= d(y, x_n) -
+gamma(d(y, x_n)) with the defect H(Fx, {x}), on the input space.  That is
+FORWARD on the conjugate space with ties broken by the same universe
+positions, so its traces coincide step for step, and its oracle calls call
+for call, with STARTPOINT traces there.
 
 Choice of candidate is configurable but always restricted to admissible
 ones; the existential form of the contraction condition guarantees nothing
@@ -41,7 +43,7 @@ from fractions import Fraction
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
 from .contraction import ContractionMode, SetValuedMap, _Scan, _value
-from .space import INFINITY, Point, QSpace, Value, _max_keeping_nan, conjugate
+from .space import INFINITY, Point, QSpace, Value, _max_keeping_nan
 
 
 class SolveMode(enum.Enum):
@@ -67,7 +69,7 @@ class Selection(enum.Enum):
 #: Solve modes map onto the contraction inequality they enforce.
 _CONTRACTION_OF = {
     SolveMode.STARTPOINT: ContractionMode.FORWARD,
-    SolveMode.ENDPOINT: ContractionMode.FORWARD,  # in the conjugate space
+    SolveMode.ENDPOINT: ContractionMode.DUAL,
     SolveMode.FIXEDPOINT: ContractionMode.SYMMETRIC,
 }
 
@@ -90,9 +92,9 @@ class SolverConfig:
 class Step:
     """One iteration record: from x the solver chose y in F(x).
 
-    ``d`` is the step distance in the space the iteration ran in (the
-    conjugate for ENDPOINT runs), ``gamma_d`` its gamma value, ``defect``
-    the mode defect of y.  Steps are numbered from 1.
+    ``d`` is the step distance the mode tests, d(x, y), or d(y, x) for
+    ENDPOINT runs; ``gamma_d`` is its gamma value and ``defect`` the mode
+    defect of y.  Steps are numbered from 1.
     """
 
     n: int
@@ -129,9 +131,9 @@ class Outcome:
 class IterationTrace:
     """Full record of one run: start point, steps, outcome.
 
-    ``space`` is the space the iteration effectively ran in (the conjugate
-    of the input for ENDPOINT runs); it is kept for trace validation and
-    is not serialized.
+    ``space`` is the input space of the run, for every mode (an ENDPOINT
+    trace reads it as d(x_n, x_k)); it is kept for trace validation and is
+    not serialized.
     """
 
     mode: SolveMode
@@ -207,13 +209,11 @@ def solve(
             stacklevel=2,
         )
 
-    work = conjugate(space) if config.mode is SolveMode.ENDPOINT else space
-    cmode = _CONTRACTION_OF[config.mode]
-    scan = _Scan(work, F, cmode, gamma)
+    scan = _Scan(space, F, _CONTRACTION_OF[config.mode], gamma)
     greedy = config.selection is Selection.GREEDY_MIN_DEFECT
 
     steps: list[Step] = []
-    x, current = x0, _value(work, scan.defect(x0))
+    x, current = x0, _value(space, scan.defect(x0))
     initial = best = current
     visited = {x}
     stall = 0
@@ -233,8 +233,8 @@ def solve(
             break
         y, Y, T = found
 
-        # FORWARD and SYMMETRIC, the modes solve runs, read d(x, y) in the scan.
-        dy, t = _value(work, Y), _value(work, T)
+        # T is the distance the mode tests: d(y, x) for ENDPOINT, else d(x, y).
+        dy, t = _value(space, Y), _value(space, T)
         steps.append(Step(n=len(steps) + 1, x=x, y=y, d=t, gamma_d=gamma(t), defect=dy))
         x, current = y, dy
 
@@ -256,7 +256,7 @@ def solve(
         initial_defect=initial,
         steps=tuple(steps),
         outcome=outcome,
-        space=work,
+        space=space,
     )
 
 
@@ -285,11 +285,11 @@ class TraceReport:
     ``partial_sums``: for every m >= 3, the gamma values of the first
     m - 2 step distances sum to at most d_1 - d_{m-1} (hence at most d_1).
     ``cauchy``: per epsilon of the fixed schedule, the smallest index n0
-    such that every recorded forward distance d(x_k, x_n) with
-    n0 <= k <= n stays below epsilon (the last index when no start
-    qualifies, which a user oracle with d(x, x) > 0 or NaN can cause; a
-    NaN distance is below no epsilon); None when no space was available to
-    evaluate distances (e.g. a hand-built trace).
+    such that every d(x_k, x_n) (ENDPOINT: d(x_n, x_k)) with n0 <= k <= n
+    stays below epsilon (the last index when no start qualifies, which a
+    user oracle with d(x, x) > 0 or NaN can cause; a NaN distance is below
+    no epsilon); None when no space was available to evaluate distances
+    (e.g. a hand-built trace).
     """
 
     steps_monotone: CheckResult
@@ -317,7 +317,8 @@ def validate_trace(
     recorded step distances, not trusted).  The left-K-Cauchy certificate
     additionally needs the distance oracle; it uses ``space`` or, by
     default, the space the trace ran in, and is skipped (None) when
-    neither is available.  It reads d(x_k, x_n) once for each pair
+    neither is available; for an ENDPOINT trace too it is the input space.
+    It reads d(x_k, x_n), d(x_n, x_k) for ENDPOINT, once for each pair
     k <= n of the orbit x_0, ..., x_L, the diagonal included: (L + 1)(L + 2)/2
     oracle calls.  A NaN distance counts as ``INFINITY``, so no tail that
     holds it is Cauchy, whatever its position in the orbit.
@@ -356,15 +357,15 @@ def validate_trace(
     cauchy = None
     if space is not None:
         pts, d = trace.points, space.d
-        last = len(pts) - 1
-        # worst[s] is the largest d(x_k, x_n) over s <= k <= n <= last, so
-        # the tail from s is eps-Cauchy exactly when worst[s] < eps.  The
-        # diagonal k = n is included: a user oracle may break d(x, x) = 0.
+        last, backward = len(pts) - 1, trace.mode is SolveMode.ENDPOINT
+        # worst[s] is the largest d(x_k, x_n) (ENDPOINT: d(x_n, x_k)) over
+        # s <= k <= n <= last, so the tail from s is eps-Cauchy exactly when
+        # worst[s] < eps.  The diagonal is included: d(x, x) = 0 may fail.
         worst: list[Value] = []
         w = None
         for s in range(last, -1, -1):
-            x = pts[s]
-            v = _max_keeping_nan([d(x, y) for y in pts[s:]])
+            x, tail = pts[s], pts[s:]
+            v = _max_keeping_nan([d(y, x) for y in tail] if backward else [d(x, y) for y in tail])
             if v != v:
                 v = INFINITY  # NaN is below no epsilon
             if w is None or v > w:

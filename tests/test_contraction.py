@@ -498,9 +498,8 @@ def _every_scan(space, images, gamma, share, verify_first):
     for x in space.universe():
         results[x] = [admissible_candidates(space, fm(), gamma, x, m) for m in ContractionMode]
         for mode, selection in itertools.product(SolveMode, Selection):
-            trace = solve(space, fm(), gamma, x, SolverConfig(mode=mode, selection=selection))
-            # An ENDPOINT trace holds a fresh conjugate space; compare the rest.
-            results[x].append((trace.initial_defect, trace.steps, trace.outcome))
+            # Traces compare without their space, which is ``space`` in every mode.
+            results[x].append(solve(space, fm(), gamma, x, SolverConfig(mode, selection=selection)))
     return results
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -85,14 +87,39 @@ class TestSolve:
         assert pairs == [("b", F(1, 4)), ("c", ZERO)]
 
     def test_endpoint_equals_startpoint_on_conjugate(self):
+        # ENDPOINT runs on the input space; its trace, its replay (Cauchy
+        # table included) and the oracle calls it makes equal those of
+        # STARTPOINT on the conjugate, under both selections, on stored
+        # rows and on oracles, the 10-step staircase among them.
         gamma = linear(F(1, 2))
+        systems = []
         for seed in range(8):
             space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=seed, size=7))
-            for x0 in space.universe():
-                via_endpoint = solve(space, Fm, gamma, x0, SolverConfig(mode=SolveMode.ENDPOINT))
-                via_conjugate = solve(conjugate(space), Fm, gamma, x0)
-                assert via_endpoint.steps == via_conjugate.steps
-                assert via_endpoint.outcome == via_conjugate.outcome
+            systems += [(space, Fm), (from_oracle(space.d, points=space.universe()), Fm)]
+        d, universe, images, _, _ = _staircase(10)
+        systems.append((from_oracle(d, points=universe, t0=True), SetValuedMap(images)))
+        calls = []
+
+        def logged(inner):
+            def d(x, y):
+                calls.append((x, y))
+                return inner(x, y)
+
+            return d
+
+        for space, Fm in systems:
+            if space.rows is None:
+                space = replace(space, d=logged(space.d))
+            conj = conjugate(space)
+            for x0, selection in itertools.product(space.universe(), Selection):
+                runs = []
+                for target, mode in ((space, SolveMode.ENDPOINT), (conj, SolveMode.STARTPOINT)):
+                    calls.clear()
+                    trace = solve(target, Fm, gamma, x0, SolverConfig(mode, selection=selection))
+                    report = validate_trace(trace, gamma)
+                    assert trace.space is target and report.cauchy is not None
+                    runs.append((trace.initial_defect, trace.steps, trace.outcome, report, calls[:]))
+                assert runs[0] == runs[1]
 
     def test_fixedpoint_mode_on_dyadic(self, dyadic):
         space, Fm, gamma = dyadic
@@ -494,6 +521,17 @@ def test_point_hash_counts_on_a_staircase():
     assert [s.y for s in trace.steps] == xs[1:]
 
 
+def _counting_rows_system():
+    """The points, matrix and images of a generated 12-point system, its
+    points relabelled as hash-counting Fractions 0, 1, ..., 11."""
+    space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=3, size=12))
+    universe = space.universe()
+    relabel = dict(zip(universe, map(_HashCountingFraction, range(len(universe)))))
+    matrix = [[space.d(x, y) for y in universe] for x in universe]
+    images = {relabel[x]: [relabel[y] for y in Fm(x)] for x in universe}
+    return tuple(relabel.values()), matrix, images
+
+
 def test_point_hash_counts_on_a_stored_rows_system():
     # A stored-rows space resolves each image to universe positions once
     # per map: one F(x) lookup and |F(x)| position lookups per point, 89
@@ -501,12 +539,7 @@ def test_point_hash_counts_on_a_stored_rows_system():
     # its witness key), the enumerators read the shared defects, and solve
     # takes one step.
     counting = _HashCountingFraction
-    space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=3, size=12))
-    universe = space.universe()
-    relabel = dict(zip(universe, map(counting, range(len(universe)))))
-    points = tuple(relabel.values())
-    matrix = [[space.d(x, y) for y in universe] for x in universe]
-    images = {relabel[x]: [relabel[y] for y in Fm(x)] for x in universe}
+    points, matrix, images = _counting_rows_system()
     assert (len(points), sum(map(len, images.values()))) == (12, 77)
     space, Fm = from_matrix(points, matrix, t0=True), SetValuedMap(images)
     gamma = linear(F(1, 2))
@@ -519,6 +552,23 @@ def test_point_hash_counts_on_a_stored_rows_system():
     assert counting.hashes == 161
     trace = solve(space, Fm, gamma, points[0])
     assert counting.hashes == 167
+    assert [s.y for s in trace.steps] == [counting(4)]
+
+
+def test_point_hash_counts_of_an_endpoint_solve_after_a_dual_verify():
+    # ENDPOINT runs the DUAL inequality on the input space, so it reuses the
+    # image positions and DUAL defects a DUAL verify left on the same rows
+    # space and map: the one-step solve hashes as few points as the
+    # STARTPOINT solve above, where a conjugate space would re-hash its
+    # universe and every image.
+    counting = _HashCountingFraction
+    points, matrix, images = _counting_rows_system()
+    space, Fm = from_matrix(points, matrix, t0=True), SetValuedMap(images)
+    gamma = linear(F(1, 2))
+    verify_weak_contraction(space, Fm, gamma, ContractionMode.DUAL)
+    counting.hashes = 0
+    trace = solve(space, Fm, gamma, points[0], SolverConfig(mode=SolveMode.ENDPOINT))
+    assert counting.hashes == 6
     assert [s.y for s in trace.steps] == [counting(4)]
 
 
@@ -547,9 +597,10 @@ def test_oracle_call_counts_on_the_truncated_dyadic_system():
         100,
     ]
     assert [count(lambda: fn(space, Fm)) for fn in enumerators] == [26, 26, 52]
-    assert [
-        count(lambda: solve(space, Fm, gamma, ONE, SolverConfig(mode=m))) for m in SolveMode
-    ] == [7, 7, 14]
+    configs = [SolverConfig(mode=m) for m in SolveMode]
+    assert [count(lambda: solve(space, Fm, gamma, ONE, c)) for c in configs] == [7, 7, 14]
+    traces = [solve(space, Fm, gamma, ONE, c) for c in configs]
+    assert [count(lambda: validate_trace(t, gamma)) for t in traces] == [3, 3, 3]
     assert [
         count(lambda: admissible_candidates(space, Fm, gamma, ONE, m)) for m in modes
     ] == [5, 5, 10]
