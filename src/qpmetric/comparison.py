@@ -14,7 +14,9 @@ functions into two certification levels:
 * CERTIFIED builtins, where both conditions hold by a short argument:
   - ``linear(c)``, gamma(t) = c*t with 0 < c < 1.  (g2): if sum c*t_n is
     finite then sum t_n = (1/c) * sum c*t_n is finite.  Its test on int
-    rows over D (t = T/D, defect Y/D) is q*Y <= (q - p)*T for c = p/q.
+    rows over D (t = T/D, defect Y/D) is q*Y <= (q - p)*T for c = p/q,
+    and on the exact values a/b and c'/d of other EXACT spaces it is
+    q*a*d <= (q - p)*c'*b.
   - ``rational_shrink()``, gamma(t) = t/(1+t).  (g2): if sum t_n/(1+t_n)
     is finite its terms tend to 0, so t_n tends to 0 and eventually
     t_n < 1, whence t_n/(1+t_n) >= t_n/2 and sum t_n is finite.  Its
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .space import Value, _coerce_value
+from .space import _RATIONAL, Value, _coerce_value
 
 
 class SampledComparisonWarning(UserWarning):
@@ -82,16 +84,31 @@ class ComparisonFunction:
         return self.fn(t)
 
     def bound_test(
-        self, den: int | None, leq: Callable[[Value, Value], bool]
+        self, den: int | None, leq: Callable[[Value, Value], bool], exact: bool
     ) -> Callable[[Value, Value], bool]:
         """defect(y) <= t - gamma(t) as a test on Y = defect(y) and T = t, in
         the scale of int rows over ``den`` (the values when ``den`` is None):
-        an integer test for a certified kind, otherwise ``leq`` on the values."""
-        if den is None:
-            return lambda Y, T: leq(Y, T - self(T))
-        if self.kind == "linear" and isinstance(self.c, Fraction):
+        an integer test for a certified kind, otherwise ``leq`` on the values.
+        ``exact`` is the space's arithmetic mode.  On the values of an EXACT
+        space a linear kind tests ints and Fractions by cross-multiplication
+        too; floats (NaN, ``INFINITY``), a negative T and every value of a
+        FLOAT space take ``leq``."""
+        linear = self.kind == "linear" and isinstance(self.c, Fraction)
+        if linear:
             # t - (p/q) t = (q - p) t / q = r t / q.
             q, r = self.c.denominator, self.c.denominator - self.c.numerator
+        if den is None:
+            if not (exact and linear):
+                return lambda Y, T: leq(Y, T - self(T))
+
+            def cross(Y: Value, T: Value) -> bool:
+                # Y = a/b <= r T / q with T = c/d: q a d <= r c b, as b, d > 0.
+                if type(Y) in _RATIONAL and type(T) in _RATIONAL and T.numerator >= 0:
+                    return q * Y.numerator * T.denominator <= r * T.numerator * Y.denominator
+                return leq(Y, T - self(T))
+
+            return cross
+        if linear:
             return lambda Y, T: q * Y <= r * T
         if self.kind == "rational_shrink":
             # t - t/(1 + t) = t^2/(1 + t) = T^2 / (den (den + T)).

@@ -74,6 +74,14 @@ class SetValuedMap:
             self._fn = None
             self._table = {x: self._normalize(x, image) for x, image in mapping.items()}
 
+    @classmethod
+    def _of_images(cls, images: dict[Point, tuple[Point, ...]]) -> SetValuedMap:
+        """The map with the table ``images`` as it stands: each image a
+        nonempty tuple without repeats, as a document parser has checked."""
+        smap = cls.__new__(cls)
+        smap._fn, smap._table = None, images
+        return smap
+
     @staticmethod
     def _normalize(x: Point, image: Iterable[Point]) -> tuple[Point, ...]:
         members = _unique(tuple(image))
@@ -213,7 +221,7 @@ class _Scan:
         self.space, self.F, self.mode = space, F, mode
         self.forward = mode is not ContractionMode.DUAL
         self.backward = mode is not ContractionMode.FORWARD
-        self.within = None if gamma is None else gamma.bound_test(space.den, space.leq)
+        self.within = None if gamma is None else gamma.bound_test(space.den, space.leq, space.exact)
         memo = space.resolved
         shared = None if memo is None else memo.get(F)
         if shared is None:

@@ -30,8 +30,12 @@ a nonzero diagonal) parses fine and is left to the axiom checker.
 :func:`dump_system` writes exactly the bytes of
 ``json.dumps(doc, indent=2, allow_nan=False)`` and a newline, where
 ``doc`` is :func:`system_document`'s output.  Reading an EXACT matrix
-checks and reads each row of "p/q" strings as a whole (see
-:func:`qpmetric.space.from_matrix`).
+checks and reads each row of "p/q" strings as a whole, with one table of
+denominators for the matrix (see :func:`qpmetric.space.from_matrix`).
+Writing one from int rows over D formats each row in one ``%`` operation
+(see :func:`_ratio_rows`), and :func:`dump_system` lays that row text out
+as it stands.  A parsed map keeps the images the parser has checked,
+without normalizing them again.
 
 Iteration traces serialize one way (they are outputs):
 
@@ -51,9 +55,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from operator import floordiv
+from typing import Any, Mapping, Sequence
 
 from .comparison import ComparisonFunction, linear, rational_shrink, user_table
 from .contraction import SetValuedMap
@@ -84,10 +90,30 @@ def encode_value(v: Value, exact: bool) -> str | float:
     return str(Fraction(v)) if exact else float(v)
 
 
-def _ratio(num: int, den: int) -> str:
-    """``encode_value(Fraction(num, den), True)`` without the Fraction."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+class _RowTexts(list):
+    """An EXACT matrix as one text per row: the row's "p" and "p/q" entries
+    joined by commas (see :func:`_ratio_rows`)."""
+
+
+def _ratio_rows(rows: Sequence[Sequence[int]], den: int) -> _RowTexts:
+    """The rows of ints over ``den`` as :class:`_RowTexts`, each entry v
+    written as ``encode_value(Fraction(v, den), True)`` writes it, with no
+    Fraction and no Python-level call per entry.  With g = gcd(v, den) the
+    entry is v // g over den // g, so one table keyed by g holds each
+    entry's format ("%d", or "%d/q" with q = den // g), and a row is one
+    %-format of the v // g."""
+    formats: dict[int, str] = {}
+    texts = _RowTexts()
+    for row in rows:
+        gs = list(map(math.gcd, row, repeat(den)))
+        try:
+            layout = ",".join(map(formats.__getitem__, gs))
+        except KeyError:
+            for g in set(gs).difference(formats):
+                formats[g] = "%d" if g == den else f"%d/{den // g}"
+            layout = ",".join(map(formats.__getitem__, gs))
+        texts.append(layout % tuple(map(floordiv, row, gs)))
+    return texts
 
 
 def parse_value(raw: Any, exact: bool, field: str) -> Value:
@@ -208,7 +234,7 @@ def parse_system(
         if not isinstance(fdoc, dict):
             raise DocumentError("F", "expected an object mapping points to images")
         universe = set(points)
-        images: dict[str, list[str]] = {}
+        images: dict[str, tuple[str, ...]] = {}
         for x, image in fdoc.items():
             if x not in universe:
                 raise DocumentError(f"F.{x}", "not a point of the space")
@@ -225,11 +251,12 @@ def parse_system(
             if not universe.issuperset(members):
                 stray = next(y for y in image if y not in universe)
                 raise DocumentError(f"F.{x}", f"image point {stray!r} is not in the space")
-            images[x] = image
+            images[x] = tuple(image)
         missing = [p for p in points if p not in images]
         if missing:
             raise DocumentError(f"F.{missing[0]}", "no image for this point")
-        smap = SetValuedMap(images)
+        # Every image is checked nonempty and free of repeats above.
+        smap = SetValuedMap._of_images(images)
 
     gamma = _parse_gamma(doc["gamma"]) if "gamma" in doc else None
     return System(space=space, map=smap, gamma=gamma, meta=doc.get("meta"))
@@ -242,6 +269,20 @@ def system_document(
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Serialize a finite system to a document (inverse of parse_system)."""
+    doc = _document(space, F, gamma, meta)
+    if isinstance(doc["d"], _RowTexts):
+        doc["d"] = [text.split(",") for text in doc["d"]]
+    return doc
+
+
+def _document(
+    space: QSpace,
+    F: SetValuedMap | None,
+    gamma: ComparisonFunction | None,
+    meta: Mapping[str, Any] | None,
+) -> dict[str, Any]:
+    """:func:`system_document`, except that a matrix of int rows is left
+    as :class:`_RowTexts`."""
     points = space.universe()
     ids = [str(p) for p in points]
     if len(set(ids)) != len(ids):
@@ -249,9 +290,9 @@ def system_document(
     rows, den = space.rows, space.den
     if den is None:
         values = distance_matrix(space) if rows is None else rows
-        matrix = [[encode_value(v, space.exact) for v in row] for row in values]
+        matrix: list = [[encode_value(v, space.exact) for v in row] for row in values]
     else:
-        matrix = [[_ratio(v, den) for v in row] for row in rows]
+        matrix = _ratio_rows(rows, den)
     doc: dict[str, Any] = {
         "points": ids,
         "d": matrix,
@@ -261,7 +302,7 @@ def system_document(
     if not space.exact:
         doc["tolerance"] = space.tolerance
     if F is not None:
-        doc["F"] = {str(x): [str(y) for y in F(x)] for x in points}
+        doc["F"] = {str(x): list(map(str, F(x))) for x in points}
     if gamma is not None:
         doc["gamma"] = gamma_document(gamma)
     if meta is not None:
@@ -292,11 +333,12 @@ def _strings(items: list[str], level: int) -> str:
 
 def _system_text(doc: dict[str, Any]) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a
-    :func:`system_document`, byte for byte.  The point ids, the images
-    and an EXACT matrix (all strings) are written by string joins; every
-    other field, a FLOAT matrix among them, goes through ``json.dumps``
-    and is indented one level, so a ``meta`` that cannot be written fails
-    as it does there."""
+    :func:`system_document`, byte for byte; ``doc`` may also be the
+    :func:`_document` form.  The point ids, the images and an EXACT matrix
+    (all strings) are written by string joins, the row texts of
+    :class:`_RowTexts` as they stand; every other field, a FLOAT matrix
+    among them, goes through ``json.dumps`` and is indented one level, so
+    a ``meta`` that cannot be written fails as it does there."""
     fields = []
     for key, value in doc.items():
         if key == "points":
@@ -306,6 +348,11 @@ def _system_text(doc: dict[str, Any]) -> str:
                 f"{encode_basestring_ascii(x)}: {_strings(image, 2)}" for x, image in value.items()
             ]
             text = _block("{", images, "}", 1)
+        elif isinstance(value, _RowTexts):
+            # Digits and slashes need no escapes; the commas part the entries.
+            inner = '",\n      "'
+            rows = [f'[\n      "{text.replace(",", inner)}"\n    ]' for text in value]
+            text = _block("[", rows, "]", 1)
         elif key == "d" and doc["arithmetic"] == "exact":
             text = _block("[", [_strings(row, 2) for row in value], "]", 1)
         else:
@@ -336,7 +383,7 @@ def dump_system(
     gamma: ComparisonFunction | None = None,
     meta: Mapping[str, Any] | None = None,
 ) -> None:
-    text = _system_text(system_document(space, F, gamma, meta))
+    text = _system_text(_document(space, F, gamma, meta))
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -32,9 +32,11 @@ values they read under the same bound.  Entries are read in bulk: one
 C-level pass finds the value types of a matrix, and a matrix of ints and
 ``Fraction``s has its numerators and denominators read a whole row at a
 time, its sign checked once.  A row of "p" and "p/q" digit strings (a
-document's) is checked as one string and read a row at a time too; only
-other rows, and naming the first bad entry, take a loop over single
-entries.
+document's) is checked as one string and read a row at a time too, its
+denominators through one table of tails for the whole matrix, which
+reads each distinct tail once; each row is scaled to D as it is read,
+straight into the tuple the space keeps.  Only other rows, and naming
+the first bad entry, take a loop over single entries.
 
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, repeat
 from numbers import Number
-from operator import attrgetter, mul
+from operator import attrgetter, floordiv, mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
@@ -309,56 +311,116 @@ def _scaled_values(
     )
 
 
-#: What ``str.translate`` deletes from a row of "p" and "p/q" strings:
-#: ASCII digits and the slash.
-_DIGITS_AND_SLASH = dict.fromkeys(b"0123456789/")
+#: What ``str.translate`` deletes from a row of "p" and "p/q" strings
+#: joined by commas: ASCII digits, the slash and the comma.
+_DIGITS_SLASH_COMMA = dict.fromkeys(b"0123456789/,")
 
 
-def _digit_row(row: Sequence[Value | str]) -> tuple[list[int], list[int]] | None:
-    """Numerators and denominators of a row whose entries are all "p" or
-    "p/q" strings of ASCII digits with q nonzero, or None for any other
-    row.  The row is checked as one string, and its parts are read with
-    ``int`` alone."""
+def _digit_row(
+    row: Sequence[Value | str], tails: dict[str, int]
+) -> tuple[list[int], tuple[str, ...]] | None:
+    """Numerators and written tails of a row whose entries are all "p" or
+    "p/q" strings of ASCII digits, or None for any other row; the tail of
+    "p/q" is q and that of a plain "p" is "".  The row is checked as one
+    string and its numerators are read with ``int``.  ``tails`` is the
+    matrix's table of each tail met and its q: the row's new tails enter
+    it only when all are good (q nonzero, one slash, within the int-string
+    limit), so a row left to the per-entry loop adds none."""
     try:
-        text = "".join(row)
+        text = ",".join(row)
     except TypeError:
         return None
-    if not text.isascii() or text.translate(_DIGITS_AND_SLASH):
+    # A comma inside an entry stays in its head or tail, which int() refuses.
+    if not text.isascii() or text.translate(_DIGITS_SLASH_COMMA):
         return None
-    heads, slashes, tails = zip(*map(str.partition, row, repeat("/")))
-    if tails.count("") != slashes.count(""):
+    if "/," in text or text.endswith("/"):
         return None  # "p/"
+    heads, _, ends = zip(*map(str.partition, row, repeat("/")))
     try:
         num = list(map(int, heads))
-        # A row has few distinct denominators; "" is that of a plain "p".
-        table = {q: int(q or 1) for q in set(tails)}
+        fresh = {t: int(t or 1) for t in set(ends).difference(tails)}
     except ValueError:
-        return None  # An empty part, a second slash, or past the int-string limit.
-    return None if 0 in table.values() else (num, list(map(table.__getitem__, tails)))
+        return None  # "/q", a second slash, or past the int-string limit.
+    if 0 in fresh.values():
+        return None  # "p/0"
+    tails.update(fresh)
+    return num, ends
 
 
-def _exact_parts(
+def _scaled_rows(
     matrix: Sequence[Sequence[Value | str]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Numerators and denominators of the entries of an EXACT matrix.
+) -> tuple[list[tuple[int, ...]], int] | None:
+    """The rows of an EXACT matrix as tuples of ints over the least common
+    denominator D of its entries, with D; None when D has more than
+    ``_MAX_DENOMINATOR_BITS`` bits.
+
+    Rows of "p" and "p/q" digit strings go through one table of tails for
+    the whole matrix (see :func:`_digit_row`), so each distinct tail is
+    read once, and each row is scaled by tail -> D // q straight into its
+    tuple, D being the lcm of the denominators met so far.  Any other row
+    is read an entry at a time (see :func:`_entry_parts`).  A row scaled
+    to an earlier D is brought up to the final one at the end, by one
+    product per entry."""
+    tails: dict[str, int] = {}  # Each tail met, and its q.
+    scale: dict[str, int] = {}  # Tails met since D last grew, and D // q.
+    den = 1
+    rows = []
+    scaled_to = []  # The D each row was scaled to.
+    for i, row in enumerate(matrix):
+        parts = _digit_row(row, tails)
+        if parts is None:
+            num, dens = _entry_parts(row, i)
+            ends = ()
+        else:
+            num, ends = parts
+            try:
+                rows.append(tuple(map(mul, num, map(scale.__getitem__, ends))))
+                scaled_to.append(den)
+                continue
+            except KeyError:
+                dens = list(map(tails.__getitem__, ends))
+        met = den
+        for q in set(dens):
+            met = math.lcm(met, q)
+            if met.bit_length() > _MAX_DENOMINATOR_BITS:
+                return None
+        if met != den:
+            den, scale = met, {}
+        factors = list(map(floordiv, repeat(den), dens))
+        scale.update(zip(ends, factors))
+        rows.append(tuple(map(mul, num, factors)))
+        scaled_to.append(den)
+    for i, d in enumerate(scaled_to):
+        if d != den:
+            rows[i] = tuple(map(mul, rows[i], repeat(den // d)))
+    return rows, den
+
+
+def _exact_rows(
+    matrix: Sequence[Sequence[Value | str]],
+) -> tuple[list[Sequence[Value]], int | None]:
+    """The rows of an EXACT matrix as ints over one common denominator D,
+    with D, or as Fractions, with None, when D would have more than
+    ``_MAX_DENOMINATOR_BITS`` bits.
 
     A matrix of nonnegative ints (not bools) and Fractions is read a row
-    at a time, and so is each row of "p" and "p/q" digit strings (see
-    :func:`_digit_row`); any other row is read an entry at a time (see
-    :func:`_entry_parts`).  A matrix whose first entry is a string (a
-    document's) skips the type pass.
+    at a time (see :func:`_over_common_denominator`); any other, a
+    document's among them, goes through :func:`_scaled_rows`.  A matrix
+    whose first entry is a string skips the type pass.
     """
     if type(matrix[0][0]) is not str and _kinds(matrix) <= _RATIONAL:
         nums = [list(map(_NUMERATOR, row)) for row in matrix]
         if min(map(min, nums)) >= 0:
-            return nums, [list(map(_DENOMINATOR, row)) for row in matrix]
-    nums = []
-    dens = []
-    for i, row in enumerate(matrix):
-        num, den = _digit_row(row) or _entry_parts(row, i)
-        nums.append(num)
-        dens.append(den)
-    return nums, dens
+            dens = [list(map(_DENOMINATOR, row)) for row in matrix]
+            scaled = _over_common_denominator(nums, dens)
+            if scaled is not None:
+                return scaled
+            return [list(map(Fraction, ra, rq)) for ra, rq in zip(nums, dens)], None
+    scaled = _scaled_rows(matrix)
+    if scaled is not None:
+        return scaled
+    # Past the bound: Fraction rows, read again an entry at a time.
+    return [list(map(Fraction, *_entry_parts(row, i))) for i, row in enumerate(matrix)], None
 
 
 def _entry_parts(row: Sequence[Value | str], i: int) -> tuple[list[int], list[int]]:
@@ -454,12 +516,7 @@ def from_matrix(
             for i, row in enumerate(matrix)
         )
     else:
-        nums, dens = _exact_parts(matrix)
-        scaled = _over_common_denominator(nums, dens)
-        if scaled is None:
-            rows = (map(Fraction, ra, rq) for ra, rq in zip(nums, dens))
-        else:
-            rows, den = scaled
+        rows, den = _exact_rows(matrix)
     return _matrix_space(pts, rows, den, exact, t0, tolerance)
 
 

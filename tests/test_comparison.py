@@ -202,5 +202,36 @@ def test_bound_test_is_the_admissibility_inequality(case):
     gamma, den, Y, T = case
     y, t = F(Y, den), F(T, den)
     want = y <= t - gamma(t)
-    assert gamma.bound_test(den, operator.le)(Y, T) is want
-    assert gamma.bound_test(None, operator.le)(y, t) is want
+    assert gamma.bound_test(den, operator.le, True)(Y, T) is want
+    assert gamma.bound_test(None, operator.le, False)(y, t) is want
+    # On the values of an EXACT space: ints and Fractions alike.
+    assert gamma.bound_test(None, operator.le, True)(y, t) is want
+    assert gamma.bound_test(None, operator.le, True)(Y, T) is (Y <= T - gamma(T))
+
+
+def test_an_exact_linear_test_cross_multiplies_ints_and_fractions():
+    def refuse(a, b):
+        raise AssertionError("leq was consulted")
+
+    test = linear(F(1, 3)).bound_test(None, refuse, True)
+    assert test(F(2, 3), 1) is True  # a zero-slack tie: 1 - 1/3 = 2/3
+    assert test(F(2, 3) + F(1, 10**30), 1) is False
+    assert test(2, F(3)) is True
+    assert test(0, 0) is True and test(F(1, 7), 0) is False
+
+
+@pytest.mark.parametrize(
+    "Y, T",
+    [(math.nan, F(1)), (F(1, 2), math.nan), (0, math.inf), (math.inf, F(1)), (0.25, F(1))],
+)
+def test_an_exact_linear_test_leaves_floats_to_leq(Y, T):
+    gamma = linear(F(1, 2))
+    want = Y <= T - gamma(T)
+    assert gamma.bound_test(None, operator.le, True)(Y, T) is want
+    assert gamma.bound_test(None, operator.le, False)(Y, T) is want
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_negative_distance_is_refused_by_gamma_on_every_path(exact):
+    with pytest.raises(ValueError, match="defined on"):
+        linear(F(1, 2)).bound_test(None, operator.le, exact)(0, F(-1, 2))

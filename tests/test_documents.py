@@ -548,6 +548,22 @@ def test_a_clean_document_is_read_a_row_at_a_time(monkeypatch):
     )
 
 
+def test_a_parsed_map_has_the_images_of_the_public_constructor():
+    # parse_system hands its checked images over as they stand; the public
+    # constructor still makes tuples and drops repeats.
+    images = {"c": ["b", "a", "c"], "a": ["c", "a"], "b": ["b"]}
+    system = parse_system(_doc(points=["a", "b", "c"], d=[["0"] * 3] * 3, F=images))
+    public = SetValuedMap(images)
+    for x in ("a", "b", "c"):
+        assert type(system.map(x)) is tuple
+        assert system.map(x) == public(x) == tuple(images[x])
+    assert SetValuedMap({"a": ["b", "b"]})("a") == ("b",)
+    space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=3, size=40), linear(F(1, 2)))
+    doc = system_document(space, Fm)
+    parsed, public = parse_system(doc).map, SetValuedMap(doc["F"])
+    assert all(parsed(x) == public(x) == Fm(x) for x in space.universe())
+
+
 def test_a_stray_image_member_is_named_in_image_order():
     images = {"a": ["b", "y", "x"], "b": ["b"], "c": ["c"]}
     doc = _doc(points=["a", "b", "c"], d=[["0"] * 3] * 3, F=images)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -337,6 +338,85 @@ def test_from_matrix_reads_entries_as_the_value_rule_does(m):
         assert [[F(v, space.den) for v in row] for row in space.rows] == [
             [F(v, den) for v in row] for row in rows
         ]
+
+
+#: Tails of "p/q" entries that many entries share, "" standing for a plain "p".
+SHARED_TAILS = ("", "1", "2", "4", "8", "3", "12", "840")
+#: Entries a digit row may hold that the value rule refuses.
+BAD_DIGIT_ENTRIES = ("3/0", "3/", "/3", "1/2/3", "1/" + "1" * 4301)
+
+
+@st.composite
+def digit_matrices(draw):
+    """An n x n matrix (n from 2 to 8) of "p" and "p/q" digit strings:
+    shared and fresh tails, leading zeros such as "06/8", and at most one
+    bad entry, in a row after the first."""
+    n = draw(st.integers(2, 8))
+    fresh = st.integers(1, 999).map(str)
+    zeros = st.sampled_from(["", "0", "00"])
+    tails = st.sampled_from(SHARED_TAILS) | fresh | st.builds(operator.add, zeros, fresh)
+    heads = st.builds(operator.add, zeros, st.integers(0, 10**6).map(str))
+
+    def entry(head, tail):
+        return f"{head}/{tail}" if tail else head
+
+    m = draw(
+        st.lists(
+            st.lists(st.builds(entry, heads, tails), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    if draw(st.booleans()):
+        i, j = draw(st.integers(1, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = draw(st.sampled_from(BAD_DIGIT_ENTRIES))
+    return m
+
+
+def _check_denominator_table(m, bits):
+    """One table of tails for the whole matrix: the value rule's values
+    over the lcm of the written denominators (8 in "06/8"), or the same
+    named error for the bad entry.  Under a bound of ``bits`` on D the
+    matrix may outgrow it in any row, and then holds the values as
+    Fractions."""
+    points = [f"p{i}" for i in range(len(m))]
+    with pytest.MonkeyPatch.context() as patch:
+        if bits is not None:
+            patch.setattr(space_module, "_MAX_DENOMINATOR_BITS", bits)
+        try:
+            rows, den = _reference_int_rows(m)
+        except space_module.FieldError as exc:
+            with pytest.raises(space_module.FieldError) as got:
+                from_matrix(points, m)
+            assert (got.value.field, got.value.message) == (exc.field, exc.message)
+            return
+        space = from_matrix(points, m)
+    written = math.lcm(*(int(v.partition("/")[2] or 1) for row in m for v in row))
+    if bits is not None and written.bit_length() > bits:
+        assert space.den is None
+        assert [list(row) for row in space.rows] == [[F(v, den) for v in row] for row in rows]
+        assert all(type(v) is F for row in space.rows for v in row)
+    else:
+        assert space.den == written
+        assert space.rows == tuple(tuple(v * (written // den) for v in row) for row in rows)
+
+
+@given(m=digit_matrices(), bits=st.sampled_from([None, 0, 6]))
+def test_the_denominator_table_reads_digit_rows_as_the_value_rule_does(m, bits):
+    _check_denominator_table(m, bits)
+
+
+#: D is 8 after the first row and grows to 72 in the last one.
+LATER_GROWTH = (("0", "1/2", "06/8"), ("3/4", "0", "5"), ("7/3", "2/0009", "0"))
+
+
+@pytest.mark.parametrize("bad", (None,) + BAD_DIGIT_ENTRIES, ids=lambda v: repr(v)[:8])
+@pytest.mark.parametrize("bits", [None, 4])
+def test_a_later_row_may_grow_d_or_hold_the_bad_entry(bad, bits):
+    m = [list(row) for row in LATER_GROWTH]
+    if bad is not None:
+        m[2][1] = bad
+    _check_denominator_table(m, bits)
 
 
 @pytest.mark.parametrize(
