@@ -23,20 +23,19 @@ why EXACT is the default everywhere.
 
 Finite EXACT spaces built by :func:`from_matrix` keep their distances as
 rows of Python ints over one common denominator D (``QSpace.rows`` and
-``QSpace.den``), parsed straight from the matrix entries; sums and
-comparisons of those ints agree exactly with those of the rationals, and
-``d`` still returns a ``Fraction``.  When D would exceed a fixed bound
+``QSpace.den``); sums and comparisons of those ints agree exactly with
+those of the rationals, and ``d`` still returns a ``Fraction``.  One
+reader takes the matrix a row at a time and knows three kinds of row: a
+row of "p" and "p/q" digit strings (a document's), checked as one string,
+its denominators read through one table of tails for the whole matrix; a
+row of nonnegative ints and ``Fraction``s, read by its numerators and
+denominators; and any other row, read by the value rule an entry at a
+time, which names the first bad entry.  One scaler takes each row to D,
+the lcm of the denominators met so far, straight into the tuple the space
+keeps; the axiom checker and the min-plus closure scale their values
+through it too.  When D would exceed a fixed bound
 (``_MAX_DENOMINATOR_BITS``, 1,024 bits) the rows hold the ``Fraction``
-values instead.  The axiom checker and the min-plus closure scale the
-values they read under the same bound.  Entries are read in bulk: one
-C-level pass finds the value types of a matrix, and a matrix of ints and
-``Fraction``s has its numerators and denominators read a whole row at a
-time, its sign checked once.  A row of "p" and "p/q" digit strings (a
-document's) is checked as one string and read a row at a time too, its
-denominators through one table of tails for the whole matrix, which
-reads each distinct tail once; each row is scaled to D as it is read,
-straight into the tuple the space keeps.  Only other rows, and naming
-the first bad entry, take a loop over single entries.
+values instead, read by the per-entry loop that FLOAT matrices take.
 
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
@@ -61,7 +60,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from numbers import Number
 from operator import attrgetter, floordiv, mul
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 Point = Hashable
@@ -278,36 +277,60 @@ def _kinds(matrix: Sequence[Sequence[object]]) -> set[type]:
     return set(map(type, chain.from_iterable(matrix)))
 
 
-def _over_common_denominator(
-    nums: Iterable[Iterable[int]], dens: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], int] | None:
-    """Rows of the rationals nums[i][j] / dens[i][j] as Python ints over
-    their least common denominator D, with D: sums and comparisons of the
-    ints agree exactly with those of the rationals.  None when D has more
-    than ``_MAX_DENOMINATOR_BITS`` bits.  ``nums`` is read once, a row at
-    a time."""
-    qs = set(chain.from_iterable(dens))
+def _scaled(
+    parts: Iterable[tuple[Sequence[int], Sequence[str | int]]], tails: Mapping[str, int]
+) -> tuple[list[tuple[int, ...]], int] | None:
+    """Rows of rationals as tuples of ints over their least common
+    denominator D, with D: sums and comparisons of the ints agree exactly
+    with those of the rationals.  None when D has more than
+    ``_MAX_DENOMINATOR_BITS`` bits.
+
+    Each row comes as (numerators, keys), both sequences, as the numerators
+    are read again after a key not met before.  A key is a written tail,
+    whose q ``tails`` holds, or an int denominator, which stands for
+    itself.  Each row is scaled by key -> D // q straight into its tuple, D
+    being the lcm of the denominators met so far; a row scaled to an
+    earlier D is brought up to the final one at the end, by one product per
+    entry."""
+    scale: dict[str | int, int] = {}  # Keys met since D last grew, and D // q.
     den = 1
-    for q in qs:
-        den = math.lcm(den, q)
-        if den.bit_length() > _MAX_DENOMINATOR_BITS:
-            return None
-    scale = {q: den // q for q in qs}.__getitem__
-    return [list(map(mul, ra, map(scale, rq))) for ra, rq in zip(nums, dens)], den
+    rows = []
+    scaled_to = []  # The D each row was scaled to.
+    for num, keys in parts:
+        try:
+            rows.append(tuple(map(mul, num, map(scale.__getitem__, keys))))
+            scaled_to.append(den)
+            continue
+        except KeyError:
+            dens = list(map(tails.get, keys, keys))
+        met = den
+        for q in set(dens):
+            met = math.lcm(met, q)
+            if met.bit_length() > _MAX_DENOMINATOR_BITS:
+                return None
+        if met != den:
+            den, scale = met, {}
+        factors = list(map(floordiv, repeat(den), dens))
+        scale.update(zip(keys, factors))
+        rows.append(tuple(map(mul, num, factors)))
+        scaled_to.append(den)
+    for i, d in enumerate(scaled_to):
+        if d != den:
+            rows[i] = tuple(map(mul, rows[i], repeat(den // d)))
+    return rows, den
 
 
 def _scaled_values(
     matrix: Sequence[Sequence[Value]], kinds: set[type]
-) -> tuple[list[list[int]], int] | None:
-    """``matrix`` over one common denominator (see
-    :func:`_over_common_denominator`) when its entry types ``kinds`` are
-    ints and Fractions, at least one a Fraction; None otherwise (all ints
-    already, or any float, ``INFINITY``, NaN or other value)."""
+) -> tuple[list[tuple[int, ...]], int] | None:
+    """``matrix`` over one common denominator (see :func:`_scaled`) when
+    its entry types ``kinds`` are ints and Fractions, at least one a
+    Fraction; None otherwise (all ints already, or any float,
+    ``INFINITY``, NaN or other value)."""
     if Fraction not in kinds or not kinds <= _RATIONAL:
         return None
-    return _over_common_denominator(
-        (map(_NUMERATOR, row) for row in matrix),
-        [list(map(_DENOMINATOR, row)) for row in matrix],
+    return _scaled(
+        ((list(map(_NUMERATOR, row)), list(map(_DENOMINATOR, row))) for row in matrix), {}
     )
 
 
@@ -347,112 +370,28 @@ def _digit_row(
     return num, ends
 
 
-def _scaled_rows(
-    matrix: Sequence[Sequence[Value | str]],
-) -> tuple[list[tuple[int, ...]], int] | None:
-    """The rows of an EXACT matrix as tuples of ints over the least common
-    denominator D of its entries, with D; None when D has more than
-    ``_MAX_DENOMINATOR_BITS`` bits.
-
-    Rows of "p" and "p/q" digit strings go through one table of tails for
-    the whole matrix (see :func:`_digit_row`), so each distinct tail is
-    read once, and each row is scaled by tail -> D // q straight into its
-    tuple, D being the lcm of the denominators met so far.  Any other row
-    is read an entry at a time (see :func:`_entry_parts`).  A row scaled
-    to an earlier D is brought up to the final one at the end, by one
-    product per entry."""
-    tails: dict[str, int] = {}  # Each tail met, and its q.
-    scale: dict[str, int] = {}  # Tails met since D last grew, and D // q.
-    den = 1
-    rows = []
-    scaled_to = []  # The D each row was scaled to.
+def _exact_parts(
+    matrix: Sequence[Sequence[Value | str]], tails: dict[str, int]
+) -> Iterator[tuple[Sequence[int], Sequence[str | int]]]:
+    """The rows of an EXACT matrix as :func:`_scaled` reads them, one row
+    at a time: a row of "p" and "p/q" digit strings (a document's) by its
+    written tails (see :func:`_digit_row`), a row of nonnegative ints (not
+    bools) and Fractions by its denominators, both read a whole row at a
+    time, and any other row through the value rule an entry at a time, so
+    that the first bad entry is named."""
     for i, row in enumerate(matrix):
-        parts = _digit_row(row, tails)
-        if parts is None:
-            num, dens = _entry_parts(row, i)
-            ends = ()
-        else:
-            num, ends = parts
-            try:
-                rows.append(tuple(map(mul, num, map(scale.__getitem__, ends))))
-                scaled_to.append(den)
+        if type(row[0]) is str:
+            parts = _digit_row(row, tails)
+            if parts is not None:
+                yield parts
                 continue
-            except KeyError:
-                dens = list(map(tails.__getitem__, ends))
-        met = den
-        for q in set(dens):
-            met = math.lcm(met, q)
-            if met.bit_length() > _MAX_DENOMINATOR_BITS:
-                return None
-        if met != den:
-            den, scale = met, {}
-        factors = list(map(floordiv, repeat(den), dens))
-        scale.update(zip(ends, factors))
-        rows.append(tuple(map(mul, num, factors)))
-        scaled_to.append(den)
-    for i, d in enumerate(scaled_to):
-        if d != den:
-            rows[i] = tuple(map(mul, rows[i], repeat(den // d)))
-    return rows, den
-
-
-def _exact_rows(
-    matrix: Sequence[Sequence[Value | str]],
-) -> tuple[list[Sequence[Value]], int | None]:
-    """The rows of an EXACT matrix as ints over one common denominator D,
-    with D, or as Fractions, with None, when D would have more than
-    ``_MAX_DENOMINATOR_BITS`` bits.
-
-    A matrix of nonnegative ints (not bools) and Fractions is read a row
-    at a time (see :func:`_over_common_denominator`); any other, a
-    document's among them, goes through :func:`_scaled_rows`.  A matrix
-    whose first entry is a string skips the type pass.
-    """
-    if type(matrix[0][0]) is not str and _kinds(matrix) <= _RATIONAL:
-        nums = [list(map(_NUMERATOR, row)) for row in matrix]
-        if min(map(min, nums)) >= 0:
-            dens = [list(map(_DENOMINATOR, row)) for row in matrix]
-            scaled = _over_common_denominator(nums, dens)
-            if scaled is not None:
-                return scaled
-            return [list(map(Fraction, ra, rq)) for ra, rq in zip(nums, dens)], None
-    scaled = _scaled_rows(matrix)
-    if scaled is not None:
-        return scaled
-    # Past the bound: Fraction rows, read again an entry at a time.
-    return [list(map(Fraction, *_entry_parts(row, i))) for i, row in enumerate(matrix)], None
-
-
-def _entry_parts(row: Sequence[Value | str], i: int) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of row ``i`` of an EXACT matrix, read
-    an entry at a time: strings of ASCII digits, optionally over a nonzero
-    ASCII-digit denominator, directly, and every other entry through the
-    value rule, so it is accepted or rejected, with the same message, as
-    the rule alone would."""
-    num: list[int] = []
-    den: list[int] = []
-    for j, raw in enumerate(row):
-        if type(raw) is str:
-            a, slash, b = raw.partition("/")
-            # str.isdigit alone also admits digits int() rejects, like "²".
-            if a.isdigit() and a.isascii():
-                try:
-                    if not slash:
-                        num.append(int(a))
-                        den.append(1)
-                        continue
-                    if b.isdigit() and b.isascii():
-                        q = int(b)
-                        if q:
-                            num.append(int(a))
-                            den.append(q)
-                            continue
-                except ValueError:
-                    pass  # Past the int-string limit: the value rule names it.
-        v = _entry(raw, True, i, j)
-        num.append(v.numerator)
-        den.append(v.denominator)
-    return num, den
+        elif _RATIONAL.issuperset(map(type, row)):
+            num = list(map(_NUMERATOR, row))
+            if min(num) >= 0:
+                yield num, list(map(_DENOMINATOR, row))
+                continue
+        values = [_entry(raw, True, i, j) for j, raw in enumerate(row)]
+        yield list(map(_NUMERATOR, values)), list(map(_DENOMINATOR, values))
 
 
 def _matrix_space(
@@ -509,15 +448,15 @@ def from_matrix(
     n = len(pts)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"distance matrix must be {n}x{n}")
-    den = None
-    if not exact:
-        rows: Iterable[Iterable[Value]] = (
-            [_entry(raw, False, i, j) for j, raw in enumerate(row)]
-            for i, row in enumerate(matrix)
-        )
-    else:
-        rows, den = _exact_rows(matrix)
-    return _matrix_space(pts, rows, den, exact, t0, tolerance)
+    tails: dict[str, int] = {}
+    scaled = _scaled(_exact_parts(matrix, tails), tails) if exact else None
+    if scaled is not None:
+        return _matrix_space(pts, *scaled, exact, t0, tolerance)
+    # FLOAT, or past the bound: the values, an entry at a time.
+    rows = (
+        [_entry(raw, exact, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)
+    )
+    return _matrix_space(pts, rows, None, exact, t0, tolerance)
 
 
 def from_oracle(
@@ -622,9 +561,10 @@ def _first_triangle_violation(
     return None
 
 
-def _floyd_warshall(d: list[list[Value]]) -> list[list[Value]]:
-    """Floyd-Warshall on the values, one comparison per triple, in place:
-    the fallback of :func:`_packed_floyd_warshall`."""
+def _floyd_warshall(d: Sequence[Sequence[Value]]) -> list[list[Value]]:
+    """Floyd-Warshall on the values, one comparison per triple, on a copy
+    of the rows: the fallback of :func:`_packed_floyd_warshall`."""
+    d = [list(row) for row in d]
     for k, dk in enumerate(d):
         for row in d:
             dik = row[k]
@@ -756,8 +696,7 @@ def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int 
             if not isinstance(v, Number)
         )
         raise FieldError(f"d[{i}][{j}]", f"not a number: {v!r}")
-    scaled = _scaled_values(matrix, kinds)
-    d, den = scaled if scaled is not None else ([list(row) for row in matrix], None)
+    d, den = _scaled_values(matrix, kinds) or (matrix, None)
     w = _lane_width(d)
     return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
 

@@ -270,7 +270,9 @@ def test_fraction_closure_over_the_denominator_bound_takes_the_loop(monkeypatch)
     m = [[F(0), F(1, 3), F(5)], [F(9), F(0), F(1, 7)], [F(2, 5), F(9), F(0)]]
     monkeypatch.setattr(space_module, "_MAX_DENOMINATOR_BITS", 0)
     monkeypatch.setattr(space_module, "_packed_floyd_warshall", _no_packed)
+    before = [row[:] for row in m]
     got = minplus_closure(m)
+    assert m == before  # The loop relaxes a copy of the rows.
     assert got == _brute_force_closure(m) and all(type(v) is Fraction for r in got for v in r)
 
 

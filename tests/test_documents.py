@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from qpmetric import (
     from_oracle,
     linear,
     load_system,
+    minplus_closure,
     parse_system,
     random_weakly_contractive_system,
     rational_shrink,
@@ -540,12 +542,18 @@ def test_a_clean_document_is_read_a_row_at_a_time(monkeypatch):
 
     n = 200
     matrix = _clean_matrix(n)
-    monkeypatch.setattr(space_module, "_entry_parts", refuse)
     monkeypatch.setattr(space_module, "_entry", refuse)
     space = parse_system({"points": [f"p{i}" for i in range(n)], "d": matrix}).space
     assert all(
         space.d(f"p{i}", f"p{j}") == F(matrix[i][j]) for i in (0, 1, 199) for j in range(n)
     )
+    # Rows of ints and Fractions too: the closure of weights on the 1/8 grid.
+    rng = random.Random(40)
+    weights = [[F(0 if i == j else rng.randint(1, 64), 8) for j in range(40)] for i in range(40)]
+    closed = minplus_closure(weights)
+    space = from_matrix(range(40), closed)
+    assert space.den == 8
+    assert [[space.d(i, j) for j in range(40)] for i in range(40)] == closed
 
 
 def test_a_parsed_map_has_the_images_of_the_public_constructor():

@@ -315,26 +315,39 @@ rule_entries = st.one_of(
             min_size=n,
             max_size=n,
         )
-    )
+    ),
+    bits=st.sampled_from([None, 0, 6]),
 )
-def test_from_matrix_reads_entries_as_the_value_rule_does(m):
-    # Whole-row reads of ints and Fractions, the per-entry loop for the
-    # rest: same rows and denominator, or the same named error.
+def test_from_matrix_reads_entries_as_the_value_rule_does(m, bits):
+    # Whole-row reads of ints and Fractions and of digit strings, the
+    # per-entry loop for the rest: same rows and denominator, or the same
+    # named error.  Under a bound of ``bits`` on D every kind of row may
+    # outgrow it, and the matrix then holds the values as Fractions.
     points = [f"p{i}" for i in range(len(m))]
-    try:
-        want = _reference_int_rows(m)
-    except space_module.FieldError as exc:
-        with pytest.raises(space_module.FieldError) as got:
-            from_matrix(points, m)
-        assert (got.value.field, got.value.message) == (exc.field, exc.message)
+    with pytest.MonkeyPatch.context() as patch:
+        if bits is not None:
+            patch.setattr(space_module, "_MAX_DENOMINATOR_BITS", bits)
+        try:
+            rows, den = _reference_int_rows(m)
+        except space_module.FieldError as exc:
+            with pytest.raises(space_module.FieldError) as got:
+                from_matrix(points, m)
+            assert (got.value.field, got.value.message) == (exc.field, exc.message)
+            return
+        space = from_matrix(points, m)
+    if space.den is None:
+        # D is a multiple of den: a "p/q" string may keep its written q.
+        assert bits is not None
+        assert [list(row) for row in space.rows] == [[F(v, den) for v in row] for row in rows]
+        assert all(type(v) is F for row in space.rows for v in row)
         return
-    space = from_matrix(points, m)
+    assert bits is None or space.den.bit_length() <= bits
     assert all(type(v) is int for row in space.rows for v in row)
-    rows, den = want
     if all(type(v) is not str for row in m for v in row):
-        assert ([list(row) for row in space.rows], space.den) == want
+        assert ([list(row) for row in space.rows], space.den) == (rows, den)
     else:
         # A "p/q" string keeps its written denominator, say 8 in "06/8".
+        assert space.den % den == 0
         assert [[F(v, space.den) for v in row] for row in space.rows] == [
             [F(v, den) for v in row] for row in rows
         ]
