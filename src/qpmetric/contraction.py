@@ -23,25 +23,27 @@ broken by universe order (the step greedy ``solve`` takes), and a
 violation reports the smallest-index x with no admissible candidate.
 
 One scan (:class:`_Scan`) serves the verifier, the enumerators and the
-solver on every space.  On a finite space it resolves each point's image
-to sorted universe positions, lazily, and keeps defects in a list indexed
-by position.  A space with stored rows (see :mod:`qpmetric.space`) shares
-these per (space, map): every call on the same space and map reuses the
-image positions and each mode's defect vector, so an image is resolved and
-a defect computed once however many calls ask.  Stored rows are read a
-whole image at a time, and a SYMMETRIC defect there is the larger of the
-FORWARD and DUAL ones.  Other spaces are
-read through ``d`` and resolved afresh by every call, so a user oracle sees
-the same calls on every run.  Two threads may fill one shared slot twice,
-always with the same value.  A defect stays in the rows' scale until it is
-handed out as the value ``d`` would give.  The admissibility test in that
-scale is :meth:`ComparisonFunction.bound_test`.  SYMMETRIC admits y when
-FORWARD and DUAL both do.
+solver on every space, with one candidate loop.  It reads the defect of
+every candidate in F(x) first, and then d(x, y) or d(y, x) only for the
+candidate it tests, so a scan that stops at the first admissible candidate
+reads no distance past it.  On a finite space it resolves each image to
+sorted universe positions, lazily, and keeps one defect list per mode,
+indexed by position.  A space with stored rows (see :mod:`qpmetric.space`)
+shares these per (space, map), so an image is resolved and a defect
+computed once however many calls ask; it is read a whole image at a time.
+Other spaces are read through ``d`` and resolved afresh by every call, so
+a user oracle sees the same calls on every run.  Two threads may fill one
+shared slot twice, always with the same value.  A SYMMETRIC defect is the
+larger of the FORWARD and DUAL ones, and SYMMETRIC admits y when both
+modes do.  A defect stays in the rows' scale until it is handed out as the
+value ``d`` would give; the admissibility test in that scale is
+:meth:`ComparisonFunction.bound_test`.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -179,37 +181,14 @@ def _value(space: QSpace, v: Value) -> Value:
     return v if space.den is None else Fraction(v, space.den)
 
 
-class _Resolution:
-    """What scans learn of one map on one finite space, filled slot by slot
-    as they need it: the sorted universe positions of each image
-    (``images``) and each mode's defect vector (``defects``).  It holds
-    neither the space nor the map, so a stored-rows space keeps it under
-    the map's weak key (``QSpace.resolved``) without keeping either
-    alive."""
-
-    __slots__ = ("images", "defects")
-
-    def __init__(self, n: int) -> None:
-        self.images: list[list[int] | None] = [None] * n
-        self.defects: dict[ContractionMode, list] = {}
-
-    def defects_of(self, mode: ContractionMode) -> list:
-        """The mode's defect vector; a slot not yet computed is ``_MISSING``."""
-        v = self.defects.get(mode)
-        if v is None:
-            v = self.defects.setdefault(mode, [_MISSING] * len(self.images))
-        return v
-
-
 class _Scan:
     """One run's admissibility scan (see the module docstring), in the
-    scale of the stored rows (see :func:`_value`).  On a stored-rows space
-    it shares the space's :class:`_Resolution` of F; any other finite space
-    gets a fresh one, and a space without a universe keeps its defects in a
-    dict keyed by point.  An image point outside the universe is a
-    ValueError naming it, raised when that image is first needed and before
-    any distance to it is read; the failed slot stays empty, so every later
-    scan that needs it raises again."""
+    scale of the stored rows (see :func:`_value`).  Its state, shared on a
+    stored-rows space under the map's weak key (``QSpace.resolved``), is
+    each image's sorted universe positions and one defect list per mode,
+    keyed by point on a space without a universe.  An image point outside
+    the universe is a ValueError naming it, raised before any distance to
+    it is read; its slot stays empty, so every later scan raises again."""
 
     def __init__(
         self,
@@ -223,14 +202,25 @@ class _Scan:
         self.backward = mode is not ContractionMode.FORWARD
         self.within = None if gamma is None else gamma.bound_test(space.den, space.leq, space.exact)
         memo = space.resolved
-        shared = None if memo is None else memo.get(F)
-        if shared is None:
-            shared = _Resolution(0 if space.points is None else len(space.points))
+        state = None if memo is None else memo.get(F)
+        if state is None:
+            state = (None if space.points is None else [None] * len(space.points), {})
             if memo is not None:
-                shared = memo.setdefault(F, shared)
-        self.shared, self.images = shared, shared.images
-        self.defects = shared.defects_of(mode)
-        self.cache: dict[Point, Value] = {}
+                state = memo.setdefault(F, state)
+        self.images, self.slots = state
+        self.defects = self.slots_of(mode)
+        if mode is ContractionMode.SYMMETRIC:
+            # The lists of the FORWARD and DUAL scans, whose max this reads.
+            self.sides = [self.slots_of(m) for m in (ContractionMode.FORWARD, ContractionMode.DUAL)]
+
+    def slots_of(self, mode: ContractionMode) -> list | defaultdict:
+        """The mode's defect slots; one not yet filled reads ``_MISSING``."""
+        v = self.slots.get(mode)
+        if v is None:
+            images = self.images
+            fresh = defaultdict(lambda: _MISSING) if images is None else [_MISSING] * len(images)
+            v = self.slots.setdefault(mode, fresh)
+        return v
 
     def positions(self, i: int, image: tuple[Point, ...] | None = None) -> list[int]:
         """The universe positions of the image of the i-th point, sorted;
@@ -247,109 +237,88 @@ class _Scan:
             self.images[i] = js
         return js
 
-    def side(self, i: int, mode: ContractionMode) -> Value:
-        """The FORWARD or DUAL defect of the i-th point, read from the
-        stored rows a whole image at a time."""
-        defects = self.shared.defects_of(mode)
+    def side(self, i: Point, mode: ContractionMode, defects: list | defaultdict) -> Value:
+        """The FORWARD or DUAL defect at slot i of that mode's ``defects``:
+        read from the stored rows a whole image at a time, or through ``d``."""
         v = defects[i]
         if v is _MISSING:
-            js = self.positions(i)
-            # A tuple of the image's entries even for a one-point image.
-            pick = itemgetter(js[0], *js)
-            rows = self.space.rows
-            # Stored rows hold no NaN, so builtin max is exact here.
-            if mode is ContractionMode.FORWARD:
-                v = max(pick(rows[i]))
+            space, rows = self.space, self.space.rows
+            if rows is None:
+                x = i if space.points is None else space.points[i]
+                image = self.F(x)
+                if space.points is not None:
+                    self.positions(i, image)
+                v = _image_defect(space, x, image, mode)
             else:
-                v = max(map(itemgetter(i), pick(rows)))
+                js = self.positions(i)
+                # A tuple of the image's entries even for a one-point image.
+                pick = itemgetter(js[0], *js)
+                # Stored rows hold no NaN, so builtin max is exact here.
+                forward = mode is ContractionMode.FORWARD
+                v = max(pick(rows[i]) if forward else map(itemgetter(i), pick(rows)))
             defects[i] = v
         return v
 
-    def at(self, i: int) -> Value:
-        """The defect of the i-th point of the universe."""
+    def at(self, i: Point) -> Value:
+        """The defect at slot i: the i-th point of a finite universe, or
+        the point i of a space without one."""
         v = self.defects[i]
         if v is _MISSING:
-            if self.space.rows is None:
-                x = self.space.points[i]
-                image = self.F(x)
-                self.positions(i, image)
-                v = _image_defect(self.space, x, image, self.mode)
-            elif self.mode is ContractionMode.SYMMETRIC:
-                # The entrywise max of the FORWARD and DUAL vectors, which
-                # the scans of those modes share; builtin max is exact here.
-                v = max(self.side(i, ContractionMode.FORWARD), self.side(i, ContractionMode.DUAL))
-            else:
-                v = self.side(i, self.mode)
-            self.defects[i] = v
+            if self.mode is not ContractionMode.SYMMETRIC:
+                return self.side(i, self.mode, self.defects)
+            # The larger side, or the first NaN, as _image_defect gives.
+            f = self.side(i, ContractionMode.FORWARD, self.sides[0])
+            b = self.side(i, ContractionMode.DUAL, self.sides[1])
+            v = self.defects[i] = f if f != f else b if b != b else max(f, b)
         return v
 
     def defect(self, x: Point) -> Value:
         """The defect of the point x."""
         order = self.space.order
-        if order is not None:
-            return self.at(order[x])
-        v = self.cache.get(x, _MISSING)
-        if v is _MISSING:
-            v = self.cache[x] = _image_defect(self.space, x, self.F(x), self.mode)
-        return v
+        return self.at(x if order is None else order[x])
 
     def vector(self) -> list[Value]:
         """The defect of every point of a finite universe, in its order."""
         return list(map(self.at, range(len(self.defects))))
 
-    def admissible(
-        self, x: Point, by_defect: bool = False
-    ) -> Iterator[tuple[Point, Value, Value]]:
+    def admissible(self, x: Point, by_defect: bool = False) -> Iterator[tuple[Point, Value, Value]]:
         """The (candidate, defect, distance) triples of F(x) that satisfy
         the mode's inequality, in universe order on a finite space and in
         image order otherwise; with ``by_defect``, in (defect, that order)
         order, so the first is the one a ``min`` by defect picks.  The
         distance is d(y, x) in DUAL mode and d(x, y) otherwise.
 
-        Every candidate's defect is read before the first triple comes.
-        Stored rows are then tested lazily, one candidate per triple taken,
-        reading an entry only when the mode tests it; a space without rows
-        reads d(x, y), and d(y, x) as the mode needs, for every y first."""
-        space, within = self.space, self.within
-        forward, backward = self.forward, self.backward
+        Every candidate's defect is read first, and a NaN one, which admits
+        nothing, is dropped.  The rest are tested one per triple taken, each
+        reading d(x, y) or d(y, x), from the rows or through ``d``, only as
+        the mode tests it."""
+        space, within, forward = self.space, self.within, self.forward
+        both = forward and self.backward
         rows, order, points = space.rows, space.order, space.points
-        if rows is not None:
-            i = order[x]
-            js, defects = self.positions(i), self.defects
-            for j in js:
-                if defects[j] is _MISSING:
-                    self.at(j)
-            if by_defect:
-                # A stable sort: equal defects stay in universe order.
-                js = sorted(js, key=defects.__getitem__)
-            row, both = rows[i], forward and backward
-            for j in js:
-                Y = defects[j]
+        defects = self.defects
+        i = x if order is None else order[x]
+        js = self.F(x) if order is None else self.positions(i)
+        for j in js:
+            if defects[j] is _MISSING:
+                self.at(j)
+        if rows is None:
+            # Only d gives a NaN; dropping it keeps the sort below total.
+            js = [j for j in js if defects[j] == defects[j]]
+        if by_defect:
+            # A stable sort: equal defects stay in universe order.
+            js = sorted(js, key=defects.__getitem__)
+        row = None if rows is None else rows[i]
+        for j in js:
+            Y = defects[j]
+            if rows is None:
+                y, d = j if points is None else points[j], space.d
+                T = d(x, y) if forward else d(y, x)
+                if within(Y, T) and (not both or within(Y, d(y, x))):
+                    yield y, Y, T
+            else:
                 T = row[j] if forward else rows[j][i]
                 if within(Y, T) and (not both or within(Y, rows[j][i])):
                     yield points[j], Y, T
-            return
-        d = space.d
-        if order is None:
-            keyed: list[tuple[Point, Point]] = [(y, y) for y in self.F(x)]
-            defect = self.defect
-        else:
-            keyed = [(j, points[j]) for j in self.positions(order[x])]
-            defect = self.at
-        found = []
-        T = S = None
-        for key, y in keyed:
-            Y = defect(key)
-            if forward:
-                T = d(x, y)
-            if backward:
-                S = d(y, x)
-            if (not forward or within(Y, T)) and (not backward or within(Y, S)):
-                found.append((y, Y, T if forward else S))
-        if by_defect:
-            # NaN defects are never admissible, so the sort is total.
-            found.sort(key=itemgetter(1))
-        yield from found
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,6 @@ class DocumentError(FieldError):
     """Malformed document; ``field`` names the offending entry."""
 
 
-_STR = frozenset({str})
-
-
 def encode_value(v: Value, exact: bool) -> str | float:
     if isinstance(v, float) and not math.isfinite(v):
         # JSON has no token for the extended values a user oracle may return.
@@ -240,15 +237,17 @@ def parse_system(
                 raise DocumentError(f"F.{x}", "not a point of the space")
             if not isinstance(image, list) or not image:
                 raise DocumentError(f"F.{x}", "image must be a nonempty list")
-            # Whole-image checks; the loops only name the offending member.
-            if not _STR.issuperset(map(type, image)) and any(
-                not isinstance(y, str) for y in image
-            ):
-                raise DocumentError(f"F.{x}", "image point ids must be strings")
-            members = set(image)
-            if len(members) != len(image):
-                raise DocumentError(f"F.{x}", "image contains duplicates")
-            if not universe.issuperset(members):
+            # Point ids are strings, so a member that is not one fails set()
+            # or the universe test; only then do the loops name the member.
+            try:
+                members = set(image)
+            except TypeError:
+                members = set()
+            if len(members) != len(image) or not universe.issuperset(members):
+                if any(not isinstance(y, str) for y in image):
+                    raise DocumentError(f"F.{x}", "image point ids must be strings")
+                if len(members) != len(image):
+                    raise DocumentError(f"F.{x}", "image contains duplicates")
                 stray = next(y for y in image if y not in universe)
                 raise DocumentError(f"F.{x}", f"image point {stray!r} is not in the space")
             images[x] = tuple(image)

@@ -128,10 +128,10 @@ class QSpace:
     ``rows``, index-addressed by ``order``: ints over the common
     denominator ``den`` (d(x, y) = rows[i][j] / den), or, when ``den`` is
     None, the values ``d`` returns.  Such a space also keeps, in
-    ``resolved``, what the scans of :mod:`qpmetric.contraction` learn of
-    each set-valued map on it, keyed weakly by the map.  Other spaces, and
-    any space rebuilt with :func:`dataclasses.replace`, have none of the
-    three and are read through ``d``.
+    ``resolved``, each scanned map's image positions and one defect list
+    per mode, keyed weakly by the map (see :mod:`qpmetric.contraction`).
+    Other spaces, and any space rebuilt with :func:`dataclasses.replace`,
+    have none of the three; they are read through ``d``, afresh per scan.
     """
 
     d: Callable[[Point, Point], Value]

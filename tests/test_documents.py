@@ -112,6 +112,10 @@ class TestParsing:
             (["not", "an", "object"], "document"),
             ({"F": ["a"]}, "F"),
             ({"gamma": {"kind": "user", "table": [["1"]]}}, "gamma.table[0]"),
+            ({"F": {"a": ["a", 1, 1], "b": ["a"]}}, "F.a"),
+            ({"F": {"a": ["a", "a", "zz"], "b": ["a"]}}, "F.a"),
+            ({"F": {"a": [["b"]], "b": ["a"]}}, "F.a"),
+            ({"F": {"a": [True], "b": ["a"]}}, "F.a"),
         ],
     )
     def test_malformed_fields_are_named(self, mutation, field):
@@ -578,3 +582,21 @@ def test_a_stray_image_member_is_named_in_image_order():
     with pytest.raises(DocumentError) as err:
         parse_system(doc)
     assert (err.value.field, err.value.message) == ("F.a", "image point 'y' is not in the space")
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (["a", 1, 1], "image point ids must be strings"),
+        (["zz", 1], "image point ids must be strings"),
+        ([["b"]], "image point ids must be strings"),
+        ([True], "image point ids must be strings"),
+        (["a", "a", "zz"], "image contains duplicates"),
+        (["zz", "a", "a"], "image contains duplicates"),
+    ],
+)
+def test_an_image_names_a_non_string_then_a_repeat_then_a_stray(image, message):
+    doc = _doc(F={"a": image, "b": ["b"]})
+    with pytest.raises(DocumentError) as err:
+        parse_system(doc)
+    assert (err.value.field, err.value.message) == ("F.a", message)

@@ -21,6 +21,7 @@ from qpmetric import (
     SolverConfig,
     Status,
     Step,
+    admissibility_bound,
     admissible_candidates,
     conjugate,
     dyadic_halving_system,
@@ -31,6 +32,7 @@ from qpmetric import (
     from_matrix,
     from_oracle,
     linear,
+    mode_defect,
     random_weakly_contractive_system,
     solve,
     user_function,
@@ -480,14 +482,17 @@ def _staircase(length, point=F):
 
 def test_oracle_call_counts_on_a_staircase():
     # Oracle calls are deterministic, so they gate regressions: the Cauchy
-    # table reads each pair k <= n of the orbit once, and solve reads
-    # d(x, y) and the candidate's defect once per candidate.
+    # table reads each pair k <= n of the orbit once, and solve reads each
+    # candidate's defect once and d(x, y) only for the candidates it tests.
+    # The start's defect takes 3 reads; each step then reads its decoys'
+    # defects (1 each) and the next orbit point's (3, or 1 for the last),
+    # and d(x, y) for that point alone, which greedy solve tests first.
     L = 40
     d, universe, images, xs, calls = _staircase(L)
     space, Fm = from_oracle(d, points=universe, t0=True), SetValuedMap(images)
     gamma = linear(F(1, 2))
     trace = solve(space, Fm, gamma, ONE)
-    assert calls[0] == 321
+    assert calls[0] == 3 + (L - 1) * 6 + 4 == 241
     assert trace.outcome == Outcome(Status.CONVERGED, xs[L], ZERO)
     assert [s.y for s in trace.steps] == xs[1:]
     calls[0] = 0
@@ -572,9 +577,47 @@ def test_point_hash_counts_of_an_endpoint_solve_after_a_dual_verify():
     assert [s.y for s in trace.steps] == [counting(4)]
 
 
+def test_a_nan_defect_among_tied_candidates_keeps_universe_order():
+    # F(0) holds, in universe order: 2, inadmissible with the least defect
+    # (1/4 against a bound of 1/8); 6, admissible with defect 1/2; 7, whose
+    # defect is NaN; and 9, admissible with the same defect as 6.  A set of
+    # the positions {2, 6, 9} iterates 9, 2, 6, so a NaN drop through a set
+    # would put 9 ahead of its tie.  The oracle is symmetric, so every mode
+    # sees the same candidates; 7 admits 10, so verify certifies the space.
+    # No distance between 0 and 7 is read: a NaN defect admits nothing.
+    near = {(0, 2): F(1, 4), (2, 3): F(1, 4), (4, 6): F(1, 2), (4, 9): F(1, 2), (7, 8): math.nan}
+    read = set()
+
+    def d(x, y):
+        read.add((x, y))
+        return 0 if x == y else near.get((min(x, y), max(x, y)), ONE)
+
+    images = {x: (x,) for x in range(12)}
+    images.update({0: (2, 6, 7, 9), 2: (3,), 6: (4,), 7: (8, 10), 9: (4,)})
+    space, Fm, gamma = from_oracle(d, points=range(12)), SetValuedMap(images), linear(F(1, 2))
+    for mode, solve_mode in zip(ContractionMode, SolveMode):
+        brute = [
+            (y, mode_defect(space, y, Fm, mode))
+            for y in Fm(0)
+            if space.leq(mode_defect(space, y, Fm, mode), admissibility_bound(space, gamma, mode, 0, y))
+        ]
+        assert brute == [(6, F(1, 2)), (9, F(1, 2))]
+        best = min(brute, key=lambda pair: pair[1])
+        read.clear()
+        assert admissible_candidates(space, Fm, gamma, 0, mode) == brute
+        assert read.isdisjoint({(0, 7), (7, 0)})
+        assert verify_weak_contraction(space, Fm, gamma, mode).witnesses[0] == best[0]
+        for selection, want in ((Selection.GREEDY_MIN_DEFECT, best), (Selection.FIRST_ADMISSIBLE, brute[0])):
+            config = SolverConfig(mode=solve_mode, selection=selection, max_iterations=1)
+            step = solve(space, Fm, gamma, 0, config).steps[0]
+            assert (step.x, step.y, step.defect, step.d) == (0, *want, ONE)
+
+
 def test_oracle_call_counts_on_the_truncated_dyadic_system():
     # Counts per FORWARD/DUAL/SYMMETRIC (STARTPOINT/ENDPOINT/FIXEDPOINT for
-    # solve) when this gate was set; they are deterministic.
+    # solve); they are deterministic.  Verify and solve stop at the first
+    # admissible candidate, so they read no distance to the candidates
+    # after it, and SYMMETRIC reads d(y, x) only where d(x, y) admits y.
     inner, Fm, gamma = dyadic_halving_truncated(12)
     calls = [0]
 
@@ -592,15 +635,17 @@ def test_oracle_call_counts_on_the_truncated_dyadic_system():
     modes = list(ContractionMode)
     enumerators = (enumerate_startpoints, enumerate_endpoints, enumerate_fixed_points)
     assert [count(lambda: verify_weak_contraction(space, Fm, gamma, m)) for m in modes] == [
-        50,
-        50,
-        100,
+        38,
+        38,
+        76,
     ]
     assert [count(lambda: fn(space, Fm)) for fn in enumerators] == [26, 26, 52]
     configs = [SolverConfig(mode=m) for m in SolveMode]
-    assert [count(lambda: solve(space, Fm, gamma, ONE, c)) for c in configs] == [7, 7, 14]
+    assert [count(lambda: solve(space, Fm, gamma, ONE, c)) for c in configs] == [6, 6, 12]
+    firsts = [SolverConfig(mode=m, selection=Selection.FIRST_ADMISSIBLE) for m in SolveMode]
+    assert [count(lambda: solve(space, Fm, gamma, ONE, c)) for c in firsts] == [7, 7, 13]
     traces = [solve(space, Fm, gamma, ONE, c) for c in configs]
     assert [count(lambda: validate_trace(t, gamma)) for t in traces] == [3, 3, 3]
     assert [
         count(lambda: admissible_candidates(space, Fm, gamma, ONE, m)) for m in modes
-    ] == [5, 5, 10]
+    ] == [5, 5, 9]
