@@ -15,18 +15,11 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import corpus, documents
+from . import contraction, corpus, documents
 from .comparison import linear, verify_gamma1
-from .contraction import (
-    ContractionMode,
-    enumerate_endpoints,
-    enumerate_fixed_points,
-    enumerate_startpoints,
-    verify_weak_contraction,
-    Violation,
-)
+from .contraction import ContractionMode, Violation, verify_weak_contraction
 from .documents import DocumentError
-from .solver import Selection, SolveMode, SolverConfig, Status, solve
+from .solver import Selection, SolverConfig, Status, solve
 from .space import DEFAULT_TOLERANCE, FieldError, Value, check_axioms
 
 _ENV_TOLERANCE = "QPM_TOLERANCE"
@@ -46,6 +39,11 @@ def _env_tolerance() -> float:
 
 def _value(v) -> str:
     return str(Fraction(v)) if isinstance(v, (Fraction, int)) else repr(v)
+
+
+def _seeking(point: str) -> ContractionMode:
+    """The mode whose points are named ``point`` in ``contraction._POINT_NAMES``."""
+    return next(mode for mode, name in contraction._POINT_NAMES.items() if name == point)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -124,7 +122,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.max_iter < 1:
         raise DocumentError("--max-iter", "max_iterations must be positive")
     config = SolverConfig(
-        mode=SolveMode(args.mode),
+        mode=_seeking(args.mode),
         tolerance=tol,
         max_iterations=args.max_iter,
         selection=Selection(args.select),
@@ -164,16 +162,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-_ENUMERATORS = {
-    "startpoints": enumerate_startpoints,
-    "endpoints": enumerate_endpoints,
-    "fixedpoints": enumerate_fixed_points,
-}
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     system = _system(args, gamma=False)
-    found = _ENUMERATORS[args.what](system.space, system.map)
+    found = contraction._enumerate(system.space, system.map, _seeking(args.what[:-1]))
     for point in found:
         print(point)
     return 0 if found else 1
@@ -209,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="iterate toward a startpoint/endpoint/fixed point")
     p.add_argument("path")
-    p.add_argument("--mode", choices=[m.value for m in SolveMode], default="startpoint")
+    p.add_argument("--mode", choices=list(contraction._POINT_NAMES.values()), default="startpoint")
     p.add_argument("--from", dest="start", required=True, metavar="POINT")
     p.add_argument("--tol", default=None, help="termination tolerance (rational)")
     p.add_argument("--max-iter", type=int, default=10_000)
@@ -226,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="brute-force startpoints/endpoints/fixed points")
     p.add_argument("path")
-    p.add_argument("--what", choices=sorted(_ENUMERATORS), default="startpoints")
+    whats = sorted(name + "s" for name in contraction._POINT_NAMES.values())
+    p.add_argument("--what", choices=whats, default="startpoints")
     add_float(p)
     p.set_defaults(fn=cmd_enumerate)
 

@@ -119,17 +119,29 @@ def fixed_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
 
 
 class ContractionMode(enum.Enum):
-    """Which weak-contraction inequality to check.
+    """Which weak-contraction inequality to check, and which points to seek.
 
     FORWARD bounds the startpoint defect of the witness by
     d(x, y) - gamma(d(x, y)); DUAL bounds the endpoint defect by
     d(y, x) - gamma(d(y, x)); SYMMETRIC bounds the symmetrized defect by
-    the minimum of both right-hand sides.
+    the minimum of both right-hand sides.  STARTPOINT, ENDPOINT and
+    FIXEDPOINT are aliases of the three, named for the points they seek.
     """
 
     FORWARD = "forward"
     DUAL = "dual"
     SYMMETRIC = "symmetric"
+    STARTPOINT = "forward"
+    ENDPOINT = "dual"
+    FIXEDPOINT = "symmetric"
+
+
+#: The points each mode seeks, as the CLI and trace documents spell them.
+_POINT_NAMES = {
+    ContractionMode.FORWARD: "startpoint",
+    ContractionMode.DUAL: "endpoint",
+    ContractionMode.SYMMETRIC: "fixedpoint",
+}
 
 
 def _image_defect(
@@ -197,6 +209,8 @@ class _Scan:
         mode: ContractionMode,
         gamma: ComparisonFunction | None = None,
     ) -> None:
+        if not isinstance(mode, ContractionMode):
+            raise TypeError(f"mode must be a ContractionMode, got {mode!r}")
         self.space, self.F, self.mode = space, F, mode
         self.forward = mode is not ContractionMode.DUAL
         self.backward = mode is not ContractionMode.FORWARD

@@ -13,7 +13,7 @@ space, optionally with a set-valued map and a comparison function:
       "gamma": {"kind": "linear", "c": "1/2"}
                | {"kind": "rational_shrink"}
                | {"kind": "user", "table": [[t, gt], ...]},
-      "meta": {...}                         optional free-form metadata
+      "meta": {...}                         optional free-form object
     }
 
 In EXACT mode distance entries are rationals, written as "p/q" strings
@@ -39,8 +39,8 @@ without normalizing them again.
 
 Iteration traces serialize one way (they are outputs):
 
-    {"mode": ..., "start": ..., "initial_defect": ...,
-     "steps": [{"n", "x", "y", "d", "gamma_d", "defect"}, ...],
+    {"mode": "startpoint" | "endpoint" | "fixedpoint", "start": ...,
+     "initial_defect": ..., "steps": [{"n", "x", "y", "d", "gamma_d", "defect"}, ...],
      "outcome": {"status", "point", "defect", "steps", "cycle"}}
 
 with rational strings in EXACT mode and points rendered with ``str``.
@@ -62,7 +62,7 @@ from operator import floordiv
 from typing import Any, Mapping, Sequence
 
 from .comparison import ComparisonFunction, linear, rational_shrink, user_table
-from .contraction import SetValuedMap
+from .contraction import _POINT_NAMES, SetValuedMap
 from .solver import IterationTrace
 from .space import (
     DEFAULT_TOLERANCE,
@@ -258,6 +258,8 @@ def parse_system(
         smap = SetValuedMap._of_images(images)
 
     gamma = _parse_gamma(doc["gamma"]) if "gamma" in doc else None
+    if "meta" in doc and not isinstance(doc["meta"], dict):
+        raise DocumentError("meta", "expected an object")
     return System(space=space, map=smap, gamma=gamma, meta=doc.get("meta"))
 
 
@@ -391,7 +393,7 @@ def trace_document(trace: IterationTrace) -> dict[str, Any]:
     exact = trace.space.exact if trace.space is not None else True
     enc = lambda v: encode_value(v, exact)  # noqa: E731
     return {
-        "mode": trace.mode.value,
+        "mode": _POINT_NAMES[trace.mode],
         "start": str(trace.start),
         "initial_defect": enc(trace.initial_defect),
         "steps": [

@@ -22,11 +22,12 @@ the current point drops to the configured tolerance (exactly zero in EXACT
 mode with tolerance 0), which is the conclusion the iteration is after.
 Limit detection over infinite orbits is out of scope.
 
-ENDPOINT mode runs the DUAL inequality, defect(y) <= d(y, x_n) -
-gamma(d(y, x_n)) with the defect H(Fx, {x}), on the input space.  That is
-FORWARD on the conjugate space with ties broken by the same universe
-positions, so its traces coincide step for step, and its oracle calls call
-for call, with STARTPOINT traces there.
+A run's mode is a :class:`ContractionMode` (``SolveMode`` names it too), so
+ENDPOINT, an alias of DUAL, runs defect(y) <= d(y, x_n) - gamma(d(y, x_n))
+with the defect H(Fx, {x}) on the input space.  That is FORWARD on the
+conjugate space with ties broken by the same universe positions, so its
+traces coincide step for step, and its oracle calls call for call, with
+STARTPOINT traces there.
 
 Choice of candidate is configurable but always restricted to admissible
 ones; the existential form of the contraction condition guarantees nothing
@@ -46,10 +47,8 @@ from .contraction import ContractionMode, SetValuedMap, _Scan, _value
 from .space import INFINITY, Point, QSpace, Value, _max_keeping_nan
 
 
-class SolveMode(enum.Enum):
-    STARTPOINT = "startpoint"
-    ENDPOINT = "endpoint"
-    FIXEDPOINT = "fixedpoint"
+#: The solver's name for :class:`ContractionMode`, the one mode type.
+SolveMode = ContractionMode
 
 
 class Selection(enum.Enum):
@@ -66,17 +65,9 @@ class Selection(enum.Enum):
     FIRST_ADMISSIBLE = "first"
 
 
-#: Solve modes map onto the contraction inequality they enforce.
-_CONTRACTION_OF = {
-    SolveMode.STARTPOINT: ContractionMode.FORWARD,
-    SolveMode.ENDPOINT: ContractionMode.DUAL,
-    SolveMode.FIXEDPOINT: ContractionMode.SYMMETRIC,
-}
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: SolveMode = SolveMode.STARTPOINT
+    mode: ContractionMode = ContractionMode.STARTPOINT
     tolerance: Value = 0
     max_iterations: int = 10_000
     selection: Selection = Selection.GREEDY_MIN_DEFECT
@@ -136,7 +127,7 @@ class IterationTrace:
     not serialized.
     """
 
-    mode: SolveMode
+    mode: ContractionMode
     start: Point
     initial_defect: Value
     steps: tuple[Step, ...]
@@ -209,7 +200,7 @@ def solve(
             stacklevel=2,
         )
 
-    scan = _Scan(space, F, _CONTRACTION_OF[config.mode], gamma)
+    scan = _Scan(space, F, config.mode, gamma)
     greedy = config.selection is Selection.GREEDY_MIN_DEFECT
 
     steps: list[Step] = []
@@ -357,7 +348,7 @@ def validate_trace(
     cauchy = None
     if space is not None:
         pts, d = trace.points, space.d
-        last, backward = len(pts) - 1, trace.mode is SolveMode.ENDPOINT
+        last, backward = len(pts) - 1, trace.mode is ContractionMode.DUAL
         # worst[s] is the largest d(x_k, x_n) (ENDPOINT: d(x_n, x_k)) over
         # s <= k <= n <= last, so the tail from s is eps-Cauchy exactly when
         # worst[s] < eps.  The diagonal is included: d(x, x) = 0 may fail.

@@ -147,6 +147,7 @@ class TestMalformedInput:
             ("d[0][1]", {"d": [["0", MANY_DIGITS], ["1", "0"]], "arithmetic": "float"}),
             ("gamma.c", {"gamma": {"kind": "linear", "c": "1e-4300"}}),
             ("gamma.table[0][0]", {"gamma": {"kind": "user", "table": [[MANY_DIGITS, "1"]]}}),
+            ("meta", {"meta": [["k", 1]]}),
         ],
     )
     @pytest.mark.parametrize("argv", [["check"], ["verify"], ["solve", "--from", "a"]])
@@ -265,6 +266,13 @@ class TestSolve:
         doc = json.loads(trace_path.read_text())
         assert doc["outcome"]["status"] == "converged"
         assert doc["steps"][0]["x"] == "1/2"
+
+    @pytest.mark.parametrize("mode", ["startpoint", "endpoint", "fixedpoint"])
+    def test_trace_mode_is_the_mode_flag(self, dyadic_doc, tmp_path, capsys, mode):
+        trace_path = tmp_path / "trace.json"
+        argv = ["solve", dyadic_doc, "--mode", mode, "--from", "1", "--trace", str(trace_path)]
+        assert run(capsys, *argv)[0] == 0
+        assert json.loads(trace_path.read_text())["mode"] == mode
 
     def test_unwritable_trace_is_named(self, dyadic_doc, tmp_path, capsys):
         trace_path = tmp_path / "missing" / "trace.json"

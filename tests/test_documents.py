@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import qpmetric.space as space_module
 from qpmetric import (
     INFINITY,
+    ContractionMode,
     DocumentError,
     GeneratorSeed,
     SetValuedMap,
@@ -116,6 +117,11 @@ class TestParsing:
             ({"F": {"a": ["a", "a", "zz"], "b": ["a"]}}, "F.a"),
             ({"F": {"a": [["b"]], "b": ["a"]}}, "F.a"),
             ({"F": {"a": [True], "b": ["a"]}}, "F.a"),
+            ({"meta": "ab"}, "meta"),
+            ({"meta": [1, 2]}, "meta"),
+            ({"meta": 7}, "meta"),
+            ({"meta": [["k", 1]]}, "meta"),
+            ({"meta": None}, "meta"),
         ],
     )
     def test_malformed_fields_are_named(self, mutation, field):
@@ -217,6 +223,19 @@ class TestTraceDocuments:
             "steps": 1,
             "cycle": False,
         }
+
+    @pytest.mark.parametrize(
+        "mode, name",
+        [
+            (ContractionMode.STARTPOINT, "startpoint"),
+            (ContractionMode.ENDPOINT, "endpoint"),
+            (ContractionMode.FIXEDPOINT, "fixedpoint"),
+        ],
+    )
+    def test_trace_mode_is_the_point_name(self, mode, name):
+        space, Fm, gamma = dyadic_halving_truncated(4)
+        trace = solve(space, Fm, gamma, F(1), SolverConfig(mode=mode))
+        assert trace_document(trace)["mode"] == name
 
     def test_violated_trace_document(self, swap_system):
         space, Fm, gamma = swap_system

@@ -39,6 +39,7 @@ from qpmetric import (
     validate_trace,
     verify_weak_contraction,
 )
+from qpmetric.solver import CheckResult
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
@@ -222,6 +223,31 @@ class TestSolve:
                 admissible_candidates(space, Fm, gamma, 5, mode)
         assert solve(space, Fm, gamma, 2).outcome.point == 0
 
+    def test_solve_modes_are_the_contraction_modes(self):
+        assert SolveMode is ContractionMode and len(ContractionMode) == 3
+        assert list(ContractionMode) == [
+            ContractionMode.STARTPOINT,
+            ContractionMode.ENDPOINT,
+            ContractionMode.FIXEDPOINT,
+        ]
+        assert SolveMode.STARTPOINT is ContractionMode.FORWARD
+        assert SolveMode.ENDPOINT is ContractionMode.DUAL
+        assert SolveMode.FIXEDPOINT is ContractionMode.SYMMETRIC
+        assert SolverConfig(mode=SolveMode.ENDPOINT) == SolverConfig(mode=ContractionMode.DUAL)
+        assert SolverConfig().mode is ContractionMode.FORWARD
+
+    def test_a_mode_that_is_not_a_contraction_mode_is_refused(self):
+        # A string would run a mix of the FORWARD and DUAL scans.
+        space, Fm, gamma = dyadic_halving_truncated(2)
+        runs = [
+            lambda: solve(space, Fm, gamma, ONE, SolverConfig(mode="startpoint")),
+            lambda: verify_weak_contraction(space, Fm, gamma, "forward"),
+            lambda: admissible_candidates(space, Fm, gamma, ONE, "dual"),
+        ]
+        for run in runs:
+            with pytest.raises(TypeError, match="mode must be a ContractionMode, got '"):
+                run()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tolerance=-1)
@@ -293,14 +319,19 @@ class TestValidateTrace:
         assert report.defects_monotone.first_failure == 2
 
     def test_partial_sum_bound_fails(self):
-        # d barely shrinks while gamma(d_1) = 1/2 exceeds d_1 - d_2 = 1/8.
         gamma = linear(F(1, 2))
-        trace = _hand_trace([ONE, F(7, 8)], [F(7, 8), F(3, 4)], initial=F(2))
-        report = validate_trace(trace, gamma)
-        assert report.steps_monotone.passed
-        assert report.defects_monotone.passed
-        assert not report.partial_sums.passed
-        assert report.partial_sums.first_failure == 3
+        cases = [
+            # d barely shrinks while gamma(d_1) = 1/2 exceeds d_1 - d_2 = 1/8.
+            ([ONE, F(7, 8)], [F(7, 8), F(3, 4)]),
+            # gamma(d_1) = 1/2 exceeds d_1 - d_2 = 2/5, but gamma(d_2) = 3/10
+            # does not: a sum that adds gamma(d_{n+1}) for gamma(d_n) passes.
+            ([ONE, F(3, 5)], [F(3, 5), F(1, 4)]),
+        ]
+        for ds, defects in cases:
+            report = validate_trace(_hand_trace(ds, defects, initial=F(2)), gamma)
+            assert report.steps_monotone.passed
+            assert report.defects_monotone.passed
+            assert report.partial_sums == CheckResult(False, 3)
 
     def test_gamma_recomputed_not_trusted(self):
         # Recorded gamma_d values are garbage; only recorded d matters.
@@ -595,7 +626,7 @@ def test_a_nan_defect_among_tied_candidates_keeps_universe_order():
     images = {x: (x,) for x in range(12)}
     images.update({0: (2, 6, 7, 9), 2: (3,), 6: (4,), 7: (8, 10), 9: (4,)})
     space, Fm, gamma = from_oracle(d, points=range(12)), SetValuedMap(images), linear(F(1, 2))
-    for mode, solve_mode in zip(ContractionMode, SolveMode):
+    for mode in ContractionMode:
         brute = [
             (y, mode_defect(space, y, Fm, mode))
             for y in Fm(0)
@@ -608,7 +639,7 @@ def test_a_nan_defect_among_tied_candidates_keeps_universe_order():
         assert read.isdisjoint({(0, 7), (7, 0)})
         assert verify_weak_contraction(space, Fm, gamma, mode).witnesses[0] == best[0]
         for selection, want in ((Selection.GREEDY_MIN_DEFECT, best), (Selection.FIRST_ADMISSIBLE, brute[0])):
-            config = SolverConfig(mode=solve_mode, selection=selection, max_iterations=1)
+            config = SolverConfig(mode=mode, selection=selection, max_iterations=1)
             step = solve(space, Fm, gamma, 0, config).steps[0]
             assert (step.x, step.y, step.defect, step.d) == (0, *want, ONE)
 
