@@ -23,10 +23,10 @@ from qpmetric import (
     linear,
     solve,
     startpoint_defect,
+    trace_document,
     validate_trace,
     verify_weak_contraction,
 )
-from qpmetric.contraction import _POINT_NAMES
 
 F = Fraction
 
@@ -64,7 +64,7 @@ print("forward certificate witnesses:", sorted(set(cert.witnesses.values())))
 # and the symmetrized defect.
 for mode in (SolveMode.ENDPOINT, SolveMode.FIXEDPOINT):
     t = solve(space, Fm, gamma, one, SolverConfig(mode=mode))
-    print(f"{_POINT_NAMES[mode]}: {t.outcome.status.value} at {t.outcome.point}")
+    print(f"{trace_document(t)['mode']}: {t.outcome.status.value} at {t.outcome.point}")
 
 # %% When the hypothesis fails, the solver says so instead of spinning:
 # the 2-point swap map leaves no admissible candidate at all.

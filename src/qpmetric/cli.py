@@ -41,9 +41,8 @@ def _value(v) -> str:
     return str(Fraction(v)) if isinstance(v, (Fraction, int)) else repr(v)
 
 
-def _seeking(point: str) -> ContractionMode:
-    """The mode whose points are named ``point`` in ``contraction._POINT_NAMES``."""
-    return next(mode for mode, name in contraction._POINT_NAMES.items() if name == point)
+#: The mode seeking each kind of point, by the name ``contraction._MODES`` gives it.
+_SEEKING = {name: mode for mode, (_, _, name) in contraction._MODES.items()}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -122,7 +121,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.max_iter < 1:
         raise DocumentError("--max-iter", "max_iterations must be positive")
     config = SolverConfig(
-        mode=_seeking(args.mode),
+        mode=_SEEKING[args.mode],
         tolerance=tol,
         max_iterations=args.max_iter,
         selection=Selection(args.select),
@@ -164,7 +163,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     system = _system(args, gamma=False)
-    found = contraction._enumerate(system.space, system.map, _seeking(args.what[:-1]))
+    found = contraction._enumerate(system.space, system.map, _SEEKING[args.what[:-1]])
     for point in found:
         print(point)
     return 0 if found else 1
@@ -200,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="iterate toward a startpoint/endpoint/fixed point")
     p.add_argument("path")
-    p.add_argument("--mode", choices=list(contraction._POINT_NAMES.values()), default="startpoint")
+    p.add_argument("--mode", choices=list(_SEEKING), default="startpoint")
     p.add_argument("--from", dest="start", required=True, metavar="POINT")
     p.add_argument("--tol", default=None, help="termination tolerance (rational)")
     p.add_argument("--max-iter", type=int, default=10_000)
@@ -217,8 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="brute-force startpoints/endpoints/fixed points")
     p.add_argument("path")
-    whats = sorted(name + "s" for name in contraction._POINT_NAMES.values())
-    p.add_argument("--what", choices=whats, default="startpoints")
+    p.add_argument("--what", choices=sorted(name + "s" for name in _SEEKING), default="startpoints")
     add_float(p)
     p.set_defaults(fn=cmd_enumerate)
 

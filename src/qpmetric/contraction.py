@@ -16,11 +16,14 @@ when any distance it reads is NaN, whatever the order of the image.
 ``verify_weak_contraction`` checks, over a whole finite universe, the
 existential inequality that powers the iteration: every x must admit some
 y in Fx whose own defect is bounded by d(x, y) - gamma(d(x, y)) (FORWARD
-mode; DUAL and SYMMETRIC use the conjugate and symmetrized variants).  The
-verifier is exhaustive and deterministic: it runs the same admissibility
-scan as the solver, the stored witness minimizes its own defect with ties
-broken by universe order (the step greedy ``solve`` takes), and a
-violation reports the smallest-index x with no admissible candidate.
+mode; DUAL and SYMMETRIC use the conjugate and symmetrized variants).
+Which distances a mode reads, d(x, y), d(y, x) or both, and what its points
+are called, is written once, in the table ``_MODES``, read through
+``_meaning`` alone.  The verifier is exhaustive and deterministic: it runs
+the same admissibility scan as the solver, the stored witness minimizes
+its own defect with ties broken by universe order (the step greedy
+``solve`` takes), and a violation reports the smallest-index x with no
+admissible candidate.
 
 One scan (:class:`_Scan`) serves the verifier, the enumerators and the
 solver on every space, with one candidate loop.  It reads the defect of
@@ -48,10 +51,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .comparison import ComparisonFunction
-from .space import Point, QSpace, Value, _max_keeping_nan, _unique
+from .space import Point, QSpace, Value, _max_keeping_nan, _min_keeping_nan, _unique
 
 
 class SetValuedMap:
@@ -100,24 +103,6 @@ class SetValuedMap:
         return image
 
 
-def startpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """H({x}, Fx): zero exactly when x is a startpoint of F; NaN when any
-    d(x, b) is."""
-    return _image_defect(space, x, F(x), ContractionMode.FORWARD)
-
-
-def endpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """H(Fx, {x}): the startpoint defect computed in the conjugate space;
-    NaN when any d(a, x) is."""
-    return _image_defect(space, x, F(x), ContractionMode.DUAL)
-
-
-def fixed_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """The symmetrized defect max{H({x}, Fx), H(Fx, {x})}; NaN when any
-    distance it reads is."""
-    return _image_defect(space, x, F(x), ContractionMode.SYMMETRIC)
-
-
 class ContractionMode(enum.Enum):
     """Which weak-contraction inequality to check, and which points to seek.
 
@@ -126,6 +111,7 @@ class ContractionMode(enum.Enum):
     d(y, x) - gamma(d(y, x)); SYMMETRIC bounds the symmetrized defect by
     the minimum of both right-hand sides.  STARTPOINT, ENDPOINT and
     FIXEDPOINT are aliases of the three, named for the points they seek.
+    What each mode reads, and what its points are called, is ``_MODES``.
     """
 
     FORWARD = "forward"
@@ -136,31 +122,54 @@ class ContractionMode(enum.Enum):
     FIXEDPOINT = "symmetric"
 
 
-#: The points each mode seeks, as the CLI and trace documents spell them.
-_POINT_NAMES = {
-    ContractionMode.FORWARD: "startpoint",
-    ContractionMode.DUAL: "endpoint",
-    ContractionMode.SYMMETRIC: "fixedpoint",
+#: Per mode: whether it reads d(x, y), whether it reads d(y, x), and the
+#: points it seeks, as the CLI and trace documents spell them.
+_MODES = {
+    ContractionMode.FORWARD: (True, False, "startpoint"),
+    ContractionMode.DUAL: (False, True, "endpoint"),
+    ContractionMode.SYMMETRIC: (True, True, "fixedpoint"),
 }
 
 
-def _image_defect(
-    space: QSpace, x: Point, image: tuple[Point, ...], mode: ContractionMode
-) -> Value:
-    """The mode's defect at x from its image, read through ``d``: every
-    d(x, b), then every d(a, x), as the mode needs them."""
+def _meaning(mode: ContractionMode) -> tuple[bool, bool, str]:
+    """The row of ``_MODES`` for ``mode``; anything else is a TypeError."""
+    if not isinstance(mode, ContractionMode):
+        raise TypeError(f"mode must be a ContractionMode, got {mode!r}")
+    return _MODES[mode]
+
+
+def _distances(space: QSpace, x: Point, ys: Sequence[Point], xy: bool, yx: bool) -> list[Value]:
+    """Every d(x, y) and then every d(y, x) for y in ``ys``, as the flags ask."""
     d = space.d
-    values = [] if mode is ContractionMode.DUAL else [d(x, b) for b in image]
-    if mode is not ContractionMode.FORWARD:
-        values += [d(a, x) for a in image]
-    return _max_keeping_nan(values)
+    values = [d(x, y) for y in ys] if xy else []
+    if yx:
+        values += [d(y, x) for y in ys]
+    return values
 
 
-def mode_defect(
-    space: QSpace, x: Point, F: SetValuedMap, mode: ContractionMode
-) -> Value:
-    """The defect functional matching a contraction mode."""
-    return _image_defect(space, x, F(x), mode)
+def mode_defect(space: QSpace, x: Point, F: SetValuedMap, mode: ContractionMode) -> Value:
+    """The defect functional matching a contraction mode: the largest
+    distance the mode reads between x and F(x), or NaN when any is."""
+    xy, yx, _ = _meaning(mode)
+    return _max_keeping_nan(_distances(space, x, F(x), xy, yx))
+
+
+def startpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
+    """H({x}, Fx): zero exactly when x is a startpoint of F; NaN when any
+    d(x, b) is."""
+    return mode_defect(space, x, F, ContractionMode.FORWARD)
+
+
+def endpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
+    """H(Fx, {x}): the startpoint defect computed in the conjugate space;
+    NaN when any d(a, x) is."""
+    return mode_defect(space, x, F, ContractionMode.DUAL)
+
+
+def fixed_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
+    """The symmetrized defect max{H({x}, Fx), H(Fx, {x})}; NaN when any
+    distance it reads is."""
+    return mode_defect(space, x, F, ContractionMode.SYMMETRIC)
 
 
 def admissibility_bound(
@@ -170,19 +179,11 @@ def admissibility_bound(
     x: Point,
     y: Point,
 ) -> Value:
-    """Right-hand side of the mode's inequality at the pair (x, y); for
-    SYMMETRIC the smaller side, or NaN (t - gamma(t) at t = inf) if either
-    side is NaN."""
-    if mode is ContractionMode.FORWARD:
-        t = space.d(x, y)
-        return t - gamma(t)
-    if mode is ContractionMode.DUAL:
-        s = space.d(y, x)
-        return s - gamma(s)
-    t = space.d(x, y)
-    s = space.d(y, x)
-    forward, dual = t - gamma(t), s - gamma(s)
-    return dual if dual != dual else min(forward, dual)  # min() drops a NaN second
+    """Right-hand side of the mode's inequality at the pair (x, y): the
+    smallest t - gamma(t) over the distances t it reads, or NaN
+    (t - gamma(t) at t = inf) if any is."""
+    xy, yx, _ = _meaning(mode)
+    return _min_keeping_nan([t - gamma(t) for t in _distances(space, x, (y,), xy, yx)])
 
 
 _MISSING = object()
@@ -209,11 +210,9 @@ class _Scan:
         mode: ContractionMode,
         gamma: ComparisonFunction | None = None,
     ) -> None:
-        if not isinstance(mode, ContractionMode):
-            raise TypeError(f"mode must be a ContractionMode, got {mode!r}")
-        self.space, self.F, self.mode = space, F, mode
-        self.forward = mode is not ContractionMode.DUAL
-        self.backward = mode is not ContractionMode.FORWARD
+        self.forward, backward, _ = _meaning(mode)
+        self.both = self.forward and backward
+        self.space, self.F = space, F
         self.within = None if gamma is None else gamma.bound_test(space.den, space.leq, space.exact)
         memo = space.resolved
         state = None if memo is None else memo.get(F)
@@ -223,7 +222,7 @@ class _Scan:
                 state = memo.setdefault(F, state)
         self.images, self.slots = state
         self.defects = self.slots_of(mode)
-        if mode is ContractionMode.SYMMETRIC:
+        if self.both:
             # The lists of the FORWARD and DUAL scans, whose max this reads.
             self.sides = [self.slots_of(m) for m in (ContractionMode.FORWARD, ContractionMode.DUAL)]
 
@@ -251,9 +250,9 @@ class _Scan:
             self.images[i] = js
         return js
 
-    def side(self, i: Point, mode: ContractionMode, defects: list | defaultdict) -> Value:
-        """The FORWARD or DUAL defect at slot i of that mode's ``defects``:
-        read from the stored rows a whole image at a time, or through ``d``."""
+    def side(self, i: Point, forward: bool, defects: list | defaultdict) -> Value:
+        """The FORWARD defect, or unless ``forward`` the DUAL one, at slot i of
+        ``defects``: read from the stored rows a whole image at a time, or through ``d``."""
         v = defects[i]
         if v is _MISSING:
             space, rows = self.space, self.space.rows
@@ -262,13 +261,12 @@ class _Scan:
                 image = self.F(x)
                 if space.points is not None:
                     self.positions(i, image)
-                v = _image_defect(space, x, image, mode)
+                v = _max_keeping_nan(_distances(space, x, image, forward, not forward))
             else:
                 js = self.positions(i)
                 # A tuple of the image's entries even for a one-point image.
                 pick = itemgetter(js[0], *js)
                 # Stored rows hold no NaN, so builtin max is exact here.
-                forward = mode is ContractionMode.FORWARD
                 v = max(pick(rows[i]) if forward else map(itemgetter(i), pick(rows)))
             defects[i] = v
         return v
@@ -278,11 +276,11 @@ class _Scan:
         the point i of a space without one."""
         v = self.defects[i]
         if v is _MISSING:
-            if self.mode is not ContractionMode.SYMMETRIC:
-                return self.side(i, self.mode, self.defects)
-            # The larger side, or the first NaN, as _image_defect gives.
-            f = self.side(i, ContractionMode.FORWARD, self.sides[0])
-            b = self.side(i, ContractionMode.DUAL, self.sides[1])
+            if not self.both:
+                return self.side(i, self.forward, self.defects)
+            # The larger side, or the first NaN.
+            f = self.side(i, True, self.sides[0])
+            b = self.side(i, False, self.sides[1])
             v = self.defects[i] = f if f != f else b if b != b else max(f, b)
         return v
 
@@ -306,8 +304,7 @@ class _Scan:
         nothing, is dropped.  The rest are tested one per triple taken, each
         reading d(x, y) or d(y, x), from the rows or through ``d``, only as
         the mode tests it."""
-        space, within, forward = self.space, self.within, self.forward
-        both = forward and self.backward
+        space, within, forward, both = self.space, self.within, self.forward, self.both
         rows, order, points = space.rows, space.order, space.points
         defects = self.defects
         i = x if order is None else order[x]

@@ -62,7 +62,7 @@ from operator import floordiv
 from typing import Any, Mapping, Sequence
 
 from .comparison import ComparisonFunction, linear, rational_shrink, user_table
-from .contraction import _POINT_NAMES, SetValuedMap
+from .contraction import SetValuedMap, _meaning
 from .solver import IterationTrace
 from .space import (
     DEFAULT_TOLERANCE,
@@ -393,7 +393,7 @@ def trace_document(trace: IterationTrace) -> dict[str, Any]:
     exact = trace.space.exact if trace.space is not None else True
     enc = lambda v: encode_value(v, exact)  # noqa: E731
     return {
-        "mode": _POINT_NAMES[trace.mode],
+        "mode": _meaning(trace.mode)[2],
         "start": str(trace.start),
         "initial_defect": enc(trace.initial_defect),
         "steps": [

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
-from .contraction import ContractionMode, SetValuedMap, _Scan, _value
+from .contraction import ContractionMode, SetValuedMap, _distances, _meaning, _Scan, _value
 from .space import INFINITY, Point, QSpace, Value, _max_keeping_nan
 
 
@@ -73,6 +73,9 @@ class SolverConfig:
     selection: Selection = Selection.GREEDY_MIN_DEFECT
 
     def __post_init__(self) -> None:
+        _meaning(self.mode)  # a TypeError for anything but a ContractionMode
+        if not isinstance(self.selection, Selection):
+            raise TypeError(f"selection must be a Selection, got {self.selection!r}")
         if not self.tolerance >= 0:  # NaN fails it too
             raise ValueError(f"tolerance must be a nonnegative number, got {self.tolerance!r}")
         if self.max_iterations < 1:
@@ -347,8 +350,8 @@ def validate_trace(
 
     cauchy = None
     if space is not None:
-        pts, d = trace.points, space.d
-        last, backward = len(pts) - 1, trace.mode is ContractionMode.DUAL
+        pts, (xy, _, _) = trace.points, _meaning(trace.mode)
+        last = len(pts) - 1
         # worst[s] is the largest d(x_k, x_n) (ENDPOINT: d(x_n, x_k)) over
         # s <= k <= n <= last, so the tail from s is eps-Cauchy exactly when
         # worst[s] < eps.  The diagonal is included: d(x, x) = 0 may fail.
@@ -356,7 +359,7 @@ def validate_trace(
         w = None
         for s in range(last, -1, -1):
             x, tail = pts[s], pts[s:]
-            v = _max_keeping_nan([d(y, x) for y in tail] if backward else [d(x, y) for y in tail])
+            v = _max_keeping_nan(_distances(space, x, tail, xy, not xy))
             if v != v:
                 v = INFINITY  # NaN is below no epsilon
             if w is None or v > w:

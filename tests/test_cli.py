@@ -412,6 +412,23 @@ class TestGenEnumerate:
         assert out.strip() == ""
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("verify", "--mode {forward,dual,symmetric}"),
+        ("solve", "--mode {startpoint,endpoint,fixedpoint}"),
+        ("enumerate", "--what {endpoints,fixedpoints,startpoints}"),
+    ],
+)
+def test_mode_spellings_in_help(capsys, command, line):
+    # The help, not an invalid-choice message: its quoting differs across
+    # Python versions.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert line in [text.strip() for text in capsys.readouterr().out.splitlines()]
+
+
 class TestFloatAndEnvironment:
     def test_env_tolerance_applies_in_float_mode(self, tmp_path, capsys, monkeypatch):
         # Defect 1e-7 counts as zero only once the env loosens the tolerance.

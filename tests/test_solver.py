@@ -243,6 +243,8 @@ class TestSolve:
             lambda: solve(space, Fm, gamma, ONE, SolverConfig(mode="startpoint")),
             lambda: verify_weak_contraction(space, Fm, gamma, "forward"),
             lambda: admissible_candidates(space, Fm, gamma, ONE, "dual"),
+            lambda: mode_defect(space, ONE, Fm, "forward"),
+            lambda: admissibility_bound(space, gamma, "forward", ONE, ZERO),
         ]
         for run in runs:
             with pytest.raises(TypeError, match="mode must be a ContractionMode, got '"):
@@ -253,6 +255,11 @@ class TestSolve:
             SolverConfig(tolerance=-1)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+        # A string would run FIRST_ADMISSIBLE, or a mix of the scans.
+        with pytest.raises(TypeError, match="selection must be a Selection, got 'greedy'"):
+            SolverConfig(selection="greedy")
+        with pytest.raises(TypeError, match="mode must be a ContractionMode, got 'forward'"):
+            SolverConfig(mode="forward")
 
     def test_nan_tolerance_is_rejected(self):
         # With a NaN tolerance no defect would ever count as reached: this
