@@ -366,11 +366,14 @@ def load_system(
     path: str | Path, *, force_float: bool = False, default_tolerance: float = DEFAULT_TOLERANCE
 ) -> System:
     """Read and parse a system document (see :func:`parse_system`); a file
-    that cannot be read or decoded, or is not JSON, names ``document``."""
+    that cannot be read or decoded, is not JSON, or nests deeper than the
+    JSON reader recurses, names ``document``."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("document", f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("document", f"nested too deeply: {exc}") from exc
     except ValueError as exc:
         # A JSONDecodeError, or a number past the int-string limit.
         raise DocumentError("document", f"invalid JSON: {exc}") from exc

@@ -29,7 +29,8 @@ reader takes the matrix a row at a time and knows three kinds of row: a
 row of "p" and "p/q" digit strings (a document's), checked as one string,
 its denominators read through one table of tails for the whole matrix; a
 row of nonnegative ints and ``Fraction``s, read by its numerators and
-denominators; and any other row, read by the value rule an entry at a
+denominators (a row of ``Fraction``s alone by one ``as_integer_ratio``
+call an entry); and any other row, read by the value rule an entry at a
 time, which names the first bad entry.  One scaler takes each row to D,
 the lcm of the denominators met so far, straight into the tuple the space
 keeps; the axiom checker and the min-plus closure scale their values
@@ -40,9 +41,12 @@ values instead, read by the per-entry loop that FLOAT matrices take.
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
 lanes and compare a whole row per big-int operation (see "Packed rows"
-below); the results are those of one exact comparison per triple.  FLOAT
-rows, ``Fraction`` rows, negative entries, bools, NaN, ``INFINITY`` and
-larger ints take the per-triple loops.
+below); the results are those of one exact comparison per triple.  Rows
+enter and leave those lanes through byte-aligned ``struct`` items of 8,
+16, 32 or 64 bits, in O(log n) big-int steps a row; the kernels still use
+lanes only as wide as the entries need.  FLOAT rows, ``Fraction`` rows,
+negative entries, bools, NaN, ``INFINITY`` and larger ints take the
+per-triple loops.
 
 All operations here are pure functions of immutable values and may be
 called concurrently from any number of threads.  (A stored-rows space's
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -272,6 +277,16 @@ _RATIONAL = frozenset({int, Fraction})
 _NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 
+def _ratio_row(row: Sequence[Value], kinds: set[type]) -> tuple[Sequence[int], Sequence[int]]:
+    """Numerators and denominators of a row of ints and Fractions, whose
+    entry types are among ``kinds``: one ``as_integer_ratio`` call per
+    entry when ``kinds`` holds only ``Fraction``, two property reads per
+    entry otherwise."""
+    if kinds == {Fraction}:
+        return tuple(zip(*map(Fraction.as_integer_ratio, row)))
+    return list(map(_NUMERATOR, row)), list(map(_DENOMINATOR, row))
+
+
 def _kinds(matrix: Sequence[Sequence[object]]) -> set[type]:
     """The value types of the entries of ``matrix``, in one C-level pass."""
     return set(map(type, chain.from_iterable(matrix)))
@@ -329,9 +344,7 @@ def _scaled_values(
     ``INFINITY``, NaN or other value)."""
     if Fraction not in kinds or not kinds <= _RATIONAL:
         return None
-    return _scaled(
-        ((list(map(_NUMERATOR, row)), list(map(_DENOMINATOR, row))) for row in matrix), {}
-    )
+    return _scaled((_ratio_row(row, kinds) for row in matrix), {})
 
 
 #: What ``str.translate`` deletes from a row of "p" and "p/q" strings
@@ -385,10 +398,10 @@ def _exact_parts(
             if parts is not None:
                 yield parts
                 continue
-        elif _RATIONAL.issuperset(map(type, row)):
-            num = list(map(_NUMERATOR, row))
+        elif _RATIONAL.issuperset(kinds := set(map(type, row))):
+            num, den = _ratio_row(row, kinds)
             if min(num) >= 0:
-                yield num, list(map(_DENOMINATOR, row))
+                yield num, den
                 continue
         values = [_entry(raw, True, i, j) for j, raw in enumerate(row)]
         yield list(map(_NUMERATOR, values)), list(map(_DENOMINATOR, values))
@@ -582,6 +595,13 @@ def _floyd_warshall(d: Sequence[Sequence[Value]]) -> list[list[Value]]:
 # bit, so for packed rows A and B (plus d*ONES) the lanes of (B | G) - A
 # neither carry nor borrow into each other, and lane k keeps its guard bit
 # exactly when a_k <= b_k.  One big-int operation then compares whole rows.
+#
+# Rows enter and leave the lanes through byte-aligned items: a row is read
+# by ``struct`` as one int of L-bit lanes, L the narrowest of 8, 16, 32 and
+# 64 bits that holds w, then compressed to w-bit lanes in ceil(log2 n)
+# rounds.  Round r moves each odd group of 2^r lanes down next to the even
+# group before it, one mask and one shift for the whole row; unpacking runs
+# the rounds backwards.  The kernels work on the w-bit lanes only.
 
 #: Widest lane the packed kernels take, in bits: every entry below 2^62.
 #: Spreading d over the lanes, d*ONES, costs the product of the lane width
@@ -589,15 +609,28 @@ def _floyd_warshall(d: Sequence[Sequence[Value]]) -> list[list[Value]]:
 #: Measured on Python 3.11 at n = 40 and 120, the packed triangle scan took
 #: about a fifth of the loop's time with 65-bit lanes and two fifths with
 #: 129-bit lanes, the closure about half and all of it; with a 1,043-bit D
-#: (1,045-bit lanes) the scan took 144 ms against the loop's 20 ms.
+#: (1,045-bit lanes) the scan took 144 ms against the loop's 20 ms.  The
+#: byte-aligned items that rows pass through on the way in and out hold
+#: up to 64 bits too.  The kernels keep w-bit lanes rather than whole
+#: bytes: at n = 120 and w = 9 (2 vCPUs, Python 3.11), 16-bit lanes made
+#: the packed closure about 20% slower and the triangle scan up to 25%.
 _MAX_LANE_BITS = 64
+
+#: Unsigned little-endian ``struct`` codes by item size in bytes.
+_UNSIGNED = {struct.calcsize("<" + code): code for code in "BHIQ"}
 
 
 def _lane_width(rows: Sequence[Sequence[Value]]) -> int | None:
     """The lane width w of ``rows`` when every entry is a nonnegative int
     (not a bool) and w is at most ``_MAX_LANE_BITS``, else None (no
     entries, any other value, or a lane too wide)."""
-    if _kinds(rows) != {int} or min(map(min, rows)) < 0:
+    return _int_lane_width(rows) if _kinds(rows) == {int} else None
+
+
+def _int_lane_width(rows: Sequence[Sequence[int]]) -> int | None:
+    """The lane width of nonempty rows of ints, or None when an entry is
+    negative or the lanes are wider than ``_MAX_LANE_BITS``."""
+    if min(map(min, rows)) < 0:
         return None
     return _lane_bits(max(map(max, rows)))
 
@@ -615,16 +648,50 @@ def _lanes(n: int, w: int) -> tuple[int, int]:
     return ones, ones << (w - 1)
 
 
-def _pack(row: Sequence[int], w: int) -> int:
-    p = 0
-    for v in reversed(row):
-        p = p << w | v
-    return p
+def _lane_rounds(n: int, w: int) -> tuple[struct.Struct, list[tuple[int, int]]]:
+    """How rows of n entries below 2^w move between byte-aligned lanes and
+    w-bit lanes: the little-endian ``struct`` of n of the narrowest
+    unsigned items that hold w bits, and one (mask, shift) per compress
+    round.  Round r takes groups of 2^r lanes, each ``wide`` bits wide with
+    ``narrow`` packed bits at its bottom; the mask selects those bits of
+    every odd group, and the shift, wide - narrow, moves them next to the
+    even group below."""
+    size = min(s for s in _UNSIGNED if 8 * s >= w)
+    rounds = []
+    group, wide, narrow = 1, 8 * size, w
+    while group < n and narrow < wide:
+        pairs = -(-n // (2 * group))
+        mask = _lanes(pairs, 2 * wide)[0] * ((1 << narrow) - 1) << wide
+        rounds.append((mask, wide - narrow))
+        group, wide, narrow = 2 * group, 2 * wide, 2 * narrow
+    return struct.Struct(f"<{n}{_UNSIGNED[size]}"), rounds
 
 
-def _unpack(p: int, n: int, w: int) -> list[int]:
-    mask = (1 << w) - 1
-    return [p >> s & mask for s in range(0, n * w, w)]
+def _pack(rows: Sequence[Sequence[int]], n: int, w: int) -> list[int]:
+    """Rows of n ints below 2^w, each packed into one int of w-bit lanes."""
+    lanes, rounds = _lane_rounds(n, w)
+    packed = []
+    for row in rows:
+        p = int.from_bytes(lanes.pack(*row), "little")
+        for mask, shift in rounds:
+            odd = p & mask
+            p = p ^ odd | odd >> shift
+        packed.append(p)
+    return packed
+
+
+def _unpack(packed: Iterable[int], n: int, w: int) -> list[list[int]]:
+    """The rows of n entries that :func:`_pack` packed into ``packed``."""
+    lanes, rounds = _lane_rounds(n, w)
+    # Each round's odd groups, as the round leaves them: shifted down.
+    expand = [(mask >> shift, shift) for mask, shift in reversed(rounds)]
+    rows = []
+    for p in packed:
+        for mask, shift in expand:
+            odd = p & mask
+            p = p ^ odd | odd << shift
+        rows.append(list(lanes.unpack(p.to_bytes(lanes.size, "little"))))
+    return rows
 
 
 def _first_packed_violation(rows: Sequence[Sequence[int]], w: int) -> tuple[int, int, int] | None:
@@ -633,7 +700,7 @@ def _first_packed_violation(rows: Sequence[Sequence[int]], w: int) -> tuple[int,
     rows[i] <= rows[i][j] + rows[j] in every lane, and a scan of the first
     failing pair finds k."""
     ones, guard = _lanes(len(rows), w)
-    packed = [_pack(row, w) for row in rows]
+    packed = _pack(rows, len(rows), w)
     guarded = [p | guard for p in packed]
     for i, (p_x, row_x) in enumerate(zip(packed, rows)):
         for j, dxy in enumerate(row_x):
@@ -651,7 +718,7 @@ def _packed_floyd_warshall(d: Sequence[Sequence[int]], w: int) -> list[list[int]
     n = len(d)
     ones, guard = _lanes(n, w)
     lane, top = (1 << w) - 1, w - 1
-    packed = [_pack(row, w) for row in d]
+    packed = _pack(d, n, w)
     for k in range(n):
         p_k, s = packed[k], k * w
         for i, a in enumerate(packed):
@@ -660,7 +727,7 @@ def _packed_floyd_warshall(d: Sequence[Sequence[int]], w: int) -> list[list[int]
             less = ((b | guard) - a) & guard ^ guard
             if less:
                 packed[i] = a ^ ((a ^ b) & (less - (less >> top)))
-    return [_unpack(p, n, w) for p in packed]
+    return _unpack(packed, n, w)
 
 
 def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
@@ -677,7 +744,7 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     if den is None:
         return d
     # A closure holds few distinct values, and each Fraction costs a gcd.
-    exact = {v: Fraction(v, den) for v in {v for row in d for v in row}}
+    exact = {v: Fraction(v, den) for v in set().union(*d)}
     return [list(map(exact.__getitem__, row)) for row in d]
 
 
@@ -696,8 +763,12 @@ def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int 
             if not isinstance(v, Number)
         )
         raise FieldError(f"d[{i}][{j}]", f"not a number: {v!r}")
-    d, den = _scaled_values(matrix, kinds) or (matrix, None)
-    w = _lane_width(d)
+    scaled = _scaled_values(matrix, kinds)
+    if scaled is None:
+        d, den, w = matrix, None, _lane_width(matrix)
+    else:
+        d, den = scaled
+        w = _int_lane_width(d)  # Scaled rows are ints by construction.
     return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
 
 

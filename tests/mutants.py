@@ -85,6 +85,55 @@ MUTANTS = [
         "the partial sums add the gamma values of the first m - 2 step distances",
         ["tests/test_solver.py"],
     ),
+    (
+        "space.py",
+        "p = p ^ odd | odd >> shift",
+        "p = p ^ odd | odd << shift",
+        "a compress round moves the odd groups down, not up",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "mask = _lanes(pairs, 2 * wide)[0] * ((1 << narrow) - 1) << wide",
+        "mask = _lanes(pairs, 2 * wide)[0] * ((1 << narrow) - 1)",
+        "a round's mask selects the odd groups, not the even ones",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        'p = int.from_bytes(lanes.pack(*row), "little")',
+        'p = int.from_bytes(lanes.pack(*row), "big")',
+        "the bytes are read in the byte order they were written in",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "expand = [(mask >> shift, shift) for mask, shift in reversed(rounds)]",
+        "expand = [(mask, shift) for mask, shift in reversed(rounds)]",
+        "unpacking finds each odd group where its compress round left it",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "if (guarded[j] + dxy * ones - p_x) & guard != guard:",
+        "if (guarded[j] + dxy * ones - p_x) & guard == 0:",
+        "one failing lane is a triangle violation, not only all of them",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "rows[i] = tuple(map(mul, rows[i], repeat(den // d)))",
+        "rows[i] = tuple(map(mul, rows[i], repeat(1)))",
+        "rows scaled to an earlier denominator are brought up to the final one",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        'if "/," in text or text.endswith("/"):',
+        "if False:",
+        'a digit string "p/" is refused, not read as "p"',
+        ["tests/test_space.py"],
+    ),
 ]
 
 

@@ -165,6 +165,16 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: document: ")
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, '{"points": ' * 200_000])
+    def test_a_document_nested_past_the_json_reader_names_the_document(
+        self, tmp_path, capsys, text
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: document: nested too deeply: ") and err.count("\n") == 1
+
     def test_tolerances_past_the_bound_are_named(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(GOOD_DOC))

@@ -39,6 +39,7 @@ from qpmetric import (
     validate_trace,
     verify_weak_contraction,
 )
+from qpmetric.corpus import _dyadic_gap
 from qpmetric.solver import CheckResult
 
 F = Fraction
@@ -309,6 +310,23 @@ class TestValidateTrace:
         )
         report = validate_trace(trace, gamma)
         assert report.ok
+
+    def test_punctured_halving_orbit_is_cauchy_and_never_converges(self):
+        # The halving system without its 0: F(1/2^n) = {1/2^(n+1)}.  Every
+        # point admits its successor under linear(1/2), and the orbit is
+        # left-K-Cauchy, yet no startpoint exists; EXACT arithmetic with
+        # tolerance 0 must not report one.
+        space = from_oracle(_dyadic_gap)
+        Fm = SetValuedMap(lambda x: (x / 2,))
+        gamma = linear(F(1, 2))
+        trace = solve(space, Fm, gamma, ONE, SolverConfig(tolerance=0, max_iterations=64))
+        assert trace.outcome.status is Status.MAX_ITERATIONS
+        assert trace.outcome.cycle is False
+        assert len(trace.steps) == 64
+        assert trace.outcome.point == F(1, 2**64)
+        report = validate_trace(trace, gamma)
+        assert report.ok
+        assert dict(report.cauchy)[F(1, 2**16)] == 17
 
     def test_increasing_step_distances_fail(self):
         gamma = linear(F(1, 2))

@@ -447,6 +447,73 @@ def test_a_bad_entry_among_ints_and_fractions_is_named(m, field, message):
     assert (got.value.field, got.value.message) == (field, message)
 
 
+class _SubFraction(Fraction):
+    pass
+
+
+#: Rows the one-call Fraction reader must leave to the two-property path
+#: or to the value rule, beside all-Fraction rows: (matrix, the values
+#: from_matrix keeps or the FieldError it raises, the min-plus closure as
+#: (type, value) pairs).
+READER_CASES = {
+    "ints-and-fractions": (
+        [[0, F(1, 2), 3], [F(2, 3), 0, 1], [F(1), 2, F(0)]],
+        None,
+        [[F(0), F(1, 2), F(3, 2)], [F(2, 3), F(0), F(1)], [F(1), F(3, 2), F(0)]],
+    ),
+    "fraction-row-then-mixed": (
+        [[F(0), F(1, 4), F(3)], [F(5, 2), 0, F(1, 4)], [1, F(7, 3), F(0)]],
+        None,
+        [[F(0), F(1, 4), F(1, 2)], [F(5, 4), F(0), F(1, 4)], [F(1), F(5, 4), F(0)]],
+    ),
+    "bool": (
+        [[F(0), True], [F(1, 2), F(0)]],
+        ("d[0][1]", "not a valid number: True"),
+        [[F(0), True], [F(1, 2), F(0)]],
+    ),
+    "subclass": (
+        [[F(0), _SubFraction(1, 2), F(3)], [F(1, 5), _SubFraction(0), F(1)], [F(2), F(9, 4), F(0)]],
+        None,
+        [
+            [F(0), _SubFraction(1, 2), F(3, 2)],
+            [F(1, 5), _SubFraction(0), F(1)],
+            [F(2), F(9, 4), F(0)],
+        ],
+    ),
+    "negative": (
+        [[F(0), F(1, 3), F(2)], [F(1, 2), F(0), F(-1, 4)], [F(1), F(3), F(0)]],
+        ("d[1][2]", "distances must be nonnegative"),
+        [[F(0), F(1, 3), F(1, 12)], [F(1, 2), F(0), F(-1, 4)], [F(1), F(4, 3), F(0)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_only_all_fraction_rows_take_the_one_call_reader(case):
+    m, error, closure = READER_CASES[case]
+    n = len(m)
+    if error is None:
+        space = from_matrix(range(n), m)
+        assert [[space.d(i, j) for j in range(n)] for i in range(n)] == m
+        assert all(type(space.d(i, j)) is Fraction for i in range(n) for j in range(n))
+    else:
+        with pytest.raises(space_module.FieldError) as got:
+            from_matrix(range(n), m)
+        assert (got.value.field, got.value.message) == error
+    got = minplus_closure(m)
+    assert [[(type(v), v) for v in row] for row in got] == [
+        [(type(v), v) for v in row] for row in closure
+    ]
+
+
+@given(row=st.lists(st.builds(F, st.integers(-99, 99), st.integers(1, 99)), min_size=1))
+def test_the_one_call_reader_reads_what_the_properties_read(row):
+    assert space_module._ratio_row(row, {Fraction}) == (
+        tuple(v.numerator for v in row),
+        tuple(v.denominator for v in row),
+    )
+
+
 def test_an_empty_axiom_sample_is_refused(dyadic):
     with pytest.raises(ValueError, match="^point sample must be nonempty$"):
         check_axioms(dyadic, points=[])
@@ -749,6 +816,61 @@ FALLBACK_AXIOM_INPUTS = {
     # 2^62 needs 65-bit lanes; 2^62 - 1 fits in 64 and is packed.
     "wide-lanes": (True, [[0, 1, 2**62], [0, 0, 1], [0, 0, 0]], (0, 1, 2)),
 }
+
+
+def _pack_loop(row, w):
+    """The per-lane packer: entry k shifted into bits [k*w, (k+1)*w)."""
+    p = 0
+    for v in reversed(row):
+        p = p << w | v
+    return p
+
+
+def _unpack_loop(p, n, w):
+    mask = (1 << w) - 1
+    return [p >> s & mask for s in range(0, n * w, w)]
+
+
+def _check_packing(rows, n, w):
+    packed = space_module._pack(rows, n, w)
+    assert packed == [_pack_loop(row, w) for row in rows]
+    assert space_module._unpack(packed, n, w) == rows
+    assert [_unpack_loop(p, n, w) for p in packed] == rows
+
+
+#: Row lengths where the compress rounds gain one, and lane widths on
+#: either side of the byte-aligned widths 8, 16, 32 and 64.
+EDGE_LENGTHS = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129]
+EDGE_WIDTHS = [1, 7, 8, 9, 16, 17, 32, 33, 63, 64]
+
+
+@st.composite
+def lane_rows(draw):
+    n = draw(st.integers(1, 130) | st.sampled_from(EDGE_LENGTHS))
+    w = draw(st.integers(1, 64) | st.sampled_from(EDGE_WIDTHS))
+    top = (1 << w) - 1
+    values = st.integers(0, top) | st.sampled_from([0, 1, top])
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=3))
+    return rows, n, w
+
+
+@given(case=lane_rows())
+def test_packer_matches_the_per_lane_loops(case):
+    _check_packing(*case)
+
+
+@pytest.mark.parametrize("n", EDGE_LENGTHS)
+@pytest.mark.parametrize("w", EDGE_WIDTHS)
+def test_packer_at_round_and_byte_edges(n, w):
+    top = (1 << w) - 1
+    rows = [
+        [top] * n,
+        [0] * n,
+        [top * (k % 2) for k in range(n)],
+        [top * (k % 3 == 2) for k in range(n)],
+        [(k * 0x9E3779B97F4A7C15 >> 3) & top for k in range(n)],
+    ]
+    _check_packing(rows, n, w)
 
 
 def test_lanes_stop_at_64_bits():
