@@ -21,9 +21,11 @@ One-sided zeros, d(x, y) = 0 < d(y, x), still occur.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .comparison import ComparisonFunction, linear, verify_gamma1
 from .contraction import SetValuedMap
@@ -120,17 +122,22 @@ _WEIGHT_STEPS = 64
 def _random_t0_from_rng(rng: random.Random, g: GeneratorSeed) -> QSpace:
     lo, hi = g.weight_range
     n, step = g.size, Fraction(hi - lo, _WEIGHT_STEPS)
+    # Weight lo + step k is (base + unit k) / den over the grid's denominator.
+    den = math.lcm(lo.denominator, step.denominator)
+    base, unit = int(lo * den), int(step * den)
     # Grid step 0 (weight lo, maybe 0) only when i < j: zero paths then only
     # climb in index, so no two points are at zero distance both ways.
     matrix = [
-        [ZERO if i == j else lo + step * rng.randint(int(i > j), _WEIGHT_STEPS) for j in range(n)]
+        [0 if i == j else base + unit * rng.randint(int(i > j), _WEIGHT_STEPS) for j in range(n)]
         for i in range(n)
     ]
-    # The closure's rows and denominator are the space's: no Fraction is
-    # built, split or rescaled on the way.
-    rows, den = _closure(matrix)
+    # den over the weights' common factor is their least common
+    # denominator; over it the closure's ints are the space's rows, and no
+    # Fraction is built per weight.
+    common = math.gcd(den, *chain.from_iterable(matrix))
+    rows, _ = _closure([[v // common for v in row] for row in matrix])
     names = tuple(f"p{i}" for i in range(n))
-    return _matrix_space(names, rows, den, True, True, DEFAULT_TOLERANCE)
+    return _matrix_space(names, rows, den // common, True, True, DEFAULT_TOLERANCE)
 
 
 def random_t0_qspace(g: GeneratorSeed) -> QSpace:

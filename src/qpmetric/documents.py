@@ -32,10 +32,10 @@ a nonzero diagonal) parses fine and is left to the axiom checker.
 ``doc`` is :func:`system_document`'s output.  Reading an EXACT matrix
 checks and reads each row of "p/q" strings as a whole, with one table of
 denominators for the matrix (see :func:`qpmetric.space.from_matrix`).
-Writing one from int rows over D formats each row in one ``%`` operation
-(see :func:`_ratio_rows`), and :func:`dump_system` lays that row text out
-as it stands.  A parsed map keeps the images the parser has checked,
-without normalizing them again.
+Writing one makes one comma-joined text per row, from int rows over D in
+one ``%`` operation (see :func:`_ratio_rows`), and :func:`dump_system` lays
+each row text out as it stands.  A parsed map keeps the images the parser
+has checked, without normalizing them again.
 
 Iteration traces serialize one way (they are outputs):
 
@@ -87,20 +87,15 @@ def encode_value(v: Value, exact: bool) -> str | float:
     return str(Fraction(v)) if exact else float(v)
 
 
-class _RowTexts(list):
-    """An EXACT matrix as one text per row: the row's "p" and "p/q" entries
-    joined by commas (see :func:`_ratio_rows`)."""
-
-
-def _ratio_rows(rows: Sequence[Sequence[int]], den: int) -> _RowTexts:
-    """The rows of ints over ``den`` as :class:`_RowTexts`, each entry v
-    written as ``encode_value(Fraction(v, den), True)`` writes it, with no
-    Fraction and no Python-level call per entry.  With g = gcd(v, den) the
-    entry is v // g over den // g, so one table keyed by g holds each
-    entry's format ("%d", or "%d/q" with q = den // g), and a row is one
-    %-format of the v // g."""
+def _ratio_rows(rows: Sequence[Sequence[int]], den: int) -> list[str]:
+    """The rows of ints over ``den`` as row texts (see :func:`_document`),
+    each entry v written as ``encode_value(Fraction(v, den), True)`` writes
+    it, with no Fraction and no Python-level call per entry.  With
+    g = gcd(v, den) the entry is v // g over den // g, so one table keyed by
+    g holds each entry's format ("%d", or "%d/q" with q = den // g), and a
+    row is one %-format of the v // g."""
     formats: dict[int, str] = {}
-    texts = _RowTexts()
+    texts = []
     for row in rows:
         gs = list(map(math.gcd, row, repeat(den)))
         try:
@@ -271,7 +266,7 @@ def system_document(
 ) -> dict[str, Any]:
     """Serialize a finite system to a document (inverse of parse_system)."""
     doc = _document(space, F, gamma, meta)
-    if isinstance(doc["d"], _RowTexts):
+    if space.exact:
         doc["d"] = [text.split(",") for text in doc["d"]]
     return doc
 
@@ -282,18 +277,21 @@ def _document(
     gamma: ComparisonFunction | None,
     meta: Mapping[str, Any] | None,
 ) -> dict[str, Any]:
-    """:func:`system_document`, except that a matrix of int rows is left
-    as :class:`_RowTexts`."""
+    """:func:`system_document`, except that an EXACT matrix is one text per
+    row: the row's entries, which hold no comma and nothing to escape,
+    joined by commas."""
     points = space.universe()
     ids = [str(p) for p in points]
     if len(set(ids)) != len(ids):
         raise ValueError("point ids collide when rendered as strings")
     rows, den = space.rows, space.den
-    if den is None:
-        values = distance_matrix(space) if rows is None else rows
-        matrix: list = [[encode_value(v, space.exact) for v in row] for row in values]
+    if den is not None:
+        matrix: list = _ratio_rows(rows, den)
     else:
-        matrix = _ratio_rows(rows, den)
+        values = distance_matrix(space) if rows is None else rows
+        matrix = [[encode_value(v, space.exact) for v in row] for row in values]
+        if space.exact:
+            matrix = list(map(",".join, matrix))
     doc: dict[str, Any] = {
         "points": ids,
         "d": matrix,
@@ -334,12 +332,12 @@ def _strings(items: list[str], level: int) -> str:
 
 def _system_text(doc: dict[str, Any]) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a
-    :func:`system_document`, byte for byte; ``doc`` may also be the
-    :func:`_document` form.  The point ids, the images and an EXACT matrix
-    (all strings) are written by string joins, the row texts of
-    :class:`_RowTexts` as they stand; every other field, a FLOAT matrix
-    among them, goes through ``json.dumps`` and is indented one level, so
-    a ``meta`` that cannot be written fails as it does there."""
+    :func:`system_document`, byte for byte, written from the
+    :func:`_document` form.  The point ids and the images (strings) are
+    written by string joins, an EXACT matrix's row texts as they stand;
+    every other field, a FLOAT matrix among them, goes through
+    ``json.dumps`` and is indented one level, so a ``meta`` that cannot be
+    written fails as it does there."""
     fields = []
     for key, value in doc.items():
         if key == "points":
@@ -349,13 +347,11 @@ def _system_text(doc: dict[str, Any]) -> str:
                 f"{encode_basestring_ascii(x)}: {_strings(image, 2)}" for x, image in value.items()
             ]
             text = _block("{", images, "}", 1)
-        elif isinstance(value, _RowTexts):
-            # Digits and slashes need no escapes; the commas part the entries.
+        elif key == "d" and doc["arithmetic"] == "exact":
+            # Entries need no escapes; the commas part them.
             inner = '",\n      "'
             rows = [f'[\n      "{text.replace(",", inner)}"\n    ]' for text in value]
             text = _block("[", rows, "]", 1)
-        elif key == "d" and doc["arithmetic"] == "exact":
-            text = _block("[", [_strings(row, 2) for row in value], "]", 1)
         else:
             text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
         fields.append(f"{encode_basestring_ascii(key)}: {text}")

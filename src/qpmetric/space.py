@@ -33,10 +33,9 @@ denominators (a row of ``Fraction``s alone by one ``as_integer_ratio``
 call an entry); and any other row, read by the value rule an entry at a
 time, which names the first bad entry.  One scaler takes each row to D,
 the lcm of the denominators met so far, straight into the tuple the space
-keeps; the axiom checker and the min-plus closure scale their values
-through it too.  When D would exceed a fixed bound
-(``_MAX_DENOMINATOR_BITS``, 1,024 bits) the rows hold the ``Fraction``
-values instead, read by the per-entry loop that FLOAT matrices take.
+keeps.  When D would exceed a fixed bound (``_MAX_DENOMINATOR_BITS``,
+1,024 bits) the rows hold the ``Fraction`` values instead, read by the
+per-entry loop that FLOAT matrices take.
 
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
@@ -44,9 +43,13 @@ lanes and compare a whole row per big-int operation (see "Packed rows"
 below); the results are those of one exact comparison per triple.  Rows
 enter and leave those lanes through byte-aligned ``struct`` items of 8,
 16, 32 or 64 bits, in O(log n) big-int steps a row; the kernels still use
-lanes only as wide as the entries need.  FLOAT rows, ``Fraction`` rows,
-negative entries, bools, NaN, ``INFINITY`` and larger ints take the
-per-triple loops.
+lanes only as wide as the entries need.  A value matrix (the closure's
+input, or the distances the axiom checker reads through ``d``) reaches
+both kernels through one entry, :func:`_kernel_rows`: from the entry
+types of one scan it gives int rows over D, through the same scaler,
+with their lane width, or else the values themselves.  FLOAT rows,
+``Fraction`` rows past the bound, negative entries, bools, NaN,
+``INFINITY`` and larger ints take the per-triple loops.
 
 All operations here are pure functions of immutable values and may be
 called concurrently from any number of threads.  (A stored-rows space's
@@ -335,18 +338,6 @@ def _scaled(
     return rows, den
 
 
-def _scaled_values(
-    matrix: Sequence[Sequence[Value]], kinds: set[type]
-) -> tuple[list[tuple[int, ...]], int] | None:
-    """``matrix`` over one common denominator (see :func:`_scaled`) when
-    its entry types ``kinds`` are ints and Fractions, at least one a
-    Fraction; None otherwise (all ints already, or any float,
-    ``INFINITY``, NaN or other value)."""
-    if Fraction not in kinds or not kinds <= _RATIONAL:
-        return None
-    return _scaled((_ratio_row(row, kinds) for row in matrix), {})
-
-
 #: What ``str.translate`` deletes from a row of "p" and "p/q" strings
 #: joined by commas: ASCII digits, the slash and the comma.
 _DIGITS_SLASH_COMMA = dict.fromkeys(b"0123456789/,")
@@ -620,19 +611,29 @@ _MAX_LANE_BITS = 64
 _UNSIGNED = {struct.calcsize("<" + code): code for code in "BHIQ"}
 
 
-def _lane_width(rows: Sequence[Sequence[Value]]) -> int | None:
-    """The lane width w of ``rows`` when every entry is a nonnegative int
-    (not a bool) and w is at most ``_MAX_LANE_BITS``, else None (no
-    entries, any other value, or a lane too wide)."""
-    return _int_lane_width(rows) if _kinds(rows) == {int} else None
-
-
-def _int_lane_width(rows: Sequence[Sequence[int]]) -> int | None:
-    """The lane width of nonempty rows of ints, or None when an entry is
-    negative or the lanes are wider than ``_MAX_LANE_BITS``."""
+def _kernel_rows(
+    matrix: Sequence[Sequence[Value]], kinds: set[type]
+) -> tuple[Sequence[Sequence[Value]], int | None, int | None]:
+    """What the n^3 kernels read of ``matrix``, whose entry types are
+    ``kinds``, as (rows, den, w).  Nonnegative ints and Fractions, at least
+    one a Fraction, give int rows over their least common denominator den
+    (see :func:`_scaled`); nonnegative ints alone give the rows themselves
+    with den None.  Either way w is their lane width, None when the lanes
+    would be wider than ``_MAX_LANE_BITS``.  Any other matrix gives the
+    values with den and w None, for the per-triple loops: one holding a
+    float, ``INFINITY``, NaN, a bool or a negative entry, one whose
+    denominator would pass ``_MAX_DENOMINATOR_BITS``, or no entry at all."""
+    if not kinds or not kinds <= _RATIONAL:
+        return matrix, None, None
+    rows, den = matrix, None
+    if kinds != {int}:
+        scaled = _scaled((_ratio_row(row, kinds) for row in matrix), {})
+        if scaled is None:
+            return matrix, None, None
+        rows, den = scaled
     if min(map(min, rows)) < 0:
-        return None
-    return _lane_bits(max(map(max, rows)))
+        return matrix, None, None
+    return rows, den, _lane_bits(max(map(max, rows)))
 
 
 def _lane_bits(top: int) -> int | None:
@@ -763,12 +764,7 @@ def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int 
             if not isinstance(v, Number)
         )
         raise FieldError(f"d[{i}][{j}]", f"not a number: {v!r}")
-    scaled = _scaled_values(matrix, kinds)
-    if scaled is None:
-        d, den, w = matrix, None, _lane_width(matrix)
-    else:
-        d, den = scaled
-        w = _int_lane_width(d)  # Scaled rows are ints by construction.
+    d, den, w = _kernel_rows(matrix, kinds)
     return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
 
 
@@ -800,20 +796,17 @@ def check_axioms(
         universe = _unique(points)
         if not universe:
             raise ValueError("point sample must be nonempty")
-    rows = space.rows
+    rows, w = space.rows, None
     if sampled or rows is None:
         d = space.d
         rows = [[d(x, y) for y in universe] for x in universe]
         # Scaling by a positive integer keeps "= 0" and "<=" exact; FLOAT
         # comparisons widen by the tolerance and so stay on the values.
-        scaled = _scaled_values(rows, _kinds(rows)) if space.exact else None
-        if scaled is not None:
-            rows = scaled[0]
-    if space.den is not None and not sampled:
+        if space.exact:
+            rows, _, w = _kernel_rows(rows, _kinds(rows))
+    elif space.den is not None:
         # Stored int rows are nonnegative ints by construction.
         w = _lane_bits(max(map(max, rows)))
-    else:
-        w = _lane_width(rows) if space.exact else None
     is_zero = space.is_zero
 
     bad = next(((x,) for i, x in enumerate(universe) if not is_zero(rows[i][i])), None)

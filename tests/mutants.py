@@ -134,6 +134,111 @@ MUTANTS = [
         'a digit string "p/" is refused, not read as "p"',
         ["tests/test_space.py"],
     ),
+    (
+        "space.py",
+        "    if min(map(min, rows)) < 0:\n        return matrix, None, None\n",
+        "",
+        "negative entries take the per-triple loops, not the packed lanes",
+        ["tests/test_space.py", "tests/test_corpus.py"],
+    ),
+    (
+        "space.py",
+        "return w if w <= _MAX_LANE_BITS else None",
+        "return w if w < _MAX_LANE_BITS else None",
+        "64-bit lanes, every entry below 2^62, are packed",
+        ["tests/test_space.py"],
+    ),
+    (
+        "corpus.py",
+        "common = math.gcd(den, *chain.from_iterable(matrix))",
+        "common = 1",
+        "the generator's den is the least common denominator of its weights",
+        ["tests/test_corpus.py"],
+    ),
+    (
+        "comparison.py",
+        "return q * Y.numerator * T.denominator <= r * T.numerator * Y.denominator",
+        "return q * Y.numerator * T.denominator < r * T.numerator * Y.denominator",
+        "the cross-multiplied linear bound admits a defect equal to t - gamma(t)",
+        ["tests/test_comparison.py"],
+    ),
+    (
+        "comparison.py",
+        "return lambda Y, T: q * Y <= r * T",
+        "return lambda Y, T: q * Y < r * T",
+        "the int-row linear bound admits a defect equal to t - gamma(t)",
+        ["tests/test_comparison.py"],
+    ),
+    (
+        "comparison.py",
+        "return lambda Y, T: Y * (den + T) <= T * T",
+        "return lambda Y, T: Y * (den + T) < T * T",
+        "the int-row rational_shrink bound admits a defect equal to t - gamma(t)",
+        ["tests/test_comparison.py"],
+    ),
+    (
+        "contraction.py",
+        "js = [j for j in js if defects[j] == defects[j]]",
+        "js = list(js)",
+        "a NaN defect is dropped before the sort by defect, which it would break",
+        ["tests/test_solver.py"],
+    ),
+    (
+        "contraction.py",
+        "if within(Y, T) and (not both or within(Y, rows[j][i])):",
+        "if within(Y, T):",
+        "SYMMETRIC tests d(y, x) too on stored rows",
+        ["tests/test_contraction.py"],
+    ),
+    (
+        "contraction.py",
+        "if within(Y, T) and (not both or within(Y, d(y, x))):",
+        "if within(Y, T):",
+        "SYMMETRIC tests d(y, x) too through the oracle",
+        ["tests/test_contraction.py"],
+    ),
+    (
+        "contraction.py",
+        "v = self.defects[i] = f if f != f else b if b != b else max(f, b)",
+        "v = self.defects[i] = max(f, b)",
+        "the SYMMETRIC defect keeps a NaN side, whichever side it is",
+        ["tests/test_contraction.py"],
+    ),
+    (
+        "contraction.py",
+        "js = sorted(js, key=defects.__getitem__)",
+        "js = sorted(js, key=defects.__getitem__, reverse=True)",
+        "candidates by defect come smallest first",
+        ["tests/test_contraction.py", "tests/test_solver.py"],
+    ),
+    (
+        "solver.py",
+        "(s for s in range(last + 1) if worst[s] < eps)",
+        "(s for s in range(last + 1) if worst[s] <= eps)",
+        "a tail is eps-Cauchy only when its distances are below eps, strictly",
+        ["tests/test_solver.py"],
+    ),
+    (
+        "solver.py",
+        "if w is None or v > w:",
+        "if w is None or v < w:",
+        "the Cauchy table reads the largest distance of each tail",
+        ["tests/test_solver.py"],
+    ),
+    (
+        "solver.py",
+        "    for i in range(1, len(defects)):",
+        "    for i in range(2, len(defects)):",
+        "the initial defect bounds the first step's defect too",
+        ["tests/test_solver.py"],
+    ),
+    (
+        "documents.py",
+        "raise DocumentError(exc.field, exc.message) from exc",
+        "raise",
+        "a bad matrix entry is a DocumentError, which the CLI turns into exit 2",
+        ["tests/test_documents.py", "tests/test_cli.py"],
+    ),
 ]
 
 

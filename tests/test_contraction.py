@@ -225,6 +225,25 @@ class TestSymmetricRule:
             ("b", 0)
         ]
 
+    @pytest.mark.parametrize("stored", [True, False], ids=["rows", "oracle"])
+    def test_the_dual_side_alone_can_refuse(self, stored):
+        # The defect of b is 1/2 in every mode.  d(a, b) = 1 admits it under
+        # t/2, and d(b, a) = 1/2 does not.
+        m = [[0, 1, 1], [F(1, 2), 0, F(1, 2)], [1, F(1, 2), 0]]
+        pts = ("a", "b", "c")
+        if stored:
+            space = from_matrix(pts, m)
+        else:
+            space = from_oracle(lambda x, y: m[pts.index(x)][pts.index(y)], points=pts)
+        Fm = SetValuedMap({"a": ["b"], "b": ["c"], "c": ["c"]})
+        gamma = linear(F(1, 2))
+        found = {mode: admissible_candidates(space, Fm, gamma, "a", mode) for mode in ContractionMode}
+        assert found == {
+            ContractionMode.FORWARD: [("b", F(1, 2))],
+            ContractionMode.DUAL: [],
+            ContractionMode.SYMMETRIC: [],
+        }
+
 
 class TestNaNDistances:
     """A defect is NaN when any distance it reads is NaN, whatever the

@@ -343,6 +343,13 @@ class TestValidateTrace:
         assert not report.defects_monotone.passed
         assert report.defects_monotone.first_failure == 2
 
+    def test_a_first_defect_above_the_initial_defect_fails(self):
+        gamma = linear(F(1, 2))
+        trace = _hand_trace([F(2), ONE], [F(1, 2), F(1, 4)], initial=F(1, 4))
+        report = validate_trace(trace, gamma)
+        assert report.steps_monotone.passed
+        assert report.defects_monotone == CheckResult(False, 1)
+
     def test_partial_sum_bound_fails(self):
         gamma = linear(F(1, 2))
         cases = [
@@ -484,6 +491,17 @@ class TestCauchyTable:
         space, _, _ = dyadic
         report = validate_trace(_orbit_trace(space, [ONE]), linear(F(1, 2)))
         assert report.cauchy == tuple((eps, 0) for eps in EPSILON_SCHEDULE)
+
+    def test_a_tail_at_exactly_eps_is_not_eps_cauchy(self):
+        # The largest distances of the tails from 0 and 1, 1/2 and 1/4, are
+        # schedule values themselves: a tail must stay below eps, strictly.
+        far = {(0, 1): F(1, 2), (0, 2): F(1, 2), (1, 2): F(1, 4)}
+        space = from_oracle(lambda x, y: far.get((x, y), 0), points=range(3))
+        report = validate_trace(_orbit_trace(space, [0, 1, 2]), linear(F(1, 2)))
+        want = tuple(
+            (eps, 0 if eps > F(1, 2) else 1 if eps > F(1, 4) else 2) for eps in EPSILON_SCHEDULE
+        )
+        assert report.cauchy == want == _brute_force_cauchy(space, [0, 1, 2])
 
     @pytest.mark.parametrize("nan_at, n0", [((1, 2), 2), ((0, 0), 1), ((3, 3), 3)])
     def test_nan_distance_fails_its_start(self, nan_at, n0):
@@ -667,6 +685,24 @@ def test_a_nan_defect_among_tied_candidates_keeps_universe_order():
             config = SolverConfig(mode=mode, selection=selection, max_iterations=1)
             step = solve(space, Fm, gamma, 0, config).steps[0]
             assert (step.x, step.y, step.defect, step.d) == (0, *want, ONE)
+
+
+def test_a_nan_defect_does_not_stop_the_sort_by_defect():
+    # F(0) holds, in universe order: 1, admissible with defect 1/2; 2, whose
+    # defect is NaN; and 3, admissible with defect 1/4.  Left in the sort,
+    # the NaN compares false both ways, so the defects 1/2, NaN, 1/4 read
+    # as one ascending run and 1 would stay ahead of 3.
+    near = {(1, 4): F(1, 2), (2, 5): math.nan, (3, 4): F(1, 4)}
+
+    def d(x, y):
+        return 0 if x == y else near.get((min(x, y), max(x, y)), ONE)
+
+    images = {x: (x,) for x in range(6)}
+    images.update({0: (1, 2, 3), 1: (4,), 2: (5,), 3: (4,)})
+    space, Fm, gamma = from_oracle(d, points=range(6)), SetValuedMap(images), linear(F(1, 2))
+    for mode in ContractionMode:
+        step = solve(space, Fm, gamma, 0, SolverConfig(mode=mode, max_iterations=1)).steps[0]
+        assert (step.y, step.defect, step.d) == (3, F(1, 4), ONE)
 
 
 def test_oracle_call_counts_on_the_truncated_dyadic_system():

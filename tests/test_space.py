@@ -771,8 +771,8 @@ def int_matrices(draw, max_size=7):
 
 @given(rows=int_matrices())
 def test_packed_triangle_scan_matches_the_loop(rows):
-    w = space_module._lane_width(rows)
-    assert w is not None
+    kernel_rows, den, w = space_module._kernel_rows(rows, space_module._kinds(rows))
+    assert (kernel_rows, den) == (rows, None) and w is not None
     want = space_module._first_triangle_violation(rows, 0)
     assert space_module._first_packed_violation(rows, w) == want
     # Also through check_axioms on the same values behind an oracle, on
@@ -800,7 +800,8 @@ def test_packed_triangle_witness_is_the_first_in_row_major_order():
     # Violations at (0, 2, 1), (0, 2, 3) and (1, 0, 3); the loop's first.
     rows = [[0, 9, 1, 5], [0, 0, 9, 9], [0, 0, 0, 0], [0, 0, 0, 0]]
     assert space_module._first_triangle_violation(rows, 0) == (0, 2, 1)
-    assert space_module._first_packed_violation(rows, space_module._lane_width(rows)) == (0, 2, 1)
+    _, _, w = space_module._kernel_rows(rows, {int})
+    assert space_module._first_packed_violation(rows, w) == (0, 2, 1)
 
 
 #: Inputs the packed scan does not take, and the loop does: (exact, values
@@ -809,6 +810,7 @@ FALLBACK_AXIOM_INPUTS = {
     "float": (False, [[0.0, 1.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], (0, 1, 2)),
     "float-ints": (False, [[0, 1, 2], [0, 0, 1], [0, 0, 0]], None),
     "negative": (True, [[0, -1, 0], [0, 0, -1], [0, 0, 0]], (0, 1, 0)),
+    "negative-fraction": (True, [[0, F(-1, 2), 0], [0, 0, F(-1, 3)], [0, 0, 0]], (0, 1, 0)),
     "bool": (True, [[False, True, True], [False, False, False], [False, True, False]], None),
     "nan": (True, [[0, math.nan], [0, 0]], (0, 0, 1)),
     "infinity": (True, [[0, INFINITY], [1, 0]], None),
@@ -873,9 +875,28 @@ def test_packer_at_round_and_byte_edges(n, w):
     _check_packing(rows, n, w)
 
 
+def test_each_value_matrix_is_type_scanned_once(monkeypatch):
+    calls = []
+    kinds = space_module._kinds
+
+    def counted(matrix):
+        calls.append(matrix)
+        return kinds(matrix)
+
+    monkeypatch.setattr(space_module, "_kinds", counted)
+    m = [[0, 1, 3], [2, 0, 1], [1, 4, 0]]
+    assert minplus_closure(m) == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+    assert len(calls) == 1
+    calls.clear()
+    space = from_oracle(lambda x, y: F(m[x][y], 2), points=range(3))
+    assert check_axioms(space).triangle.witness == (0, 1, 2)
+    assert len(calls) == 1
+
+
 def test_lanes_stop_at_64_bits():
-    assert space_module._lane_width([[0, 2**62 - 1], [0, 0]]) == 64
-    assert space_module._lane_width([[0, 2**62], [0, 0]]) is None
+    fits, wide = [[0, 2**62 - 1], [0, 0]], [[0, 2**62], [0, 0]]
+    assert space_module._kernel_rows(fits, {int}) == (fits, None, 64)
+    assert space_module._kernel_rows(wide, {int}) == (wide, None, None)
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_AXIOM_INPUTS))
