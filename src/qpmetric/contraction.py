@@ -29,18 +29,19 @@ One scan (:class:`_Scan`) serves the verifier, the enumerators and the
 solver on every space, with one candidate loop.  It reads the defect of
 every candidate in F(x) first, and then d(x, y) or d(y, x) only for the
 candidate it tests, so a scan that stops at the first admissible candidate
-reads no distance past it.  On a finite space it resolves each image to
-sorted universe positions, lazily, and keeps one defect list per mode,
-indexed by position.  A space with stored rows (see :mod:`qpmetric.space`)
-shares these per (space, map), so an image is resolved and a defect
-computed once however many calls ask; it is read a whole image at a time.
-Other spaces are read through ``d`` and resolved afresh by every call, so
-a user oracle sees the same calls on every run.  Two threads may fill one
+reads no distance past it.  Its state, built whole by the first scan
+that needs it, is one slot per image (resolved to sorted universe
+positions when first read) and one defect list per mode, indexed by
+position, or keyed by point on a space without a universe.  Stored rows (see
+:mod:`qpmetric.space`) share it per (space, map) in ``QSpace.resolved``,
+keyed weakly by the map, so an image is resolved and a defect computed
+once however many calls ask; it is read a whole image at a time.  Other
+spaces are read through ``d`` and resolved afresh by every call, so a
+user oracle sees the same calls on every run.  Two threads may fill one
 shared slot twice, always with the same value.  A SYMMETRIC defect is the
 larger of the FORWARD and DUAL ones, and SYMMETRIC admits y when both
-modes do.  A defect stays in the rows' scale until it is handed out as the
-value ``d`` would give; the admissibility test in that scale is
-:meth:`ComparisonFunction.bound_test`.
+modes do.  A defect stays in the rows' scale until it is handed out as
+the value ``d`` would give; the test is :meth:`ComparisonFunction.bound_test`.
 """
 
 from __future__ import annotations
@@ -196,12 +197,10 @@ def _value(space: QSpace, v: Value) -> Value:
 
 class _Scan:
     """One run's admissibility scan (see the module docstring), in the
-    scale of the stored rows (see :func:`_value`).  Its state, shared on a
-    stored-rows space under the map's weak key (``QSpace.resolved``), is
-    each image's sorted universe positions and one defect list per mode,
-    keyed by point on a space without a universe.  An image point outside
-    the universe is a ValueError naming it, raised before any distance to
-    it is read; its slot stays empty, so every later scan raises again."""
+    scale of the stored rows (see :func:`_value`); a slot not yet filled
+    reads ``_MISSING``.  An image point outside the universe is a
+    ValueError naming it, raised before any distance to it is read; its
+    slot stays empty, so every later scan raises again."""
 
     def __init__(
         self,
@@ -213,27 +212,22 @@ class _Scan:
         self.forward, backward, _ = _meaning(mode)
         self.both = self.forward and backward
         self.space, self.F = space, F
-        self.within = None if gamma is None else gamma.bound_test(space.den, space.leq, space.exact)
+        self.within = None if gamma is None else gamma.bound_test(space.den, space.leq)
         memo = space.resolved
         state = None if memo is None else memo.get(F)
         if state is None:
-            state = (None if space.points is None else [None] * len(space.points), {})
+            if space.points is None:
+                state = None, {m: defaultdict(lambda: _MISSING) for m in _MODES}
+            else:
+                n = len(space.points)
+                state = [None] * n, {m: [_MISSING] * n for m in _MODES}
             if memo is not None:
                 state = memo.setdefault(F, state)
-        self.images, self.slots = state
-        self.defects = self.slots_of(mode)
-        if self.both:
-            # The lists of the FORWARD and DUAL scans, whose max this reads.
-            self.sides = [self.slots_of(m) for m in (ContractionMode.FORWARD, ContractionMode.DUAL)]
-
-    def slots_of(self, mode: ContractionMode) -> list | defaultdict:
-        """The mode's defect slots; one not yet filled reads ``_MISSING``."""
-        v = self.slots.get(mode)
-        if v is None:
-            images = self.images
-            fresh = defaultdict(lambda: _MISSING) if images is None else [_MISSING] * len(images)
-            v = self.slots.setdefault(mode, fresh)
-        return v
+        self.images, slots = state
+        self.defects = slots[mode]
+        # The FORWARD and DUAL lists: ``side`` fills them, and a SYMMETRIC
+        # defect is their max.
+        self.sides = slots[ContractionMode.FORWARD], slots[ContractionMode.DUAL]
 
     def positions(self, i: int, image: tuple[Point, ...] | None = None) -> list[int]:
         """The universe positions of the image of the i-th point, sorted;
@@ -250,9 +244,10 @@ class _Scan:
             self.images[i] = js
         return js
 
-    def side(self, i: Point, forward: bool, defects: list | defaultdict) -> Value:
-        """The FORWARD defect, or unless ``forward`` the DUAL one, at slot i of
-        ``defects``: read from the stored rows a whole image at a time, or through ``d``."""
+    def side(self, i: Point, forward: bool) -> Value:
+        """The FORWARD defect, or unless ``forward`` the DUAL one, at slot i:
+        read from the stored rows a whole image at a time, or through ``d``."""
+        defects = self.sides[not forward]
         v = defects[i]
         if v is _MISSING:
             space, rows = self.space, self.space.rows
@@ -277,10 +272,9 @@ class _Scan:
         v = self.defects[i]
         if v is _MISSING:
             if not self.both:
-                return self.side(i, self.forward, self.defects)
+                return self.side(i, self.forward)
             # The larger side, or the first NaN.
-            f = self.side(i, True, self.sides[0])
-            b = self.side(i, False, self.sides[1])
+            f, b = self.side(i, True), self.side(i, False)
             v = self.defects[i] = f if f != f else b if b != b else max(f, b)
         return v
 
@@ -305,13 +299,11 @@ class _Scan:
         reading d(x, y) or d(y, x), from the rows or through ``d``, only as
         the mode tests it."""
         space, within, forward, both = self.space, self.within, self.forward, self.both
-        rows, order, points = space.rows, space.order, space.points
-        defects = self.defects
+        rows, order, points, defects = space.rows, space.order, space.points, self.defects
         i = x if order is None else order[x]
         js = self.F(x) if order is None else self.positions(i)
         for j in js:
-            if defects[j] is _MISSING:
-                self.at(j)
+            self.at(j)
         if rows is None:
             # Only d gives a NaN; dropping it keeps the sort below total.
             js = [j for j in js if defects[j] == defects[j]]

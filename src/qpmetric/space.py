@@ -471,8 +471,10 @@ def from_oracle(
     t0: bool = False,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> QSpace:
-    """Wrap a distance oracle, optionally with an enumerable universe."""
+    """Wrap a distance oracle, optionally with a nonempty finite universe."""
     pts = _unique(points) if points is not None else None
+    if pts == ():
+        raise ValueError("universe must be nonempty")
     return QSpace(d=d, points=pts, exact=exact, t0=t0, tolerance=tolerance)
 
 

@@ -1,8 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from qpmetric import SetValuedMap, from_matrix, linear
+
+#: Fixed draws and no example database, so that a run repeats the last
+#: one; ``tests/mutants.py`` runs every test file under it.  Without
+#: ``--hypothesis-profile`` the default profile applies.
+settings.register_profile("mutants", derandomize=True, database=None)
 
 
 @pytest.fixture

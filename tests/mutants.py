@@ -8,9 +8,11 @@ It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory and runs the test files of all entries there once unmutated,
 which must pass.  Then it applies one mutant at a time to the copy of
 ``src/qpmetric`` and runs that mutant's test files with
-``-x -q -p no:cacheprovider``.  It exits 1 when a snippet is no longer in
-its module exactly once (the entry has gone stale) or a mutant survives
-(its tests still pass).  The file is not named ``test_*.py``, so the test
+``-x -q -p no:cacheprovider --hypothesis-profile=mutants``.  That
+profile (see ``tests/conftest.py``) fixes Hypothesis's draws, so two runs
+give the same verdicts.  It exits 1 when a snippet is no longer in its
+module exactly once (the entry has gone stale) or a mutant survives (its
+tests still pass).  The file is not named ``test_*.py``, so the test
 suite does not collect it.
 """
 
@@ -157,9 +159,9 @@ MUTANTS = [
     ),
     (
         "comparison.py",
-        "return q * Y.numerator * T.denominator <= r * T.numerator * Y.denominator",
-        "return q * Y.numerator * T.denominator < r * T.numerator * Y.denominator",
-        "the cross-multiplied linear bound admits a defect equal to t - gamma(t)",
+        "return lambda Y, T: leq(Y, T - self(T))",
+        "return lambda Y, T: leq(Y, T)",
+        "on the values the bound is t - gamma(t), not t",
         ["tests/test_comparison.py"],
     ),
     (
@@ -244,7 +246,8 @@ MUTANTS = [
 
 def _pytest(cwd: Path, files: list[str]) -> bool:
     """Whether ``files`` pass under pytest in the copy at ``cwd``."""
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    argv += ["--hypothesis-profile=mutants", *files]
     return subprocess.run(argv, cwd=cwd, capture_output=True).returncode == 0
 
 

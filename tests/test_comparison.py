@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from qpmetric import (
     default_grid,
+    from_oracle,
     linear,
     parse_system,
     rational_shrink,
@@ -198,26 +199,40 @@ def _bound_cases(draw):
 @example(case=(linear(F(1, 3)), 5, 2, 3))
 @example(case=(rational_shrink(), 2, 1, 2))
 @example(case=(user_table(TABLE), 16, 80, 16 * 9))
+# On the values, linear(1/3): 2/3 <= 1 - 1/3 (a zero-slack tie), not
+# 2/3 + 10^-30 <= 1 - 1/3; 2 <= 3 - 1; 0 <= 0 at t = 0, not 1/7 <= 0.
+@example(case=(linear(F(1, 3)), 3, 2, 3))
+@example(case=(linear(F(1, 3)), 3 * 10**30, 2 * 10**30 + 3, 3 * 10**30))
+@example(case=(linear(F(1, 3)), 1, 2, 3))
+@example(case=(linear(F(1, 3)), 1, 0, 0))
+@example(case=(linear(F(1, 3)), 7, 1, 0))
 def test_bound_test_is_the_admissibility_inequality(case):
     gamma, den, Y, T = case
     y, t = F(Y, den), F(T, den)
     want = y <= t - gamma(t)
-    assert gamma.bound_test(den, operator.le, True)(Y, T) is want
-    assert gamma.bound_test(None, operator.le, False)(y, t) is want
-    # On the values of an EXACT space: ints and Fractions alike.
-    assert gamma.bound_test(None, operator.le, True)(y, t) is want
-    assert gamma.bound_test(None, operator.le, True)(Y, T) is (Y <= T - gamma(T))
+    assert gamma.bound_test(den, operator.le)(Y, T) is want
+    # On the values: Fractions, ints, and an int against a Fraction.
+    on_values = gamma.bound_test(None, operator.le)
+    assert on_values(y, t) is want
+    assert on_values(Y, T) is on_values(Y, F(T)) is (Y <= T - gamma(T))
 
 
 def test_an_exact_linear_test_cross_multiplies_ints_and_fractions():
-    def refuse(a, b):
-        raise AssertionError("leq was consulted")
+    # An EXACT space's leq sees only ints and Fractions, whose comparison
+    # cross-multiplies numerators and denominators: no float rounding.
+    seen = []
 
-    test = linear(F(1, 3)).bound_test(None, refuse, True)
+    def leq(a, b):
+        seen.append((a, b))
+        return operator.le(a, b)
+
+    test = linear(F(1, 3)).bound_test(None, leq)
     assert test(F(2, 3), 1) is True  # a zero-slack tie: 1 - 1/3 = 2/3
     assert test(F(2, 3) + F(1, 10**30), 1) is False
     assert test(2, F(3)) is True
     assert test(0, 0) is True and test(F(1, 7), 0) is False
+    assert len(seen) == 5
+    assert all(isinstance(v, (int, Fraction)) for pair in seen for v in pair)
 
 
 @pytest.mark.parametrize(
@@ -226,12 +241,11 @@ def test_an_exact_linear_test_cross_multiplies_ints_and_fractions():
 )
 def test_an_exact_linear_test_leaves_floats_to_leq(Y, T):
     gamma = linear(F(1, 2))
-    want = Y <= T - gamma(T)
-    assert gamma.bound_test(None, operator.le, True)(Y, T) is want
-    assert gamma.bound_test(None, operator.le, False)(Y, T) is want
+    assert gamma.bound_test(None, operator.le)(Y, T) is (Y <= T - gamma(T))
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_a_negative_distance_is_refused_by_gamma_on_every_path(exact):
+    leq = from_oracle(lambda x, y: 0, exact=exact).leq
     with pytest.raises(ValueError, match="defined on"):
-        linear(F(1, 2)).bound_test(None, operator.le, exact)(0, F(-1, 2))
+        linear(F(1, 2)).bound_test(None, leq)(0, F(-1, 2))

@@ -13,6 +13,7 @@ from qpmetric import (
     ContractionMode,
     DocumentError,
     GeneratorSeed,
+    QSpace,
     SetValuedMap,
     SolverConfig,
     dump_system,
@@ -456,7 +457,8 @@ def _parity_systems():
     for exact in (True, False):
         oracle = from_oracle(lambda x, y: far.get((x, y), 0), points=("a", "b"), exact=exact)
         yield f"oracle-inf-{exact}", oracle, None, None, None
-    yield "empty-universe", from_oracle(lambda x, y: 0, points=()), None, None, None
+    # from_oracle refuses an empty universe; the bare space still holds one.
+    yield "empty-universe", QSpace(lambda x, y: 0, points=()), None, None, None
     ids = ['q"uote', "back\\slash", "ctrl\x01\x1f\x7f", "tab\tnl\n", "caf\u00e9", "\u2603", "", "/"]
     n = len(ids)
     odd = from_matrix(ids, [[str(F(i * j, 1 + i)) for j in range(n)] for i in range(n)])

@@ -522,6 +522,15 @@ def test_an_empty_axiom_sample_is_refused(dyadic):
         check_axioms(space, points=())
 
 
+def test_an_empty_oracle_universe_is_refused():
+    # As from_matrix and a document refuse one; a pass over no points
+    # would certify nothing.
+    for points in ([], (), iter(())):
+        with pytest.raises(ValueError, match="^universe must be nonempty$"):
+            from_oracle(lambda x, y: 0, points=points)
+    assert from_oracle(lambda x, y: 0).points is None
+
+
 def test_t0_scan_finds_the_first_pair_past_rows_without_zeros():
     # Rows 0 and 1 hold no off-diagonal zero; (p2, p3) is the first pair.
     m = [[0, 1, 2, 1], [1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
