@@ -294,16 +294,18 @@ class _Scan:
         order, so the first is the one a ``min`` by defect picks.  The
         distance is d(y, x) in DUAL mode and d(x, y) otherwise.
 
-        Every candidate's defect is read first, and a NaN one, which admits
-        nothing, is dropped.  The rest are tested one per triple taken, each
-        reading d(x, y) or d(y, x), from the rows or through ``d``, only as
-        the mode tests it."""
+        Every candidate's defect is read first, in that order: a filled
+        slot inline, an empty one through :meth:`at`, which fills it.  A
+        NaN defect, which admits nothing, is dropped.  The rest are tested
+        one per triple taken, each reading d(x, y) or d(y, x), from the
+        rows or through ``d``, only as the mode tests it."""
         space, within, forward, both = self.space, self.within, self.forward, self.both
         rows, order, points, defects = space.rows, space.order, space.points, self.defects
         i = x if order is None else order[x]
         js = self.F(x) if order is None else self.positions(i)
         for j in js:
-            self.at(j)
+            if defects[j] is _MISSING:
+                self.at(j)
         if rows is None:
             # Only d gives a NaN; dropping it keeps the sort below total.
             js = [j for j in js if defects[j] == defects[j]]

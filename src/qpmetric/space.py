@@ -29,13 +29,14 @@ reader takes the matrix a row at a time and knows three kinds of row: a
 row of "p" and "p/q" digit strings (a document's), checked as one string,
 its denominators read through one table of tails for the whole matrix; a
 row of nonnegative ints and ``Fraction``s, read by its numerators and
-denominators (a row of ``Fraction``s alone by one ``as_integer_ratio``
-call an entry); and any other row, read by the value rule an entry at a
-time, which names the first bad entry.  One scaler takes each row to D,
-the lcm of the denominators met so far, straight into the tuple the space
-keeps.  When D would exceed a fixed bound (``_MAX_DENOMINATOR_BITS``,
-1,024 bits) the rows hold the ``Fraction`` values instead, read by the
-per-entry loop that FLOAT matrices take.
+denominators (a row of exactly ``Fraction``s straight from their two
+slots, with no Python-level call an entry); and any other row, read by
+the value rule an entry at a time, which names the first bad entry.  One
+scaler takes each row to D, the lcm of the denominators met so far,
+straight into the tuple the space keeps.  When D would exceed a fixed
+bound (``_MAX_DENOMINATOR_BITS``, 1,024 bits) the rows hold the
+``Fraction`` values instead, read by the per-entry loop that FLOAT
+matrices take.
 
 On such int rows, when every entry is below 2^62, the triangle scan and
 the min-plus closure pack each row into one Python int of fixed-width
@@ -129,8 +130,9 @@ class QSpace:
     ``exact`` selects the arithmetic mode; ``tolerance`` (finite, >= 0) is
     only consulted in FLOAT mode.  ``t0`` records whether the space claims
     the T0 condition (it is checked by :func:`check_axioms`, never assumed).
-    ``order`` maps each point of a finite universe to its position; every
-    finite scan reads it.
+    A finite universe must be nonempty and hold each point once; either
+    fault is a ValueError.  ``order`` maps each point of a finite universe
+    to its position; every finite scan reads it.
 
     A space built by :func:`from_matrix` also holds its distances as
     ``rows``, index-addressed by ``order``: ints over the common
@@ -157,7 +159,13 @@ class QSpace:
     def __post_init__(self) -> None:
         if not 0 <= self.tolerance < INFINITY:
             raise FieldError("tolerance", "must be a nonnegative finite number")
-        order = None if self.points is None else {p: i for i, p in enumerate(self.points)}
+        order = None
+        if self.points is not None:
+            if not self.points:
+                raise ValueError("universe must be nonempty")
+            order = {p: i for i, p in enumerate(self.points)}
+            if len(order) != len(self.points):
+                raise ValueError("universe contains duplicate points")
         object.__setattr__(self, "order", order)
 
     def universe(self) -> tuple[Point, ...]:
@@ -278,15 +286,24 @@ _MAX_DENOMINATOR_BITS = 1024
 #: not an int here (its type is ``bool``).
 _RATIONAL = frozenset({int, Fraction})
 _NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+#: The slots that ``Fraction``'s ``numerator`` and ``denominator``
+#: properties return (CPython 3.10 to 3.13 declare both), read by C-level
+#: getters; a Python that keeps them elsewhere reads the properties.
+_SLOT_NUMERATOR, _SLOT_DENOMINATOR = (
+    (attrgetter("_numerator"), attrgetter("_denominator"))
+    if {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    else (_NUMERATOR, _DENOMINATOR)
+)
 
 
 def _ratio_row(row: Sequence[Value], kinds: set[type]) -> tuple[Sequence[int], Sequence[int]]:
     """Numerators and denominators of a row of ints and Fractions, whose
-    entry types are among ``kinds``: one ``as_integer_ratio`` call per
-    entry when ``kinds`` holds only ``Fraction``, two property reads per
-    entry otherwise."""
+    entry types are among ``kinds``: read from ``Fraction``'s slots, with
+    no Python-level call per entry, when ``kinds`` holds only ``Fraction``
+    (an exact type test, so a subclass reads its properties), and by two
+    property reads per entry otherwise."""
     if kinds == {Fraction}:
-        return tuple(zip(*map(Fraction.as_integer_ratio, row)))
+        return tuple(map(_SLOT_NUMERATOR, row)), tuple(map(_SLOT_DENOMINATOR, row))
     return list(map(_NUMERATOR, row)), list(map(_DENOMINATOR, row))
 
 
@@ -471,10 +488,9 @@ def from_oracle(
     t0: bool = False,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> QSpace:
-    """Wrap a distance oracle, optionally with a nonempty finite universe."""
+    """Wrap a distance oracle, optionally with a nonempty finite universe;
+    a point repeated in ``points`` is kept once, where it first occurs."""
     pts = _unique(points) if points is not None else None
-    if pts == ():
-        raise ValueError("universe must be nonempty")
     return QSpace(d=d, points=pts, exact=exact, t0=t0, tolerance=tolerance)
 
 

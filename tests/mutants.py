@@ -235,6 +235,84 @@ MUTANTS = [
         ["tests/test_solver.py"],
     ),
     (
+        "space.py",
+        '(attrgetter("_numerator"), attrgetter("_denominator"))',
+        '(attrgetter("_denominator"), attrgetter("_numerator"))',
+        "the slot reader reads each Fraction's numerator, then its denominator",
+        ["tests/test_space.py"],
+    ),
+    (
+        "contraction.py",
+        "if defects[j] is _MISSING:",
+        "if defects[j] is not _MISSING:",
+        "the scan fills every empty defect slot of a candidate before it tests one",
+        ["tests/test_contraction.py"],
+    ),
+    (
+        "space.py",
+        "            if len(order) != len(self.points):\n"
+        '                raise ValueError("universe contains duplicate points")\n',
+        "",
+        "a universe that repeats a point is refused by the constructor itself",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "d = [list(row) for row in d]",
+        "d = list(d)",
+        "the per-triple closure relaxes a copy and leaves its input as it was",
+        ["tests/test_corpus.py"],
+    ),
+    (
+        "space.py",
+        "elif _RATIONAL.issuperset(kinds := set(map(type, row))):",
+        "elif False:",
+        "rows of ints and Fractions are read whole, not through the value rule",
+        ["tests/test_documents.py"],
+    ),
+    (
+        "space.py",
+        "den, scale = met, {}",
+        "den = met",
+        "factors scaled to a smaller D are dropped when D grows",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "if min(num) >= 0:",
+        "if True:",
+        "a negative Fraction is refused, naming its entry",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "return list(map(_NUMERATOR, row)), list(map(_DENOMINATOR, row))",
+        "return map(_NUMERATOR, row), list(map(_DENOMINATOR, row))",
+        "the numerators are a sequence: the sign test reads them before the scaler",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "[_entry(raw, exact, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)",
+        "[_entry(raw, True, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)",
+        "the per-entry loop that rows past the bound share reads a FLOAT matrix as floats",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "dens = list(map(tails.get, keys, keys))",
+        "dens = list(map(tails.get, keys, repeat(1)))",
+        "an int denominator stands for itself in the scaler",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        '    if 0 in fresh.values():\n        return None  # "p/0"\n',
+        "",
+        'a digit string "p/0" is left to the value rule, which names it',
+        ["tests/test_space.py"],
+    ),
+    (
         "documents.py",
         "raise DocumentError(exc.field, exc.message) from exc",
         "raise",

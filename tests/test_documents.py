@@ -457,8 +457,6 @@ def _parity_systems():
     for exact in (True, False):
         oracle = from_oracle(lambda x, y: far.get((x, y), 0), points=("a", "b"), exact=exact)
         yield f"oracle-inf-{exact}", oracle, None, None, None
-    # from_oracle refuses an empty universe; the bare space still holds one.
-    yield "empty-universe", QSpace(lambda x, y: 0, points=()), None, None, None
     ids = ['q"uote', "back\\slash", "ctrl\x01\x1f\x7f", "tab\tnl\n", "caf\u00e9", "\u2603", "", "/"]
     n = len(ids)
     odd = from_matrix(ids, [[str(F(i * j, 1 + i)) for j in range(n)] for i in range(n)])
@@ -488,6 +486,13 @@ def test_dump_system_writes_the_bytes_of_json_dumps(tmp_path, space, Fm, gamma, 
     dump_system(path, space, Fm, gamma, meta)
     doc = system_document(space, Fm, gamma, meta)
     assert path.read_bytes() == (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+
+
+def test_a_bare_space_refuses_an_empty_universe():
+    # A document needs a nonempty list of point ids, so the constructor
+    # refuses an empty universe before a writer can see one.
+    with pytest.raises(ValueError, match="^universe must be nonempty$"):
+        QSpace(lambda x, y: 0, points=())
 
 
 def _circular():

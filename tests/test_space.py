@@ -12,6 +12,7 @@ from qpmetric import (
     AxiomCheck,
     AxiomReport,
     GeneratorSeed,
+    QSpace,
     ball_contains,
     check_axioms,
     conjugate,
@@ -268,6 +269,15 @@ def test_float_mode_tolerance_comparisons():
     assert space.is_zero(space.d("a", "b"))
     assert space.leq(1 + 1e-12, 1)
     assert not space.leq(1 + 1e-6, 1)
+
+
+def test_a_float_matrix_holds_floats():
+    # Every kind of entry the value rule takes, read to its float.
+    space = from_matrix(("a", "b"), [[0, "1/3"], [F(2, 3), 0.25]], exact=False)
+    rows = [[space.d(x, y) for y in "ab"] for x in "ab"]
+    assert rows == [[0.0, 1 / 3], [2 / 3, 0.25]]
+    assert {type(v) for row in rows for v in row} == {float}
+    assert space.den is None
 
 
 def test_matrix_validation():
@@ -529,6 +539,26 @@ def test_an_empty_oracle_universe_is_refused():
         with pytest.raises(ValueError, match="^universe must be nonempty$"):
             from_oracle(lambda x, y: 0, points=points)
     assert from_oracle(lambda x, y: 0).points is None
+
+
+def test_a_universe_holds_each_point_once():
+    # The bare constructor and from_matrix refuse a repeat; from_oracle
+    # keeps each point where it first occurs.  1 and 1.0 are one point.
+    for points in (("a", "b", "a"), (1, 2, 1.0)):
+        with pytest.raises(ValueError, match="^universe contains duplicate points$"):
+            QSpace(lambda x, y: 0, points=points)
+        with pytest.raises(ValueError, match="^universe contains duplicate points$"):
+            from_matrix(points, [[0] * 3] * 3)
+    assert from_oracle(lambda x, y: 0, points=(1, 2, 1.0, 3)).points == (1, 2, 3)
+
+
+def test_the_slot_reader_reads_what_as_integer_ratio_reads():
+    # Zero, negatives, and numerators and denominators past 2**100.
+    big = 2**100
+    row = [F(0), F(-3, 7), F(big + 1), F(1, big + 3), F(-(big**2) - 1, 3 * big + 1), F(5)]
+    assert space_module._ratio_row(row, {Fraction}) == tuple(
+        zip(*(v.as_integer_ratio() for v in row))
+    )
 
 
 def test_t0_scan_finds_the_first_pair_past_rows_without_zeros():
