@@ -55,7 +55,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .comparison import ComparisonFunction
-from .space import Point, QSpace, Value, _max_keeping_nan, _min_keeping_nan, _unique
+from .space import _NEVER_NAN, Point, QSpace, Value, _max_keeping_nan, _min_keeping_nan, _unique
 
 
 class SetValuedMap:
@@ -90,7 +90,9 @@ class SetValuedMap:
 
     @staticmethod
     def _normalize(x: Point, image: Iterable[Point]) -> tuple[Point, ...]:
-        members = _unique(tuple(image))
+        members = tuple(image)
+        if len(members) > 1:  # One point repeats nothing: it is not hashed.
+            members = _unique(members)
         if not members:
             raise ValueError(f"image of {x!r} must be nonempty")
         return members
@@ -307,8 +309,9 @@ class _Scan:
             if defects[j] is _MISSING:
                 self.at(j)
         if rows is None:
-            # Only d gives a NaN; dropping it keeps the sort below total.
-            js = [j for j in js if defects[j] == defects[j]]
+            # Only d gives a NaN; dropping it keeps the sort below total.  An
+            # int or Fraction is never NaN, so its (Python-level) == is skipped.
+            js = [j for j in js if type(defects[j]) in _NEVER_NAN or defects[j] == defects[j]]
         if by_defect:
             # A stable sort: equal defects stay in universe order.
             js = sorted(js, key=defects.__getitem__)

@@ -15,7 +15,8 @@ below).  Admissible steps force the chain
 so step distances and defects are nonincreasing and the gamma values
 telescope into a partial-sum bound.  ``validate_trace`` replays exactly
 those inequalities on a recorded trace, plus a prefix left-K-Cauchy
-certificate built in one backward pass over the orbit.
+certificate built in one backward pass over the orbit, which tests each
+row of distances only against the epsilons no later row has reached.
 
 Termination is by defect: the run converges as soon as the mode defect at
 the current point drops to the configured tolerance (exactly zero in EXACT
@@ -41,10 +42,13 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import ge, mul
+from typing import Callable, Sequence
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
 from .contraction import ContractionMode, SetValuedMap, _distances, _meaning, _Scan, _value
-from .space import INFINITY, Point, QSpace, Value, _max_keeping_nan
+from .space import _RATIONAL, Point, QSpace, Value, _ratio_row
 
 
 #: The solver's name for :class:`ContractionMode`, the one mode type.
@@ -314,10 +318,20 @@ def validate_trace(
     neither is available; for an ENDPOINT trace too it is the input space.
     It reads d(x_k, x_n), d(x_n, x_k) for ENDPOINT, once for each pair
     k <= n of the orbit x_0, ..., x_L, the diagonal included: (L + 1)(L + 2)/2
-    oracle calls.  A NaN distance counts as ``INFINITY``, so no tail that
-    holds it is Cauchy, whatever its position in the orbit.
+    oracle calls, a row k at a time from k = L down to 0.  A row is tested
+    against each epsilon no later row has reached: a row of ints and
+    Fractions by an exact integer test on its numerators and denominators,
+    any other row one value at a time.  A NaN distance counts as
+    ``INFINITY``, so no tail that holds it is Cauchy, whatever its position
+    in the orbit.  A ``space`` other than the trace's own, if it has a finite
+    universe, must hold every orbit point: ``ValueError`` names the first
+    one it lacks.
     """
-    space = space if space is not None else trace.space
+    if space is None:
+        space = trace.space
+    elif space is not trace.space:
+        for x in trace.points:
+            _check_point(space, x)
     if space is not None:
         leq = space.leq
     else:
@@ -352,26 +366,22 @@ def validate_trace(
     if space is not None:
         pts, (xy, _, _) = trace.points, _meaning(trace.mode)
         last = len(pts) - 1
-        # worst[s] is the largest d(x_k, x_n) (ENDPOINT: d(x_n, x_k)) over
-        # s <= k <= n <= last, so the tail from s is eps-Cauchy exactly when
-        # worst[s] < eps.  The diagonal is included: d(x, x) = 0 may fail.
-        worst: list[Value] = []
-        w = None
-        for s in range(last, -1, -1):
-            x, tail = pts[s], pts[s:]
-            v = _max_keeping_nan(_distances(space, x, tail, xy, not xy))
-            if v != v:
-                v = INFINITY  # NaN is below no epsilon
-            if w is None or v > w:
-                w = v
-            worst.append(w)
-        worst.reverse()
-        # worst never decreases toward the start of the orbit, so the
-        # first start below eps is the smallest; last if none is.
-        cauchy = tuple(
-            (eps, next((s for s in range(last + 1) if worst[s] < eps), last))
-            for eps in EPSILON_SCHEDULE
-        )
+        # n0(eps) is one more than the last row r holding a distance >= eps
+        # (or NaN), capped at last, and 0 when no row holds one.  The rows
+        # are read backward, so the first row to reach eps is that last one;
+        # a row that reaches eps reaches every smaller eps too, so each row
+        # is tested only against the smallest eps no later row reached, and
+        # against the next one only on a hit.
+        n0 = [0] * len(EPSILON_SCHEDULE)
+        e = len(EPSILON_SCHEDULE) - 1  # The smallest eps not yet reached.
+        for r in range(last, -1, -1):
+            row = _distances(space, pts[r], pts[r:], xy, not xy)
+            if e >= 0:
+                reaches = _reach_test(row)
+                while e >= 0 and reaches(EPSILON_SCHEDULE[e]):
+                    n0[e] = min(r + 1, last)
+                    e -= 1
+        cauchy = tuple(zip(EPSILON_SCHEDULE, n0))
 
     return TraceReport(
         steps_monotone=steps_monotone,
@@ -379,3 +389,25 @@ def validate_trace(
         partial_sums=partial,
         cauchy=cauchy,
     )
+
+
+def _reach_test(row: Sequence[Value]) -> Callable[[Fraction], bool]:
+    """A test of whether ``row`` holds a distance >= eps, or a NaN, which is
+    below no eps.  A row of ints and Fractions alone (exact types) is read
+    once to numerators and denominators, and eps = p/q is tested by integer
+    products, with no Fraction operator; any other row, one value at a
+    time."""
+    kinds = set(map(type, row))
+    if _RATIONAL.issuperset(kinds):
+        num, den = _ratio_row(row, kinds)
+
+        def reaches(eps: Fraction) -> bool:
+            p, q = eps.numerator, eps.denominator
+            return any(map(ge, map(mul, num, repeat(q)), map(mul, den, repeat(p))))
+
+    else:
+
+        def reaches(eps: Fraction) -> bool:
+            return any(v != v or v >= eps for v in row)
+
+    return reaches

@@ -180,8 +180,8 @@ MUTANTS = [
     ),
     (
         "contraction.py",
-        "js = [j for j in js if defects[j] == defects[j]]",
-        "js = list(js)",
+        "if type(defects[j]) in _NEVER_NAN or defects[j] == defects[j]]",
+        "if isinstance(defects[j], object) or defects[j] == defects[j]]",
         "a NaN defect is dropped before the sort by defect, which it would break",
         ["tests/test_solver.py"],
     ),
@@ -215,16 +215,23 @@ MUTANTS = [
     ),
     (
         "solver.py",
-        "(s for s in range(last + 1) if worst[s] < eps)",
-        "(s for s in range(last + 1) if worst[s] <= eps)",
-        "a tail is eps-Cauchy only when its distances are below eps, strictly",
+        "any(map(ge, map(mul, num, repeat(q)), map(mul, den, repeat(p))))",
+        "any(map(int.__gt__, map(mul, num, repeat(q)), map(mul, den, repeat(p))))",
+        "a row of ints and Fractions at exactly eps is not eps-Cauchy: eps is strict",
         ["tests/test_solver.py"],
     ),
     (
         "solver.py",
-        "if w is None or v > w:",
-        "if w is None or v < w:",
-        "the Cauchy table reads the largest distance of each tail",
+        "return any(v != v or v >= eps for v in row)",
+        "return any(v >= eps for v in row)",
+        "a NaN distance is below no eps, in a row compared a value at a time",
+        ["tests/test_solver.py"],
+    ),
+    (
+        "solver.py",
+        "n0[e] = min(r + 1, last)",
+        "n0[e] = r + 1",
+        "a last row that reaches eps leaves no start: n0 is the last index",
         ["tests/test_solver.py"],
     ),
     (

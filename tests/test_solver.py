@@ -376,6 +376,31 @@ class TestValidateTrace:
         trace = _hand_trace([F(2), ONE], [ONE, F(1, 2)], initial=F(2))
         assert validate_trace(trace, gamma).cauchy is None
 
+    @pytest.mark.parametrize("build", ["matrix", "oracle"])
+    def test_a_space_without_an_orbit_point_is_refused(self, funnel_system, build):
+        # The orbit a, b, c replayed on a space that lacks b: a ValueError
+        # naming b, on matrix and finite oracle spaces alike, before any
+        # distance is read.
+        space, Fm, gamma = funnel_system
+        trace = solve(space, Fm, gamma, "a", SolverConfig(selection=Selection.FIRST_ADMISSIBLE))
+        assert trace.points == ("a", "b", "c")
+        reads = []
+
+        def d(x, y):
+            reads.append((x, y))
+            return ZERO if x == y else ONE
+
+        if build == "matrix":
+            foreign = from_matrix(("a", "c"), [[0, 1], [1, 0]])
+        else:
+            foreign = from_oracle(d, points=("c", "a"))
+        with pytest.raises(ValueError, match=r"^'b' is not in the universe$"):
+            validate_trace(trace, gamma, space=foreign)
+        assert reads == []
+        # A space that holds the whole orbit replays it.
+        other = from_oracle(d, points=("c", "b", "a"))
+        assert validate_trace(trace, gamma, space=other).cauchy is not None
+
     def test_cauchy_certificate_is_valid_and_minimal(self):
         gamma = linear(F(1, 2))
         space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=13, size=9), gamma)
@@ -417,15 +442,16 @@ def _brute_force_cauchy(space, pts):
     return tuple(table)
 
 
-def _orbit_trace(space, orbit):
-    """A trace visiting ``orbit`` in order; only the points matter to the
-    Cauchy table, so the recorded values are placeholders."""
+def _orbit_trace(space, orbit, mode=SolveMode.STARTPOINT):
+    """A ``mode`` trace visiting ``orbit`` in order; only the points and the
+    mode matter to the Cauchy table, so the recorded values are
+    placeholders."""
     steps = tuple(
         Step(n=i + 1, x=x, y=y, d=ONE, gamma_d=ONE, defect=ONE)
         for i, (x, y) in enumerate(zip(orbit, orbit[1:]))
     )
     return IterationTrace(
-        mode=SolveMode.STARTPOINT,
+        mode=mode,
         start=orbit[0],
         initial_defect=ONE,
         steps=steps,
@@ -434,11 +460,34 @@ def _orbit_trace(space, orbit):
     )
 
 
-#: Distances around the epsilon thresholds, so that d == eps (not below
-#: it) is exercised, plus the extended value.
+#: Every epsilon of the schedule, so that d == eps (not below it) is
+#: exercised, and dyadic distances down to 2**-200, far below the smallest.
+_AT_EPS = st.sampled_from(EPSILON_SCHEDULE)
+_DYADIC_DISTANCES = st.builds(
+    lambda m, k: F(m, 2**k),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=200),
+)
+#: Distances around the epsilon thresholds, plus the extended value.
 _EXACT_DISTANCES = st.one_of(
-    st.sampled_from([ZERO, INFINITY] + [eps for eps in EPSILON_SCHEDULE[:6]]),
+    st.sampled_from([ZERO, INFINITY]),
+    _AT_EPS,
+    _DYADIC_DISTANCES,
     st.fractions(min_value=0, max_value=2, max_denominator=64),
+)
+
+
+class _Fraction(Fraction):
+    """A Fraction subclass: a row that holds one is compared a value at a
+    time, not as numerators and denominators."""
+
+
+#: Rows of ints and Fractions alone, which the Cauchy table tests as
+#: integers; with Fraction subclasses among them, rows it tests a value at
+#: a time.
+_RATIONAL_DISTANCES = st.one_of(st.integers(min_value=0, max_value=2), _AT_EPS, _DYADIC_DISTANCES)
+_SUBCLASS_DISTANCES = st.one_of(
+    _AT_EPS.map(_Fraction), _DYADIC_DISTANCES.map(_Fraction), _RATIONAL_DISTANCES
 )
 
 
@@ -462,14 +511,22 @@ _MIXED_DISTANCES = st.one_of(
 def _random_orbits(draw):
     exact, values = draw(
         st.sampled_from(
-            [(True, _EXACT_DISTANCES), (False, _FLOAT_DISTANCES), (False, _MIXED_DISTANCES)]
+            [
+                (True, _EXACT_DISTANCES),
+                (True, st.integers(min_value=0, max_value=2)),
+                (True, _RATIONAL_DISTANCES),
+                (True, _SUBCLASS_DISTANCES),
+                (False, _FLOAT_DISTANCES),
+                (False, _MIXED_DISTANCES),
+            ]
         )
     )
     n = draw(st.integers(min_value=1, max_value=5))
     table = {(i, j): draw(values) for i in range(n) for j in range(n)}
     space = from_oracle(lambda x, y: table[(x, y)], points=range(n), exact=exact)
     orbit = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=9))
-    return space, orbit
+    mode = draw(st.sampled_from([SolveMode.STARTPOINT, SolveMode.ENDPOINT]))
+    return space, orbit, mode
 
 
 def _table_space(rows):
@@ -480,12 +537,21 @@ class TestCauchyTable:
     @given(case=_random_orbits())
     # A float-subclass NaN after a smaller int in its row, and a row that
     # mixes ints, Fractions and floats: neither may skip the NaN scan.
-    @example(case=(_table_space([[0, _Float(math.nan)], [0, 0]]), [0, 1]))
-    @example(case=(_table_space([[0, F(1, 4), 0.125], [0, 0, math.nan], [0, 0, 0]]), [0, 1, 2]))
+    @example(case=(_table_space([[0, _Float(math.nan)], [0, 0]]), [0, 1], SolveMode.STARTPOINT))
+    @example(
+        case=(
+            _table_space([[0, F(1, 4), 0.125], [0, 0, math.nan], [0, 0, 0]]),
+            [0, 1, 2],
+            SolveMode.STARTPOINT,
+        )
+    )
     def test_matches_brute_force(self, case):
-        space, orbit = case
-        report = validate_trace(_orbit_trace(space, orbit), linear(F(1, 2)))
-        assert report.cauchy == _brute_force_cauchy(space, orbit)
+        # An ENDPOINT trace reads d(x_n, x_k): the brute force on the
+        # conjugate space.
+        space, orbit, mode = case
+        report = validate_trace(_orbit_trace(space, orbit, mode), linear(F(1, 2)))
+        read = conjugate(space) if mode is SolveMode.ENDPOINT else space
+        assert report.cauchy == _brute_force_cauchy(read, orbit)
 
     def test_single_point_trace(self, dyadic):
         space, _, _ = dyadic
@@ -588,12 +654,14 @@ class _HashCountingFraction(Fraction):
 
 def test_point_hash_counts_on_a_staircase():
     # Fraction points hash in Python code, so every dict or set lookup of a
-    # point costs; the counts are deterministic and gate regressions.
+    # point costs; the counts are deterministic and gate regressions.  The
+    # 82 one-point images (the sink's, the last point's and the decoys') are
+    # not hashed to drop repeats.
     counting = _HashCountingFraction
     d, universe, images, xs, _ = _staircase(40, point=counting)
     counting.hashes = 0
     space, Fm = from_oracle(d, points=universe, t0=True), SetValuedMap(images)
-    assert counting.hashes == 568
+    assert counting.hashes == 486
     counting.hashes = 0
     trace = solve(space, Fm, linear(F(1, 2)), counting(1))
     assert counting.hashes == 445
