@@ -30,12 +30,11 @@ from itertools import chain
 from .comparison import ComparisonFunction, linear, verify_gamma1
 from .contraction import SetValuedMap
 from .space import (
-    DEFAULT_TOLERANCE,
     FieldError,
     Point,
     QSpace,
     _closure,
-    _matrix_space,
+    _with_rows,
     from_oracle,
     minplus_closure,  # re-exported: callers import it from here too
 )
@@ -137,7 +136,7 @@ def _random_t0_from_rng(rng: random.Random, g: GeneratorSeed) -> QSpace:
     common = math.gcd(den, *chain.from_iterable(matrix))
     rows, _ = _closure([[v // common for v in row] for row in matrix])
     names = tuple(f"p{i}" for i in range(n))
-    return _matrix_space(names, rows, den // common, True, True, DEFAULT_TOLERANCE)
+    return _with_rows(QSpace(None, names, t0=True), rows, den // common)
 
 
 def random_t0_qspace(g: GeneratorSeed) -> QSpace:

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
 from .contraction import ContractionMode, SetValuedMap, _distances, _meaning, _Scan, _value
-from .space import _RATIONAL, Point, QSpace, Value, _ratio_row
+from .space import _RATIONAL, Point, QSpace, Value, _check_point, _ratio_row
 
 
 #: The solver's name for :class:`ContractionMode`, the one mode type.
@@ -145,11 +145,6 @@ class IterationTrace:
     def points(self) -> tuple[Point, ...]:
         """The visited orbit x_0, x_1, ..., in order."""
         return (self.start,) + tuple(s.y for s in self.steps)
-
-
-def _check_point(space: QSpace, x: Point) -> None:
-    if space.order is not None and x not in space.order:
-        raise ValueError(f"{x!r} is not in the universe")
 
 
 def admissible_candidates(

@@ -64,6 +64,7 @@ import math
 import re
 import struct
 import sys
+from copy import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, repeat
@@ -130,9 +131,10 @@ class QSpace:
     ``exact`` selects the arithmetic mode; ``tolerance`` (finite, >= 0) is
     only consulted in FLOAT mode.  ``t0`` records whether the space claims
     the T0 condition (it is checked by :func:`check_axioms`, never assumed).
-    A finite universe must be nonempty and hold each point once; either
-    fault is a ValueError.  ``order`` maps each point of a finite universe
-    to its position; every finite scan reads it.
+    Only the constructor checks a finite universe: it stores any iterable
+    of points as a tuple, which must be nonempty and hold each point once
+    (either fault is a ValueError), and maps each point to its position in
+    ``order``, one hash per point.  Every finite scan reads ``order``.
 
     A space built by :func:`from_matrix` also holds its distances as
     ``rows``, index-addressed by ``order``: ints over the common
@@ -140,6 +142,7 @@ class QSpace:
     None, the values ``d`` returns.  Such a space also keeps, in
     ``resolved``, each scanned map's image positions and one defect list
     per mode, keyed weakly by the map (see :mod:`qpmetric.contraction`).
+    One function, :func:`_with_rows`, writes these three and ``d``.
     Other spaces, and any space rebuilt with :func:`dataclasses.replace`,
     have none of the three; they are read through ``d``, afresh per scan.
     """
@@ -161,11 +164,13 @@ class QSpace:
             raise FieldError("tolerance", "must be a nonnegative finite number")
         order = None
         if self.points is not None:
-            if not self.points:
+            points = tuple(self.points)
+            if not points:
                 raise ValueError("universe must be nonempty")
-            order = {p: i for i, p in enumerate(self.points)}
-            if len(order) != len(self.points):
+            order = {p: i for i, p in enumerate(points)}
+            if len(order) != len(points):
                 raise ValueError("universe contains duplicate points")
+            object.__setattr__(self, "points", points)
         object.__setattr__(self, "order", order)
 
     def universe(self) -> tuple[Point, ...]:
@@ -184,6 +189,13 @@ class QSpace:
         if self.exact:
             return a <= b
         return a <= b + self.tolerance
+
+
+def _check_point(space: QSpace, x: Point) -> None:
+    """Refuse (a ValueError) a point outside a finite universe; a space
+    without one holds every point."""
+    if space.order is not None and x not in space.order:
+        raise ValueError(f"{x!r} is not in the universe")
 
 
 class FieldError(ValueError):
@@ -288,12 +300,8 @@ _RATIONAL = frozenset({int, Fraction})
 _NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 #: The slots that ``Fraction``'s ``numerator`` and ``denominator``
 #: properties return (CPython 3.10 to 3.13 declare both), read by C-level
-#: getters; a Python that keeps them elsewhere reads the properties.
-_SLOT_NUMERATOR, _SLOT_DENOMINATOR = (
-    (attrgetter("_numerator"), attrgetter("_denominator"))
-    if {"_numerator", "_denominator"} <= set(Fraction.__slots__)
-    else (_NUMERATOR, _DENOMINATOR)
-)
+#: getters.
+_SLOT_NUMERATOR, _SLOT_DENOMINATOR = attrgetter("_numerator"), attrgetter("_denominator")
 
 
 def _ratio_row(row: Sequence[Value], kinds: set[type]) -> tuple[Sequence[int], Sequence[int]]:
@@ -415,33 +423,25 @@ def _exact_parts(
         yield list(map(_NUMERATOR, values)), list(map(_DENOMINATOR, values))
 
 
-def _matrix_space(
-    points: tuple[Point, ...],
-    rows: Iterable[Iterable[Value]],
-    den: int | None,
-    exact: bool,
-    t0: bool,
-    tolerance: float,
-) -> QSpace:
-    """A finite space whose ``d`` reads ``rows`` over ``den`` (see
-    :class:`QSpace`)."""
+def _with_rows(space: QSpace, rows: Iterable[Iterable[Value]], den: int | None) -> QSpace:
+    """``space``, just built by its caller, made to hold ``rows`` over
+    ``den`` (see :class:`QSpace`): its ``d`` reads them through its checked
+    ``order``, and its ``resolved`` is a fresh, empty memo.  The one writer
+    of those four fields."""
     table = tuple(map(tuple, rows))
+    order = space.order
 
     def d(x: Point, y: Point) -> Value:
         v = table[order[x]][order[y]]
         return v if den is None else Fraction(v, den)
 
-    space = QSpace(d=d, points=points, exact=exact, t0=t0, tolerance=tolerance)
-    # d reads the space's own universe order, bound before d can be called.
-    order = space.order
-    object.__setattr__(space, "rows", table)
-    object.__setattr__(space, "den", den)
-    object.__setattr__(space, "resolved", WeakKeyDictionary())
+    for name, value in (("d", d), ("rows", table), ("den", den), ("resolved", WeakKeyDictionary())):
+        object.__setattr__(space, name, value)
     return space
 
 
 def from_matrix(
-    points: Sequence[Point],
+    points: Iterable[Point],
     matrix: Sequence[Sequence[Value | str]],
     *,
     exact: bool = True,
@@ -450,52 +450,45 @@ def from_matrix(
 ) -> QSpace:
     """Build a finite space from a row-major distance matrix.
 
-    ``matrix[i][j]`` is d(points[i], points[j]).  One rule, shared with
-    documents, reads every entry: EXACT mode takes ints, Fractions, "p/q"
-    or decimal strings and decimal floats to Fractions; FLOAT mode takes
-    numbers and such strings to finite floats.  Booleans, NaN, infinities,
-    values beyond the float range, negative entries and strings past the
-    rule's size bounds (see :func:`_rational`) raise :class:`FieldError`
-    naming the entry ``d[i][j]``.  The values are kept
-    in index-addressed rows, in EXACT mode as ints over one common
-    denominator (see :class:`QSpace`); the axioms are *not* enforced here
-    (use :func:`check_axioms`).
+    ``matrix[i][j]`` is d(points[i], points[j]).  :class:`QSpace` checks
+    the universe first, so a bad universe is named before a bad matrix.
+    One rule, shared with documents, reads every entry: EXACT mode takes
+    ints, Fractions, "p/q" or decimal strings and decimal floats to
+    Fractions; FLOAT mode takes numbers and such strings to finite floats.
+    Booleans, NaN, infinities, values beyond the float range, negative
+    entries and strings past the rule's size bounds (see
+    :func:`_rational`) raise :class:`FieldError` naming the entry
+    ``d[i][j]``.  The values are kept in index-addressed rows, in EXACT
+    mode as ints over one common denominator (see :class:`QSpace`); the
+    axioms are *not* enforced here (use :func:`check_axioms`).
     """
-    pts = tuple(points)
-    if not pts:
-        raise ValueError("universe must be nonempty")
-    if len(set(pts)) != len(pts):
-        raise ValueError("universe contains duplicate points")
-    n = len(pts)
+    # d reads the rows, which _with_rows attaches once they are read.
+    space = QSpace(None, points, exact, t0, tolerance)
+    n = len(space.points)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"distance matrix must be {n}x{n}")
     tails: dict[str, int] = {}
     scaled = _scaled(_exact_parts(matrix, tails), tails) if exact else None
     if scaled is not None:
-        return _matrix_space(pts, *scaled, exact, t0, tolerance)
+        return _with_rows(space, *scaled)
     # FLOAT, or past the bound: the values, an entry at a time.
     rows = (
         [_entry(raw, exact, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)
     )
-    return _matrix_space(pts, rows, None, exact, t0, tolerance)
+    return _with_rows(space, rows, None)
 
 
 def from_oracle(
     d: Callable[[Point, Point], Value],
     *,
-    points: Sequence[Point] | None = None,
+    points: Iterable[Point] | None = None,
     exact: bool = True,
     t0: bool = False,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> QSpace:
-    """Wrap a distance oracle, optionally with a nonempty finite universe;
-    a point repeated in ``points`` is kept once, where it first occurs."""
-    pts = _unique(points) if points is not None else None
-    return QSpace(d=d, points=pts, exact=exact, t0=t0, tolerance=tolerance)
-
-
-def _rebuilt(space: QSpace, rows: Iterable[Iterable[Value]]) -> QSpace:
-    return _matrix_space(space.points, rows, space.den, space.exact, space.t0, space.tolerance)
+    """Wrap a distance oracle, optionally with a finite universe, which
+    :class:`QSpace` checks: nonempty, each point once."""
+    return QSpace(d=d, points=points, exact=exact, t0=t0, tolerance=tolerance)
 
 
 def conjugate(space: QSpace) -> QSpace:
@@ -503,10 +496,11 @@ def conjugate(space: QSpace) -> QSpace:
 
     An involution; applying it twice yields a space whose distances agree
     exactly with the original (only the argument order changes, so there is
-    no rounding even in FLOAT mode).  Stored rows are transposed.
+    no rounding even in FLOAT mode).  Stored rows are transposed, on a copy
+    of the space that keeps its checked universe.
     """
     if space.rows is not None:
-        return _rebuilt(space, zip(*space.rows))
+        return _with_rows(copy(space), zip(*space.rows), space.den)
     inner = space.d
 
     def d(x: Point, y: Point) -> Value:
@@ -520,10 +514,11 @@ def symmetrize(space: QSpace) -> QSpace:
 
     When the input satisfies the T0 condition the result is a genuine
     metric (symmetric, with identity of indiscernibles).  Stored rows are
-    combined with their transpose by max.
+    combined with their transpose by max, as in :func:`conjugate`.
     """
     if space.rows is not None:
-        return _rebuilt(space, (map(max, r, c) for r, c in zip(space.rows, zip(*space.rows))))
+        maxed = (map(max, r, c) for r, c in zip(space.rows, zip(*space.rows)))
+        return _with_rows(copy(space), maxed, space.den)
     inner = space.d
 
     def d(x: Point, y: Point) -> Value:
@@ -803,9 +798,10 @@ def check_axioms(
 
     ``points`` supplies a finite sample for oracle-backed universes; the
     report is then marked ``sampled`` (a sampled pass is reported as
-    SAMPLED-PASS, not PASS), and an empty sample is a ValueError.  The T0
-    check runs only if requested, either explicitly via ``check_t0`` or
-    implicitly because the space carries the ``t0`` flag.
+    SAMPLED-PASS, not PASS).  An empty sample, or a sample point outside
+    a finite universe, is a ValueError.  The T0 check runs only if
+    requested, either explicitly via ``check_t0`` or implicitly because
+    the space carries the ``t0`` flag.
     """
     sampled = points is not None
     if points is None:
@@ -814,6 +810,8 @@ def check_axioms(
         universe = _unique(points)
         if not universe:
             raise ValueError("point sample must be nonempty")
+        for x in universe:
+            _check_point(space, x)
     rows, w = space.rows, None
     if sampled or rows is None:
         d = space.d

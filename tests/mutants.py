@@ -243,8 +243,8 @@ MUTANTS = [
     ),
     (
         "space.py",
-        '(attrgetter("_numerator"), attrgetter("_denominator"))',
-        '(attrgetter("_denominator"), attrgetter("_numerator"))',
+        '= attrgetter("_numerator"), attrgetter("_denominator")',
+        '= attrgetter("_denominator"), attrgetter("_numerator")',
         "the slot reader reads each Fraction's numerator, then its denominator",
         ["tests/test_space.py"],
     ),
@@ -257,11 +257,32 @@ MUTANTS = [
     ),
     (
         "space.py",
-        "            if len(order) != len(self.points):\n"
+        "            if len(order) != len(points):\n"
         '                raise ValueError("universe contains duplicate points")\n',
         "",
         "a universe that repeats a point is refused by the constructor itself",
         ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "points = tuple(self.points)",
+        "points = self.points",
+        "the constructor stores any iterable universe as a tuple",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "return _with_rows(copy(space), zip(*space.rows), space.den)",
+        "return _with_rows(space, zip(*space.rows), space.den)",
+        "conjugate attaches the transposed rows to a copy and leaves its source alone",
+        ["tests/test_int_rows.py"],
+    ),
+    (
+        "space.py",
+        '("resolved", WeakKeyDictionary())',
+        '("resolved", WeakKeyDictionary() if space.resolved is None else space.resolved)',
+        "a space with new rows scans every map afresh, not through its source's memo",
+        ["tests/test_int_rows.py"],
     ),
     (
         "space.py",

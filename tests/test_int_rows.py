@@ -177,6 +177,20 @@ def test_conjugate_and_symmetrize_rebuild_the_rows():
             assert symmetrize(space).d(x, y) == max(space.d(x, y), space.d(y, x))
 
 
+def test_conjugate_and_symmetrize_leave_their_source_and_its_memo_alone():
+    # d(a, b) = 0 and d(b, a) = 1: a is a startpoint of F on the space but
+    # not on its conjugate or its symmetrization.  Each space scans F with
+    # its own memo, whichever is scanned first.
+    space = from_matrix(("a", "b"), [[0, 0], [1, 0]])
+    rows = space.rows
+    Fm = SetValuedMap({"a": ["b"], "b": ["b"]})
+    assert enumerate_startpoints(space, Fm) == ["a", "b"]
+    assert enumerate_startpoints(conjugate(space), Fm) == ["b"]
+    assert enumerate_startpoints(symmetrize(space), Fm) == ["b"]
+    assert enumerate_startpoints(space, Fm) == ["a", "b"]
+    assert space.rows == rows
+
+
 def test_denominator_bound_falls_back_to_fraction_rows():
     # Distinct prime denominators from 1009 up: D has well over 1,024 bits.
     primes, p = [], 1008

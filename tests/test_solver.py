@@ -35,6 +35,7 @@ from qpmetric import (
     mode_defect,
     random_weakly_contractive_system,
     solve,
+    symmetrize,
     user_function,
     validate_trace,
     verify_weak_contraction,
@@ -655,13 +656,14 @@ class _HashCountingFraction(Fraction):
 def test_point_hash_counts_on_a_staircase():
     # Fraction points hash in Python code, so every dict or set lookup of a
     # point costs; the counts are deterministic and gate regressions.  The
+    # 122 universe points are hashed once, to build ``order``, and the
     # 82 one-point images (the sink's, the last point's and the decoys') are
     # not hashed to drop repeats.
     counting = _HashCountingFraction
     d, universe, images, xs, _ = _staircase(40, point=counting)
     counting.hashes = 0
     space, Fm = from_oracle(d, points=universe, t0=True), SetValuedMap(images)
-    assert counting.hashes == 486
+    assert counting.hashes == 364
     counting.hashes = 0
     trace = solve(space, Fm, linear(F(1, 2)), counting(1))
     assert counting.hashes == 445
@@ -706,8 +708,8 @@ def test_point_hash_counts_of_an_endpoint_solve_after_a_dual_verify():
     # ENDPOINT runs the DUAL inequality on the input space, so it reuses the
     # image positions and DUAL defects a DUAL verify left on the same rows
     # space and map: the one-step solve hashes as few points as the
-    # STARTPOINT solve above, where a conjugate space would re-hash its
-    # universe and every image.
+    # STARTPOINT solve above, where a conjugate space would resolve every
+    # image afresh.
     counting = _HashCountingFraction
     points, matrix, images = _counting_rows_system()
     space, Fm = from_matrix(points, matrix, t0=True), SetValuedMap(images)
@@ -717,6 +719,18 @@ def test_point_hash_counts_of_an_endpoint_solve_after_a_dual_verify():
     trace = solve(space, Fm, gamma, points[0], SolverConfig(mode=SolveMode.ENDPOINT))
     assert counting.hashes == 6
     assert [s.y for s in trace.steps] == [counting(4)]
+
+
+def test_conjugate_and_symmetrize_of_stored_rows_hash_no_point():
+    # Both keep the source's checked universe and order; only the rows are
+    # rebuilt.
+    counting = _HashCountingFraction
+    points, matrix, _ = _counting_rows_system()
+    space = from_matrix(points, matrix, t0=True)
+    counting.hashes = 0
+    for transform in (conjugate, symmetrize):
+        assert transform(space).points == points
+    assert counting.hashes == 0
 
 
 def test_a_nan_defect_among_tied_candidates_keeps_universe_order():

@@ -542,14 +542,55 @@ def test_an_empty_oracle_universe_is_refused():
 
 
 def test_a_universe_holds_each_point_once():
-    # The bare constructor and from_matrix refuse a repeat; from_oracle
-    # keeps each point where it first occurs.  1 and 1.0 are one point.
-    for points in (("a", "b", "a"), (1, 2, 1.0)):
+    # One rule, the constructor's: every way to build a finite space
+    # refuses a repeat.  1 and 1.0 are one point.
+    for points in (("a", "b", "a"), (1, 2, 1.0, 3)):
+        n = len(points)
         with pytest.raises(ValueError, match="^universe contains duplicate points$"):
             QSpace(lambda x, y: 0, points=points)
         with pytest.raises(ValueError, match="^universe contains duplicate points$"):
-            from_matrix(points, [[0] * 3] * 3)
-    assert from_oracle(lambda x, y: 0, points=(1, 2, 1.0, 3)).points == (1, 2, 3)
+            from_matrix(points, [[0] * n] * n)
+        with pytest.raises(ValueError, match="^universe contains duplicate points$"):
+            from_oracle(lambda x, y: 0, points=points)
+
+
+def test_any_iterable_universe_is_stored_as_a_tuple():
+    # A list, a range or an iterator: the space keeps a tuple, so it hashes.
+    matrix = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    builds = (
+        lambda pts: QSpace(lambda x, y: 0, points=pts),
+        lambda pts: from_oracle(lambda x, y: 0, points=pts),
+        lambda pts: from_matrix(pts, matrix),
+    )
+    for universe in (lambda: ["a", "b", "c"], lambda: range(3), lambda: iter("abc")):
+        for build in builds:
+            space = build(universe())
+            assert space.points == tuple(universe())
+            assert space.order == {x: i for i, x in enumerate(universe())}
+            hash(space)
+
+
+def test_a_bad_universe_is_named_before_a_bad_matrix():
+    with pytest.raises(ValueError, match="^universe contains duplicate points$"):
+        from_matrix(("a", "a"), [[0, "x"], [0, 0]])
+    with pytest.raises(ValueError, match="^universe must be nonempty$"):
+        from_matrix((), [[0, "x"], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        from_matrix(("a", "b"), [[0, 1], [1, 0]]),
+        from_oracle(lambda x, y: int(x != y), points=("a", "b")),
+    ],
+    ids=["stored-rows", "oracle"],
+)
+def test_a_sample_point_outside_a_finite_universe_is_refused(space):
+    # Stored rows hold no row for it, and an oracle would read distances
+    # to it and pass a space that does not hold it.
+    with pytest.raises(ValueError, match="^'z' is not in the universe$"):
+        check_axioms(space, points=["a", "z"])
+    assert check_axioms(space, points=["b", "a"]).ok
 
 
 def test_the_slot_reader_reads_what_as_integer_ratio_reads():
