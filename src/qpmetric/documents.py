@@ -29,13 +29,17 @@ a nonzero diagonal) parses fine and is left to the axiom checker.
 
 :func:`dump_system` writes exactly the bytes of
 ``json.dumps(doc, indent=2, allow_nan=False)`` and a newline, where
-``doc`` is :func:`system_document`'s output.  Reading an EXACT matrix
-checks and reads each row of "p/q" strings as a whole, with one table of
+``doc`` is :func:`system_document`'s output, and never holds the whole
+text: it encodes the small fields first, so one that cannot be written
+fails before the file is opened, then writes the point ids, each matrix
+row and each image as it makes them.  Reading an EXACT matrix checks and
+reads each row of "p/q" strings as a whole, with one table of
 denominators for the matrix (see :func:`qpmetric.space.from_matrix`).
 Writing one makes one comma-joined text per row, from int rows over D in
 one ``%`` operation (see :func:`_ratio_rows`), and :func:`dump_system` lays
-each row text out as it stands.  A parsed map keeps the images the parser
-has checked, without normalizing them again.
+each row text out as it stands.  A parsed map's keys and image members
+are the universe's own point-id objects, not copies; the parser checks
+each image once, and the map does not normalize it again.
 
 Iteration traces serialize one way (they are outputs):
 
@@ -59,7 +63,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from operator import floordiv
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .comparison import ComparisonFunction, linear, rational_shrink, user_table
 from .contraction import SetValuedMap, _meaning
@@ -87,15 +91,14 @@ def encode_value(v: Value, exact: bool) -> str | float:
     return str(Fraction(v)) if exact else float(v)
 
 
-def _ratio_rows(rows: Sequence[Sequence[int]], den: int) -> list[str]:
+def _ratio_rows(rows: Sequence[Sequence[int]], den: int) -> Iterator[str]:
     """The rows of ints over ``den`` as row texts (see :func:`_document`),
-    each entry v written as ``encode_value(Fraction(v, den), True)`` writes
-    it, with no Fraction and no Python-level call per entry.  With
-    g = gcd(v, den) the entry is v // g over den // g, so one table keyed by
-    g holds each entry's format ("%d", or "%d/q" with q = den // g), and a
-    row is one %-format of the v // g."""
+    one at a time, each entry v written as ``encode_value(Fraction(v, den),
+    True)`` writes it, with no Fraction and no Python-level call per entry.
+    With g = gcd(v, den) the entry is v // g over den // g, so one table
+    keyed by g holds each entry's format ("%d", or "%d/q" with
+    q = den // g), and a row is one %-format of the v // g."""
     formats: dict[int, str] = {}
-    texts = []
     for row in rows:
         gs = list(map(math.gcd, row, repeat(den)))
         try:
@@ -104,8 +107,7 @@ def _ratio_rows(rows: Sequence[Sequence[int]], den: int) -> list[str]:
             for g in set(gs).difference(formats):
                 formats[g] = "%d" if g == den else f"%d/{den // g}"
             layout = ",".join(map(formats.__getitem__, gs))
-        texts.append(layout % tuple(map(floordiv, row, gs)))
-    return texts
+        yield layout % tuple(map(floordiv, row, gs))
 
 
 def parse_value(raw: Any, exact: bool, field: str) -> Value:
@@ -225,27 +227,29 @@ def parse_system(
         fdoc = doc["F"]
         if not isinstance(fdoc, dict):
             raise DocumentError("F", "expected an object mapping points to images")
-        universe = set(points)
+        # Each id to the universe's own object: the map's keys and images
+        # are built from it, so they hold no copy of a point id.
+        ids = {p: p for p in points}
         images: dict[str, tuple[str, ...]] = {}
         for x, image in fdoc.items():
-            if x not in universe:
+            if x not in ids:
                 raise DocumentError(f"F.{x}", "not a point of the space")
             if not isinstance(image, list) or not image:
                 raise DocumentError(f"F.{x}", "image must be a nonempty list")
-            # Point ids are strings, so a member that is not one fails set()
-            # or the universe test; only then do the loops name the member.
+            # Point ids are strings, so a member that is not one fails the
+            # lookup, as a stray does; only then do the loops name the member.
             try:
-                members = set(image)
-            except TypeError:
-                members = set()
-            if len(members) != len(image) or not universe.issuperset(members):
+                members = tuple(map(ids.__getitem__, image))
+            except (KeyError, TypeError):
+                members = ()
+            if len(set(members)) != len(image):
                 if any(not isinstance(y, str) for y in image):
                     raise DocumentError(f"F.{x}", "image point ids must be strings")
-                if len(members) != len(image):
+                if len(set(image)) != len(image):
                     raise DocumentError(f"F.{x}", "image contains duplicates")
-                stray = next(y for y in image if y not in universe)
+                stray = next(y for y in image if y not in ids)
                 raise DocumentError(f"F.{x}", f"image point {stray!r} is not in the space")
-            images[x] = tuple(image)
+            images[ids[x]] = members
         missing = [p for p in points if p not in images]
         if missing:
             raise DocumentError(f"F.{missing[0]}", "no image for this point")
@@ -266,8 +270,10 @@ def system_document(
 ) -> dict[str, Any]:
     """Serialize a finite system to a document (inverse of parse_system)."""
     doc = _document(space, F, gamma, meta)
-    if space.exact:
-        doc["d"] = [text.split(",") for text in doc["d"]]
+    rows = doc["d"]
+    doc["d"] = [text.split(",") for text in rows] if space.exact else list(rows)
+    if F is not None:
+        doc["F"] = {x: list(map(str, image)) for x, image in doc["F"].items()}
     return doc
 
 
@@ -277,21 +283,23 @@ def _document(
     gamma: ComparisonFunction | None,
     meta: Mapping[str, Any] | None,
 ) -> dict[str, Any]:
-    """:func:`system_document`, except that an EXACT matrix is one text per
-    row: the row's entries, which hold no comma and nothing to escape,
-    joined by commas."""
+    """:func:`system_document`'s fields in its order, except that the
+    matrix and the images are made as they are read.  "d" iterates over the
+    rows: an EXACT row is one text, its entries (which hold no comma and
+    nothing to escape) joined by commas, and a FLOAT row a list of numbers.
+    "F" maps each id to the image ``F`` gives."""
     points = space.universe()
     ids = [str(p) for p in points]
     if len(set(ids)) != len(ids):
         raise ValueError("point ids collide when rendered as strings")
     rows, den = space.rows, space.den
     if den is not None:
-        matrix: list = _ratio_rows(rows, den)
+        matrix: Iterable = _ratio_rows(rows, den)
     else:
         values = distance_matrix(space) if rows is None else rows
-        matrix = [[encode_value(v, space.exact) for v in row] for row in values]
+        matrix = ([encode_value(v, space.exact) for v in row] for row in values)
         if space.exact:
-            matrix = list(map(",".join, matrix))
+            matrix = map(",".join, matrix)
     doc: dict[str, Any] = {
         "points": ids,
         "d": matrix,
@@ -301,7 +309,7 @@ def _document(
     if not space.exact:
         doc["tolerance"] = space.tolerance
     if F is not None:
-        doc["F"] = {str(x): list(map(str, F(x))) for x in points}
+        doc["F"] = {x: F(p) for x, p in zip(ids, points)}
     if gamma is not None:
         doc["gamma"] = gamma_document(gamma)
     if meta is not None:
@@ -310,19 +318,17 @@ def _document(
 
 
 def _block(opening: str, items: list[str], closing: str, level: int, quote: str = "") -> str:
-    """The array or object of ``items``, each already encoded and written
-    between two ``quote``s, laid out as ``json.dumps(indent=2)`` lays it
-    out at nesting ``level``."""
-    if not items:
-        return opening + closing
+    """The array or object of ``items``, nonempty, each already encoded and
+    written between two ``quote``s, laid out as ``json.dumps(indent=2)``
+    lays it out at nesting ``level``."""
     inner = "\n" + "  " * (level + 1)
     body = f"{quote},{inner}{quote}".join(items)
     return f"{opening}{inner}{quote}{body}{quote}\n{'  ' * level}{closing}"
 
 
 def _strings(items: list[str], level: int) -> str:
-    """A list of strings as ``json.dumps(indent=2)`` lays it out at nesting
-    ``level``."""
+    """A nonempty list of strings as ``json.dumps(indent=2)`` lays it out
+    at nesting ``level``."""
     plain = "".join(items)
     if len(encode_basestring_ascii(plain)) == len(plain) + 2:
         # No item holds a character to escape.
@@ -330,32 +336,52 @@ def _strings(items: list[str], level: int) -> str:
     return _block("[", list(map(encode_basestring_ascii, items)), "]", level)
 
 
-def _system_text(doc: dict[str, Any]) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for a
-    :func:`system_document`, byte for byte, written from the
-    :func:`_document` form.  The point ids and the images (strings) are
-    written by string joins, an EXACT matrix's row texts as they stand;
-    every other field, a FLOAT matrix among them, goes through
-    ``json.dumps`` and is indented one level, so a ``meta`` that cannot be
-    written fails as it does there."""
-    fields = []
-    for key, value in doc.items():
-        if key == "points":
-            text = _strings(value, 1)
-        elif key == "F":
-            images = [
-                f"{encode_basestring_ascii(x)}: {_strings(image, 2)}" for x, image in value.items()
-            ]
-            text = _block("{", images, "}", 1)
-        elif key == "d" and doc["arithmetic"] == "exact":
+def _write_block(
+    write: Callable[[str], Any], opening: str, items: Iterable[str], closing: str, level: int
+) -> None:
+    """Write the array or object of ``items``, a nonempty iterable of
+    encoded items, as ``json.dumps(indent=2)`` lays it out at nesting
+    ``level``, an item at a time."""
+    inner = "\n" + "  " * (level + 1)
+    sep = opening + inner
+    for item in items:
+        write(sep)
+        write(item)
+        sep = "," + inner
+    write(f"\n{'  ' * level}{closing}")
+
+
+def _write_system(write: Callable[[str], Any], doc: dict[str, Any], texts: dict[str, str]) -> None:
+    """Write the :func:`_document` ``doc`` as ``json.dumps(indent=2)``
+    lays it out, and a newline.  The ids, each matrix row and each image
+    are laid out as they are made: an EXACT row's entries by string
+    replaces, a FLOAT row through ``json.dumps``.  Every other field is its
+    text in ``texts``, indented one level."""
+    exact = doc["arithmetic"] == "exact"
+
+    def row(values: Any) -> str:
+        if exact:
             # Entries need no escapes; the commas part them.
-            inner = '",\n      "'
-            rows = [f'[\n      "{text.replace(",", inner)}"\n    ]' for text in value]
-            text = _block("[", rows, "]", 1)
+            return '[\n      "' + values.replace(",", '",\n      "') + '"\n    ]'
+        return json.dumps(values, indent=2, allow_nan=False).replace("\n", "\n    ")
+
+    sep = "{\n  "
+    for key, value in doc.items():
+        write(f"{sep}{encode_basestring_ascii(key)}: ")
+        sep = ",\n  "
+        if key == "points":
+            write(_strings(value, 1))
+        elif key == "d":
+            _write_block(write, "[", map(row, value), "]", 1)
+        elif key == "F":
+            images = (
+                f"{encode_basestring_ascii(x)}: {_strings(list(map(str, image)), 2)}"
+                for x, image in value.items()
+            )
+            _write_block(write, "{", images, "}", 1)
         else:
-            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-        fields.append(f"{encode_basestring_ascii(key)}: {text}")
-    return _block("{", fields, "}", 0) + "\n"
+            write(texts[key])
+    write("\n}\n")
 
 
 def load_system(
@@ -383,8 +409,28 @@ def dump_system(
     gamma: ComparisonFunction | None = None,
     meta: Mapping[str, Any] | None = None,
 ) -> None:
-    text = _system_text(_document(space, F, gamma, meta))
-    Path(path).write_text(text, encoding="utf-8")
+    """Write the system's document: the bytes of
+    ``json.dumps(doc, indent=2, allow_nan=False)`` and a newline, ``doc``
+    being :func:`system_document`'s output, without the text of the whole
+    document.  Every field but the point ids, the matrix and the images is
+    encoded through ``json.dumps`` before the file is opened, so one it
+    refuses (a ``meta``, say) fails as it does there and leaves no file.
+    Then the ids, each matrix row and each image are written as they are
+    made; a failure among them removes the partial file."""
+    doc = _document(space, F, gamma, meta)
+    texts = {
+        key: json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        for key, value in doc.items()
+        if key not in ("points", "d", "F")
+    }
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as out:
+        try:
+            _write_system(out.write, doc, texts)
+        except BaseException:
+            out.close()
+            path.unlink()
+            raise
 
 
 def trace_document(trace: IterationTrace) -> dict[str, Any]:

@@ -65,7 +65,7 @@ import re
 import struct
 import sys
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from numbers import Number
@@ -142,7 +142,8 @@ class QSpace:
     None, the values ``d`` returns.  Such a space also keeps, in
     ``resolved``, each scanned map's image positions and one defect list
     per mode, keyed weakly by the map (see :mod:`qpmetric.contraction`).
-    One function, :func:`_with_rows`, writes these three and ``d``.
+    One function, :func:`_with_rows`, writes these three and the ``d`` that
+    reads them.
     Other spaces, and any space rebuilt with :func:`dataclasses.replace`,
     have none of the three; they are read through ``d``, afresh per scan.
     """
@@ -496,8 +497,9 @@ def conjugate(space: QSpace) -> QSpace:
 
     An involution; applying it twice yields a space whose distances agree
     exactly with the original (only the argument order changes, so there is
-    no rounding even in FLOAT mode).  Stored rows are transposed, on a copy
-    of the space that keeps its checked universe.
+    no rounding even in FLOAT mode).  The result is a copy of the space that
+    keeps its checked universe and order: stored rows are transposed, and an
+    oracle is read with its arguments swapped.
     """
     if space.rows is not None:
         return _with_rows(copy(space), zip(*space.rows), space.den)
@@ -506,7 +508,9 @@ def conjugate(space: QSpace) -> QSpace:
     def d(x: Point, y: Point) -> Value:
         return inner(y, x)
 
-    return replace(space, d=d)
+    flipped = copy(space)
+    object.__setattr__(flipped, "d", d)
+    return flipped
 
 
 def symmetrize(space: QSpace) -> QSpace:
@@ -524,7 +528,9 @@ def symmetrize(space: QSpace) -> QSpace:
     def d(x: Point, y: Point) -> Value:
         return _max_keeping_nan((inner(x, y), inner(y, x)))
 
-    return replace(space, d=d)
+    maxed = copy(space)
+    object.__setattr__(maxed, "d", d)
+    return maxed
 
 
 @dataclass(frozen=True)

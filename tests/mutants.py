@@ -341,6 +341,27 @@ MUTANTS = [
         ["tests/test_space.py"],
     ),
     (
+        "space.py",
+        '    flipped = copy(space)\n    object.__setattr__(flipped, "d", d)\n    return flipped\n',
+        '    return __import__("dataclasses").replace(space, d=d)\n',
+        "conjugate of an oracle space keeps its source's checked universe: no point is hashed",
+        ["tests/test_solver.py"],
+    ),
+    (
+        "documents.py",
+        "members = tuple(map(ids.__getitem__, image))",
+        "members = tuple(image)",
+        "a parsed image holds the universe's own point ids, not the strings json made",
+        ["tests/test_documents.py"],
+    ),
+    (
+        "documents.py",
+        'sep = "," + inner',
+        "sep = inner",
+        "the streamed writer parts two matrix rows, and two images, by a comma",
+        ["tests/test_documents.py"],
+    ),
+    (
         "documents.py",
         "raise DocumentError(exc.field, exc.message) from exc",
         "raise",

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -519,6 +520,16 @@ def test_a_meta_json_dumps_refuses_fails_the_same_way(tmp_path, meta):
     assert not path.exists()
 
 
+def test_a_value_that_fails_to_encode_mid_write_leaves_no_file(tmp_path):
+    # An oracle's values are encoded as their row is written, after the
+    # file is opened: the writer removes what it wrote.
+    space = from_oracle(lambda x, y: "junk" if (x, y) == ("b", "a") else 0, points=("a", "b"))
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'junk'"):
+        dump_system(path, space, SetValuedMap({"a": ["b"], "b": ["a"]}))
+    assert not path.exists()
+
+
 def _clean_matrix(n):
     """An n x n matrix of "p" and "p/q" strings of ASCII digits."""
     return [[str(F((7 * i + 13 * j) % 50, 1 + i * j % 8)) for j in range(n)] for i in range(n)]
@@ -600,6 +611,37 @@ def test_a_parsed_map_has_the_images_of_the_public_constructor():
     doc = system_document(space, Fm)
     parsed, public = parse_system(doc).map, SetValuedMap(doc["F"])
     assert all(parsed(x) == public(x) == Fm(x) for x in space.universe())
+
+
+def test_a_parsed_map_is_built_from_the_universe_s_point_ids():
+    # json makes a string for each occurrence of an id; the map's keys and
+    # image members are the universe's own objects instead.
+    space, Fm = random_weakly_contractive_system(GeneratorSeed(seed=3, size=40), linear(F(1, 2)))
+    system = parse_system(json.loads(json.dumps(system_document(space, Fm))))
+    universe = system.space
+    keys = list(system.map._table)
+    members = [y for x in keys for y in system.map(x)]
+    assert len(keys) == 40 and len(members) > 2 * len(keys)
+    assert all(y is universe.points[universe.order[y]] for y in keys + members)
+
+
+def test_dump_system_holds_no_copy_of_the_document(tmp_path):
+    # The writer makes each row and image as it writes it: no text of the
+    # whole document, so its peak is a small part of the file.
+    n = 200
+    rng = random.Random(200)
+    points = [f"p{i}" for i in range(n)]
+    images = {x: [x] + [y for y in points if y != x and rng.getrandbits(1)] for x in points}
+    system = parse_system({"points": points, "d": _clean_matrix(n), "F": images})
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        dump_system(path, system.space, system.map, linear(F(1, 2)), {"size": n})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.space.den is not None and path.stat().st_size > 700_000
+    assert peak < path.stat().st_size / 4
 
 
 def test_a_stray_image_member_is_named_in_image_order():

@@ -733,6 +733,21 @@ def test_conjugate_and_symmetrize_of_stored_rows_hash_no_point():
     assert counting.hashes == 0
 
 
+def test_conjugate_and_symmetrize_of_an_oracle_space_hash_no_point():
+    # The swapped or maxed oracle is read on a copy of the source, which
+    # keeps its checked universe and order.
+    counting = _HashCountingFraction
+    points = tuple(map(counting, range(12)))
+    space = from_oracle(_dyadic_gap, points=points, t0=True)
+    counting.hashes = 0
+    for transform, want in ((conjugate, 4), (symmetrize, 4)):
+        derived = transform(space)
+        assert derived.points == points and derived.order is space.order
+        assert derived.d(points[1], points[3]) == want
+    assert space.d(points[1], points[3]) == 2
+    assert counting.hashes == 0
+
+
 def test_a_nan_defect_among_tied_candidates_keeps_universe_order():
     # F(0) holds, in universe order: 2, inadmissible with the least defect
     # (1/4 against a bound of 1/8); 6, admissible with defect 1/2; 7, whose
