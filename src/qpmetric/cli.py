@@ -15,12 +15,12 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import contraction, corpus, documents
+from . import contraction, documents
 from .comparison import linear, verify_gamma1
 from .contraction import ContractionMode, Violation, verify_weak_contraction
 from .documents import DocumentError
 from .solver import Selection, SolverConfig, Status, solve
-from .space import DEFAULT_TOLERANCE, FieldError, Value, check_axioms
+from .space import DEFAULT_TOLERANCE, FieldError, Value
 
 _ENV_TOLERANCE = "QPM_TOLERANCE"
 
@@ -46,6 +46,10 @@ _SEEKING = {name: mode for mode, (_, _, name) in contraction._MODES.items()}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # The kernels are imported here and in cmd_gen only: no other command
+    # runs them.
+    from .axioms import check_axioms
+
     system = args.system
     # The T0 check runs only when the document claims the condition.
     report = check_axioms(system.space)
@@ -149,12 +153,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .corpus import GeneratorSeed, random_weakly_contractive_system
+
     try:
-        g = corpus.GeneratorSeed(seed=args.seed, size=args.size)
+        g = GeneratorSeed(seed=args.seed, size=args.size)
     except FieldError as exc:
         raise DocumentError(f"--{exc.field}", exc.message) from exc
     gamma = linear(Fraction(1, 2))
-    space, smap = corpus.random_weakly_contractive_system(g, gamma)
+    space, smap = random_weakly_contractive_system(g, gamma)
     meta = {"seed": g.seed, "size": g.size}
     _write("--out", documents.dump_system, args.out, space, smap, gamma, meta)
     print(f"wrote {args.out} (seed={g.seed}, size={g.size})")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .space import Value, _coerce_value
+from .space import INFINITY, Value, _coerce_value
 
 
 class SampledComparisonWarning(UserWarning):
@@ -168,7 +168,7 @@ def verify_gamma1(
     gamma: ComparisonFunction,
     grid: Sequence[Value] | None = None,
 ) -> Gamma1Report:
-    """Check (g1) on a strictly increasing grid of positive reals.
+    """Check (g1) on a strictly increasing grid of positive finite reals.
 
     Scans the grid in ascending order and reports the first violation:
     either a strict-bound failure at one point or a monotonicity failure
@@ -179,8 +179,11 @@ def verify_gamma1(
     pts = tuple(default_grid() if grid is None else grid)
     if not pts:
         raise ValueError("grid must be nonempty")
-    if any(t <= 0 for t in pts):
-        raise ValueError("grid points must be positive")
+    for t in pts:
+        # A negated test, so that a NaN point fails it too; a Fraction or an
+        # int compares with INFINITY without a float() that could overflow.
+        if not 0 < t < INFINITY:
+            raise ValueError("grid points must be positive and finite")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be strictly increasing")
 

@@ -27,17 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .comparison import ComparisonFunction, linear, verify_gamma1
-from .contraction import SetValuedMap
-from .space import (
-    FieldError,
-    Point,
-    QSpace,
+from .axioms import (
     _closure,
-    _with_rows,
-    from_oracle,
     minplus_closure,  # re-exported: callers import it from here too
 )
+from .comparison import ComparisonFunction, linear, verify_gamma1
+from .contraction import SetValuedMap
+from .space import FieldError, Point, QSpace, _with_rows, from_oracle
 
 ZERO = Fraction(0)
 

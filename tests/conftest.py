@@ -1,14 +1,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from qpmetric import SetValuedMap, from_matrix, linear
 
 #: Fixed draws and no example database, so that a run repeats the last
 #: one; ``tests/mutants.py`` runs every test file under it.  Without
-#: ``--hypothesis-profile`` the default profile applies.
-settings.register_profile("mutants", derandomize=True, database=None)
+#: ``--hypothesis-profile`` the default profile applies.  A mutant's
+#: verdict needs only the first failing example, so the profile neither
+#: shrinks nor explains it: explaining one failing draw of the digit-row
+#: reader took 287 s.
+settings.register_profile(
+    "mutants",
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 
 
 @pytest.fixture

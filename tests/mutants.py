@@ -88,35 +88,35 @@ MUTANTS = [
         ["tests/test_solver.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         "p = p ^ odd | odd >> shift",
         "p = p ^ odd | odd << shift",
         "a compress round moves the odd groups down, not up",
         ["tests/test_space.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         "mask = _lanes(pairs, 2 * wide)[0] * ((1 << narrow) - 1) << wide",
         "mask = _lanes(pairs, 2 * wide)[0] * ((1 << narrow) - 1)",
         "a round's mask selects the odd groups, not the even ones",
         ["tests/test_space.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         'p = int.from_bytes(lanes.pack(*row), "little")',
         'p = int.from_bytes(lanes.pack(*row), "big")',
         "the bytes are read in the byte order they were written in",
         ["tests/test_space.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         "expand = [(mask >> shift, shift) for mask, shift in reversed(rounds)]",
         "expand = [(mask, shift) for mask, shift in reversed(rounds)]",
         "unpacking finds each odd group where its compress round left it",
         ["tests/test_space.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         "if (guarded[j] + dxy * ones - p_x) & guard != guard:",
         "if (guarded[j] + dxy * ones - p_x) & guard == 0:",
         "one failing lane is a triangle violation, not only all of them",
@@ -137,14 +137,14 @@ MUTANTS = [
         ["tests/test_space.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         "    if min(map(min, rows)) < 0:\n        return matrix, None, None\n",
         "",
         "negative entries take the per-triple loops, not the packed lanes",
         ["tests/test_space.py", "tests/test_corpus.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         "return w if w <= _MAX_LANE_BITS else None",
         "return w if w < _MAX_LANE_BITS else None",
         "64-bit lanes, every entry below 2^62, are packed",
@@ -285,7 +285,7 @@ MUTANTS = [
         ["tests/test_int_rows.py"],
     ),
     (
-        "space.py",
+        "axioms.py",
         "d = [list(row) for row in d]",
         "d = list(d)",
         "the per-triple closure relaxes a copy and leaves its input as it was",
@@ -367,6 +367,20 @@ MUTANTS = [
         "raise",
         "a bad matrix entry is a DocumentError, which the CLI turns into exit 2",
         ["tests/test_documents.py", "tests/test_cli.py"],
+    ),
+    (
+        "space.py",
+        'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+        "return None",
+        "qpmetric.space resolves its four axiom names only: any other name is an AttributeError",
+        ["tests/test_imports.py"],
+    ),
+    (
+        "__init__.py",
+        "    if name in _SUBMODULES:\n        return import_module(f\"{__name__}.{name}\")\n",
+        "",
+        "qpmetric.<module> imports the submodule on first use",
+        ["tests/test_imports.py"],
     ),
 ]
 

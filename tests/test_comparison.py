@@ -128,6 +128,27 @@ class TestVerifyGamma1:
         with pytest.raises(ValueError):
             verify_gamma1(gamma, [0, 1])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [math.nan, 1.0, 2.0],
+            [1.0, math.nan, 2.0],
+            [1.0, 2.0, math.nan],
+            [1.0, math.inf],
+            [-math.inf, 1.0],
+            [F(1, 2), math.inf],
+        ],
+    )
+    def test_nan_and_infinite_grid_points_are_refused(self, grid):
+        # gamma is not blamed for a point that is no positive real.
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify_gamma1(linear(F(1, 2)), grid)
+
+    def test_huge_exact_grid_points_are_not_converted_to_float(self):
+        # float(10**400) overflows; the finiteness test must not need it.
+        big = F(10**400)
+        assert verify_gamma1(linear(F(1, 2)), [F(1, 3), big, 10**401]).passed
+
     def test_default_grid_shape(self):
         grid = default_grid()
         assert len(grid) == 64

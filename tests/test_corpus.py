@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qpmetric.axioms as axioms_module
 import qpmetric.corpus as corpus_module
 import qpmetric.space as space_module
 from qpmetric import (
@@ -219,10 +220,10 @@ def lane_boundary_matrices(draw, max_size=7):
 
 @given(rows=lane_boundary_matrices())
 def test_packed_closure_matches_the_loop(rows):
-    _, _, w = space_module._kernel_rows(rows, {int})
+    _, _, w = axioms_module._kernel_rows(rows, {int})
     assert w == (2 * max(map(max, rows))).bit_length() + 1
-    want = space_module._floyd_warshall([row[:] for row in rows])
-    assert space_module._packed_floyd_warshall(rows, w) == want
+    want = axioms_module._floyd_warshall([row[:] for row in rows])
+    assert axioms_module._packed_floyd_warshall(rows, w) == want
     assert minplus_closure(rows) == want
 
 
@@ -234,7 +235,7 @@ def test_packed_closure_matches_the_loop(rows):
 def test_packed_closure_on_fraction_matrices(m):
     want = _brute_force_closure(m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(space_module, "_floyd_warshall", _no_loop)
+        mp.setattr(axioms_module, "_floyd_warshall", _no_loop)
         got = minplus_closure(m)
     assert got == want and all(type(v) is Fraction for row in got for v in row)
 
@@ -263,7 +264,7 @@ FALLBACK_CLOSURE_INPUTS = {
 @pytest.mark.parametrize("case", sorted(FALLBACK_CLOSURE_INPUTS))
 def test_fallback_inputs_take_the_closure_loop(case, monkeypatch):
     m = FALLBACK_CLOSURE_INPUTS[case]
-    monkeypatch.setattr(space_module, "_packed_floyd_warshall", _no_packed)
+    monkeypatch.setattr(axioms_module, "_packed_floyd_warshall", _no_packed)
     got, want = minplus_closure(m), _brute_force_closure(m)
     for grow, wrow in zip(got, want):
         assert all(_same(g, w) and type(g) is type(w) for g, w in zip(grow, wrow))
@@ -272,7 +273,7 @@ def test_fallback_inputs_take_the_closure_loop(case, monkeypatch):
 def test_fraction_closure_over_the_denominator_bound_takes_the_loop(monkeypatch):
     m = [[F(0), F(1, 3), F(5)], [F(9), F(0), F(1, 7)], [F(2, 5), F(9), F(0)]]
     monkeypatch.setattr(space_module, "_MAX_DENOMINATOR_BITS", 0)
-    monkeypatch.setattr(space_module, "_packed_floyd_warshall", _no_packed)
+    monkeypatch.setattr(axioms_module, "_packed_floyd_warshall", _no_packed)
     before = [row[:] for row in m]
     got = minplus_closure(m)
     assert m == before  # The loop relaxes a copy of the rows.

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qpmetric.axioms as axioms_module
 import qpmetric.space as space_module
 from qpmetric import (
     INFINITY,
@@ -851,16 +852,16 @@ def int_matrices(draw, max_size=7):
 
 @given(rows=int_matrices())
 def test_packed_triangle_scan_matches_the_loop(rows):
-    kernel_rows, den, w = space_module._kernel_rows(rows, space_module._kinds(rows))
+    kernel_rows, den, w = axioms_module._kernel_rows(rows, axioms_module._kinds(rows))
     assert (kernel_rows, den) == (rows, None) and w is not None
-    want = space_module._first_triangle_violation(rows, 0)
-    assert space_module._first_packed_violation(rows, w) == want
+    want = axioms_module._first_triangle_violation(rows, 0)
+    assert axioms_module._first_packed_violation(rows, w) == want
     # Also through check_axioms on the same values behind an oracle, on
     # the packed path only.
     n = len(rows)
     space = from_oracle(lambda x, y: rows[x][y], points=range(n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(space_module, "_first_triangle_violation", _boom)
+        mp.setattr(axioms_module, "_first_triangle_violation", _boom)
         assert check_axioms(space).triangle.witness == want
 
 
@@ -869,9 +870,9 @@ def test_packed_triangle_scan_on_fraction_matrices(m, t0):
     n = len(m)
     space = from_matrix([f"p{i}" for i in range(n)], m, t0=t0)
     assert space.den is not None
-    want = space_module._first_triangle_violation(m, 0)
+    want = axioms_module._first_triangle_violation(m, 0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(space_module, "_first_triangle_violation", _boom)
+        mp.setattr(axioms_module, "_first_triangle_violation", _boom)
         got = check_axioms(space).triangle.witness
     assert got == (None if want is None else tuple(f"p{i}" for i in want))
 
@@ -879,9 +880,9 @@ def test_packed_triangle_scan_on_fraction_matrices(m, t0):
 def test_packed_triangle_witness_is_the_first_in_row_major_order():
     # Violations at (0, 2, 1), (0, 2, 3) and (1, 0, 3); the loop's first.
     rows = [[0, 9, 1, 5], [0, 0, 9, 9], [0, 0, 0, 0], [0, 0, 0, 0]]
-    assert space_module._first_triangle_violation(rows, 0) == (0, 2, 1)
-    _, _, w = space_module._kernel_rows(rows, {int})
-    assert space_module._first_packed_violation(rows, w) == (0, 2, 1)
+    assert axioms_module._first_triangle_violation(rows, 0) == (0, 2, 1)
+    _, _, w = axioms_module._kernel_rows(rows, {int})
+    assert axioms_module._first_packed_violation(rows, w) == (0, 2, 1)
 
 
 #: Inputs the packed scan does not take, and the loop does: (exact, values
@@ -914,9 +915,9 @@ def _unpack_loop(p, n, w):
 
 
 def _check_packing(rows, n, w):
-    packed = space_module._pack(rows, n, w)
+    packed = axioms_module._pack(rows, n, w)
     assert packed == [_pack_loop(row, w) for row in rows]
-    assert space_module._unpack(packed, n, w) == rows
+    assert axioms_module._unpack(packed, n, w) == rows
     assert [_unpack_loop(p, n, w) for p in packed] == rows
 
 
@@ -957,13 +958,13 @@ def test_packer_at_round_and_byte_edges(n, w):
 
 def test_each_value_matrix_is_type_scanned_once(monkeypatch):
     calls = []
-    kinds = space_module._kinds
+    kinds = axioms_module._kinds
 
     def counted(matrix):
         calls.append(matrix)
         return kinds(matrix)
 
-    monkeypatch.setattr(space_module, "_kinds", counted)
+    monkeypatch.setattr(axioms_module, "_kinds", counted)
     m = [[0, 1, 3], [2, 0, 1], [1, 4, 0]]
     assert minplus_closure(m) == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     assert len(calls) == 1
@@ -975,15 +976,15 @@ def test_each_value_matrix_is_type_scanned_once(monkeypatch):
 
 def test_lanes_stop_at_64_bits():
     fits, wide = [[0, 2**62 - 1], [0, 0]], [[0, 2**62], [0, 0]]
-    assert space_module._kernel_rows(fits, {int}) == (fits, None, 64)
-    assert space_module._kernel_rows(wide, {int}) == (wide, None, None)
+    assert axioms_module._kernel_rows(fits, {int}) == (fits, None, 64)
+    assert axioms_module._kernel_rows(wide, {int}) == (wide, None, None)
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_AXIOM_INPUTS))
 def test_fallback_inputs_take_the_loop(case, monkeypatch):
     exact, m, witness = FALLBACK_AXIOM_INPUTS[case]
     space = from_oracle(lambda x, y: m[x][y], points=range(len(m)), exact=exact)
-    monkeypatch.setattr(space_module, "_first_packed_violation", _boom)
+    monkeypatch.setattr(axioms_module, "_first_packed_violation", _boom)
     report = check_axioms(space)
     assert report == _brute_force_axioms(space)
     assert report.triangle.witness == witness
@@ -997,7 +998,7 @@ def test_fraction_rows_over_the_denominator_bound_take_the_loop(monkeypatch):
     space = from_matrix(range(3), m)
     assert space.den is None
     oracle = from_oracle(lambda x, y: m[x][y], points=range(3))
-    monkeypatch.setattr(space_module, "_first_packed_violation", _boom)
+    monkeypatch.setattr(axioms_module, "_first_packed_violation", _boom)
     for s in (space, oracle):
         assert check_axioms(s).triangle.witness == (0, 1, 2)
         assert check_axioms(s) == _brute_force_axioms(s)
