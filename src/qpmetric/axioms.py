@@ -42,6 +42,7 @@ from .space import (
     QSpace,
     Value,
     _check_point,
+    _distances,
     _ratio_row,
     _scaled,
     _unique,
@@ -92,7 +93,7 @@ def _first_triangle_violation(
     rows: Sequence[Sequence[Value]], tol: Value
 ) -> tuple[int, int, int] | None:
     """Indices (i, j, k) of the first triple in row-major order with
-    rows[i][k] > rows[i][j] + rows[j][k] + tol, or None.  NaN fails.
+    rows[i][k] > rows[i][j] + rows[j][k] + tol, or None.
 
     One comparison per triple: the fallback of
     :func:`_first_packed_violation`."""
@@ -336,16 +337,15 @@ def check_axioms(
         universe = _unique(points)
         if not universe:
             raise ValueError("point sample must be nonempty")
-        for x in universe:
-            _check_point(space, x)
+        _check_point(space.order, *universe)
     rows, w = space.rows, None
     if sampled or rows is None:
-        d = space.d
-        rows = [[d(x, y) for y in universe] for x in universe]
+        kinds: set[type] = set()
+        rows = [_distances(space, x, universe, True, False, kinds) for x in universe]
         # Scaling by a positive integer keeps "= 0" and "<=" exact; FLOAT
         # comparisons widen by the tolerance and so stay on the values.
         if space.exact:
-            rows, _, w = _kernel_rows(rows, _kinds(rows))
+            rows, _, w = _kernel_rows(rows, kinds)
     elif space.den is not None:
         # Stored int rows are nonnegative ints by construction.
         w = _lane_bits(max(map(max, rows)))

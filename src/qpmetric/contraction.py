@@ -10,8 +10,7 @@ being distinguished for F:
 
 A point is a startpoint / endpoint / fixed point exactly when the matching
 defect is zero (within tolerance in FLOAT mode; the docs are explicit that
-a FLOAT-mode "startpoint" means defect <= tolerance).  A defect is NaN
-when any distance it reads is NaN, whatever the order of the image.
+a FLOAT-mode "startpoint" means defect <= tolerance).
 
 ``verify_weak_contraction`` checks, over a whole finite universe, the
 existential inequality that powers the iteration: every x must admit some
@@ -36,8 +35,9 @@ position, or keyed by point on a space without a universe.  Stored rows (see
 :mod:`qpmetric.space`) share it per (space, map) in ``QSpace.resolved``,
 keyed weakly by the map, so an image is resolved and a defect computed
 once however many calls ask; it is read a whole image at a time.  Other
-spaces are read through ``d`` and resolved afresh by every call, so a
-user oracle sees the same calls on every run.  Two threads may fill one
+spaces are read through the checked reader :func:`qpmetric.space._distances`
+and resolved afresh by every call, so a user oracle sees the same calls on
+every run.  Two threads may fill one
 shared slot twice, always with the same value.  A SYMMETRIC defect is the
 larger of the FORWARD and DUAL ones, and SYMMETRIC admits y when both
 modes do.  A defect stays in the rows' scale until it is handed out as
@@ -52,10 +52,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .comparison import ComparisonFunction
-from .space import _NEVER_NAN, Point, QSpace, Value, _max_keeping_nan, _min_keeping_nan, _unique
+from .space import Point, QSpace, Value, _distances, _unique
 
 
 class SetValuedMap:
@@ -141,37 +141,25 @@ def _meaning(mode: ContractionMode) -> tuple[bool, bool, str]:
     return _MODES[mode]
 
 
-def _distances(space: QSpace, x: Point, ys: Sequence[Point], xy: bool, yx: bool) -> list[Value]:
-    """Every d(x, y) and then every d(y, x) for y in ``ys``, as the flags ask."""
-    d = space.d
-    values = [d(x, y) for y in ys] if xy else []
-    if yx:
-        values += [d(y, x) for y in ys]
-    return values
-
-
 def mode_defect(space: QSpace, x: Point, F: SetValuedMap, mode: ContractionMode) -> Value:
     """The defect functional matching a contraction mode: the largest
-    distance the mode reads between x and F(x), or NaN when any is."""
+    distance the mode reads between x and F(x)."""
     xy, yx, _ = _meaning(mode)
-    return _max_keeping_nan(_distances(space, x, F(x), xy, yx))
+    return max(_distances(space, x, F(x), xy, yx))
 
 
 def startpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """H({x}, Fx): zero exactly when x is a startpoint of F; NaN when any
-    d(x, b) is."""
+    """H({x}, Fx): zero exactly when x is a startpoint of F."""
     return mode_defect(space, x, F, ContractionMode.FORWARD)
 
 
 def endpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """H(Fx, {x}): the startpoint defect computed in the conjugate space;
-    NaN when any d(a, x) is."""
+    """H(Fx, {x}): the startpoint defect computed in the conjugate space."""
     return mode_defect(space, x, F, ContractionMode.DUAL)
 
 
 def fixed_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
-    """The symmetrized defect max{H({x}, Fx), H(Fx, {x})}; NaN when any
-    distance it reads is."""
+    """The symmetrized defect max{H({x}, Fx), H(Fx, {x})}."""
     return mode_defect(space, x, F, ContractionMode.SYMMETRIC)
 
 
@@ -183,10 +171,12 @@ def admissibility_bound(
     y: Point,
 ) -> Value:
     """Right-hand side of the mode's inequality at the pair (x, y): the
-    smallest t - gamma(t) over the distances t it reads, or NaN
-    (t - gamma(t) at t = inf) if any is."""
-    xy, yx, _ = _meaning(mode)
-    return _min_keeping_nan([t - gamma(t) for t in _distances(space, x, (y,), xy, yx)])
+    smallest t - gamma(t) over the distances t it reads, or NaN if any is
+    (as t - gamma(t) is at t = inf for ``linear`` and ``rational_shrink``),
+    which admits nothing."""
+    bounds = [t - gamma(t) for t in _distances(space, x, (y,), *_meaning(mode)[:2])]
+    # The key puts a NaN first: min on the values keeps one only when first.
+    return min(bounds, key=lambda b: (b == b, b))
 
 
 _MISSING = object()
@@ -258,12 +248,11 @@ class _Scan:
                 image = self.F(x)
                 if space.points is not None:
                     self.positions(i, image)
-                v = _max_keeping_nan(_distances(space, x, image, forward, not forward))
+                v = max(_distances(space, x, image, forward, not forward))
             else:
                 js = self.positions(i)
                 # A tuple of the image's entries even for a one-point image.
                 pick = itemgetter(js[0], *js)
-                # Stored rows hold no NaN, so builtin max is exact here.
                 v = max(pick(rows[i]) if forward else map(itemgetter(i), pick(rows)))
             defects[i] = v
         return v
@@ -275,9 +264,7 @@ class _Scan:
         if v is _MISSING:
             if not self.both:
                 return self.side(i, self.forward)
-            # The larger side, or the first NaN.
-            f, b = self.side(i, True), self.side(i, False)
-            v = self.defects[i] = f if f != f else b if b != b else max(f, b)
+            v = self.defects[i] = max(self.side(i, True), self.side(i, False))
         return v
 
     def defect(self, x: Point) -> Value:
@@ -297,10 +284,9 @@ class _Scan:
         distance is d(y, x) in DUAL mode and d(x, y) otherwise.
 
         Every candidate's defect is read first, in that order: a filled
-        slot inline, an empty one through :meth:`at`, which fills it.  A
-        NaN defect, which admits nothing, is dropped.  The rest are tested
-        one per triple taken, each reading d(x, y) or d(y, x), from the
-        rows or through ``d``, only as the mode tests it."""
+        slot inline, an empty one through :meth:`at`, which fills it.  Then
+        they are tested one per triple taken, each reading d(x, y) or
+        d(y, x), from the rows or through ``d``, only as the mode tests it."""
         space, within, forward, both = self.space, self.within, self.forward, self.both
         rows, order, points, defects = space.rows, space.order, space.points, self.defects
         i = x if order is None else order[x]
@@ -308,10 +294,6 @@ class _Scan:
         for j in js:
             if defects[j] is _MISSING:
                 self.at(j)
-        if rows is None:
-            # Only d gives a NaN; dropping it keeps the sort below total.  An
-            # int or Fraction is never NaN, so its (Python-level) == is skipped.
-            js = [j for j in js if type(defects[j]) in _NEVER_NAN or defects[j] == defects[j]]
         if by_defect:
             # A stable sort: equal defects stay in universe order.
             js = sorted(js, key=defects.__getitem__)
@@ -319,9 +301,11 @@ class _Scan:
         for j in js:
             Y = defects[j]
             if rows is None:
-                y, d = j if points is None else points[j], space.d
-                T = d(x, y) if forward else d(y, x)
-                if within(Y, T) and (not both or within(Y, d(y, x))):
+                y = j if points is None else points[j]
+                T = _distances(space, x, (y,), forward, not forward)[0]
+                if within(Y, T) and (
+                    not both or within(Y, _distances(space, x, (y,), False, True)[0])
+                ):
                     yield y, Y, T
             else:
                 T = row[j] if forward else rows[j][i]

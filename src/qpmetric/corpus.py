@@ -93,13 +93,17 @@ def dyadic_halving_truncated(
 
 @dataclass(frozen=True)
 class GeneratorSeed:
-    """Deterministic generator input: identical seeds, identical systems."""
+    """Deterministic generator input: identical seeds, identical systems.
+    A bad field (a ``seed`` or ``size`` that is no int) is a FieldError."""
 
     seed: int
     size: int
     weight_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(8))
 
     def __post_init__(self) -> None:
+        for name, value in (("seed", self.seed), ("size", self.size)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise FieldError(name, f"must be an int, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise FieldError("seed", "must fit in 64 unsigned bits")
         if self.size < 2:

@@ -49,8 +49,8 @@ Iteration traces serialize one way (they are outputs):
 
 with rational strings in EXACT mode and points rendered with ``str``.
 ``INFINITY``, which user oracles may return as a distance or defect, is
-written as the string "inf" in both modes, and a FLOAT NaN as "nan", so
-every document and trace written here is strict JSON.
+written as the string "inf" in both modes, and a NaN a user gamma gives
+as "nan", so every document and trace written here is strict JSON.
 """
 
 from __future__ import annotations

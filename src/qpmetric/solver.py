@@ -43,12 +43,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import ge, mul
+from operator import ge, le, mul
 from typing import Callable, Sequence
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
-from .contraction import ContractionMode, SetValuedMap, _distances, _meaning, _Scan, _value
-from .space import _RATIONAL, Point, QSpace, Value, _check_point, _ratio_row
+from .contraction import ContractionMode, SetValuedMap, _meaning, _Scan, _value
+from .space import _RATIONAL, Point, QSpace, Value, _check_point, _distances, _ratio_row
 
 
 #: The solver's name for :class:`ContractionMode`, the one mode type.
@@ -71,6 +71,11 @@ class Selection(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """How :func:`solve` runs: ``mode``, a :class:`ContractionMode`, and
+    ``selection``, a :class:`Selection` (else a TypeError); ``tolerance``,
+    the defect a run converges at, a number >= 0, and ``max_iterations``,
+    the step budget, an int >= 1 and no bool (else a ValueError)."""
+
     mode: ContractionMode = ContractionMode.STARTPOINT
     tolerance: Value = 0
     max_iterations: int = 10_000
@@ -82,6 +87,8 @@ class SolverConfig:
             raise TypeError(f"selection must be a Selection, got {self.selection!r}")
         if not self.tolerance >= 0:  # NaN fails it too
             raise ValueError(f"tolerance must be a nonnegative number, got {self.tolerance!r}")
+        if type(self.max_iterations) is bool or not isinstance(self.max_iterations, int):
+            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
@@ -161,7 +168,7 @@ def admissible_candidates(
     space is finite, image encounter order otherwise.  On a finite space,
     an x or image point outside the universe raises ``ValueError``.
     """
-    _check_point(space, x)
+    _check_point(space.order, x)
     return [(y, _value(space, Y)) for y, Y, _ in _Scan(space, F, mode, gamma).admissible(x)]
 
 
@@ -191,7 +198,7 @@ def solve(
     inputs and config produce identical traces.
     """
     config = config or SolverConfig()
-    _check_point(space, x0)
+    _check_point(space.order, x0)
     if not space.exact and config.tolerance == 0:
         raise ValueError("tolerance 0 requires EXACT arithmetic")
     if not gamma.certified:
@@ -280,9 +287,8 @@ class TraceReport:
     ``cauchy``: per epsilon of the fixed schedule, the smallest index n0
     such that every d(x_k, x_n) (ENDPOINT: d(x_n, x_k)) with n0 <= k <= n
     stays below epsilon (the last index when no start qualifies, which a
-    user oracle with d(x, x) > 0 or NaN can cause; a NaN distance is below
-    no epsilon); None when no space was available to evaluate distances
-    (e.g. a hand-built trace).
+    user oracle with d(x, x) > 0 can cause); None when no space was
+    available to evaluate distances (e.g. a hand-built trace).
     """
 
     steps_monotone: CheckResult
@@ -313,24 +319,18 @@ def validate_trace(
     neither is available; for an ENDPOINT trace too it is the input space.
     It reads d(x_k, x_n), d(x_n, x_k) for ENDPOINT, once for each pair
     k <= n of the orbit x_0, ..., x_L, the diagonal included: (L + 1)(L + 2)/2
-    oracle calls, a row k at a time from k = L down to 0.  A row is tested
-    against each epsilon no later row has reached: a row of ints and
-    Fractions by an exact integer test on its numerators and denominators,
-    any other row one value at a time.  A NaN distance counts as
-    ``INFINITY``, so no tail that holds it is Cauchy, whatever its position
-    in the orbit.  A ``space`` other than the trace's own, if it has a finite
-    universe, must hold every orbit point: ``ValueError`` names the first
-    one it lacks.
+    oracle calls, a row k at a time from k = L down to 0, each through the
+    checked reader.  A row is tested against each epsilon no later row has
+    reached: a row of ints and Fractions by an exact integer test on its
+    numerators and denominators, any other row one value at a time.  A
+    ``space`` other than the trace's own, if it has a finite universe, must
+    hold every orbit point: ``ValueError`` names the first one it lacks.
     """
     if space is None:
         space = trace.space
     elif space is not trace.space:
-        for x in trace.points:
-            _check_point(space, x)
-    if space is not None:
-        leq = space.leq
-    else:
-        leq = lambda a, b: a <= b  # noqa: E731  (hand-built traces: exact)
+        _check_point(space.order, *trace.points)
+    leq = le if space is None else space.leq  # Hand-built traces are exact.
 
     ds = [s.d for s in trace.steps]
     defects = [trace.initial_defect] + [s.defect for s in trace.steps]
@@ -361,8 +361,8 @@ def validate_trace(
     if space is not None:
         pts, (xy, _, _) = trace.points, _meaning(trace.mode)
         last = len(pts) - 1
-        # n0(eps) is one more than the last row r holding a distance >= eps
-        # (or NaN), capped at last, and 0 when no row holds one.  The rows
+        # n0(eps) is one more than the last row r holding a distance >= eps,
+        # capped at last, and 0 when no row holds one.  The rows
         # are read backward, so the first row to reach eps is that last one;
         # a row that reaches eps reaches every smaller eps too, so each row
         # is tested only against the smallest eps no later row reached, and
@@ -370,9 +370,10 @@ def validate_trace(
         n0 = [0] * len(EPSILON_SCHEDULE)
         e = len(EPSILON_SCHEDULE) - 1  # The smallest eps not yet reached.
         for r in range(last, -1, -1):
-            row = _distances(space, pts[r], pts[r:], xy, not xy)
+            kinds: set[type] = set()
+            row = _distances(space, pts[r], pts[r:], xy, not xy, kinds)
             if e >= 0:
-                reaches = _reach_test(row)
+                reaches = _reach_test(row, kinds)
                 while e >= 0 and reaches(EPSILON_SCHEDULE[e]):
                     n0[e] = min(r + 1, last)
                     e -= 1
@@ -386,23 +387,23 @@ def validate_trace(
     )
 
 
-def _reach_test(row: Sequence[Value]) -> Callable[[Fraction], bool]:
-    """A test of whether ``row`` holds a distance >= eps, or a NaN, which is
-    below no eps.  A row of ints and Fractions alone (exact types) is read
-    once to numerators and denominators, and eps = p/q is tested by integer
-    products, with no Fraction operator; any other row, one value at a
-    time."""
-    kinds = set(map(type, row))
+def _reach_test(row: Sequence[Value], kinds: set[type]) -> Callable[[Fraction], bool]:
+    """A test of whether ``row``, whose value types are ``kinds``, holds a
+    distance >= eps.  A row of ints and Fractions alone (exact types) is
+    read once to numerators and denominators, and eps = p/q is tested by
+    integer products, with no Fraction operator; any other row, one value
+    at a time."""
     if _RATIONAL.issuperset(kinds):
         num, den = _ratio_row(row, kinds)
 
         def reaches(eps: Fraction) -> bool:
             p, q = eps.numerator, eps.denominator
-            return any(map(ge, map(mul, num, repeat(q)), map(mul, den, repeat(p))))
+            scaled = den if p == 1 else map(mul, den, repeat(p))  # The schedule's p is 1.
+            return any(map(ge, map(mul, num, repeat(q)), scaled))
 
     else:
 
         def reaches(eps: Fraction) -> bool:
-            return any(v != v or v >= eps for v in row)
+            return any(v >= eps for v in row)
 
     return reaches

@@ -80,34 +80,6 @@ def _unique(points: Sequence[Point]) -> tuple[Point, ...]:
     return tuple(dict.fromkeys(points))
 
 
-#: Value types that are never NaN.
-_NEVER_NAN = {int, Fraction}
-
-
-def _first_nan(values: Sequence[Value]) -> Value | None:
-    """The first NaN in ``values``, or None; values that are all ints and
-    Fractions are not scanned."""
-    if not _NEVER_NAN.issuperset(map(type, values)):
-        for v in values:
-            if v != v:
-                return v
-    return None
-
-
-def _max_keeping_nan(values: Sequence[Value]) -> Value:
-    """The largest of ``values`` (nonempty), or a NaN among them if there is
-    one: builtin ``max`` keeps a NaN only when it comes first."""
-    nan = _first_nan(values)
-    return max(values) if nan is None else nan
-
-
-def _min_keeping_nan(values: Sequence[Value]) -> Value:
-    """The smallest of ``values`` (nonempty), or a NaN among them if there
-    is one, as :func:`_max_keeping_nan`."""
-    nan = _first_nan(values)
-    return min(values) if nan is None else nan
-
-
 @dataclass(frozen=True)
 class QSpace:
     """A point universe together with an asymmetric distance oracle.
@@ -133,7 +105,9 @@ class QSpace:
     One function, :func:`_with_rows`, writes these three and the ``d`` that
     reads them.
     Other spaces, and any space rebuilt with :func:`dataclasses.replace`,
-    have none of the three; they are read through ``d``, afresh per scan.
+    have none of the three; they are read through :func:`_distances`,
+    afresh per scan.  A stored-rows ``d`` refuses a point outside the
+    universe (a ValueError); an oracle's is called with it, unhashed.
     """
 
     d: Callable[[Point, Point], Value]
@@ -180,11 +154,12 @@ class QSpace:
         return a <= b + self.tolerance
 
 
-def _check_point(space: QSpace, x: Point) -> None:
-    """Refuse (a ValueError) a point outside a finite universe; a space
-    without one holds every point."""
-    if space.order is not None and x not in space.order:
-        raise ValueError(f"{x!r} is not in the universe")
+def _check_point(order: Mapping[Point, int] | None, *points: Point) -> None:
+    """Refuse (a ValueError naming it) the first of ``points`` outside the
+    universe of ``order``; None, a space without one, holds every point."""
+    for x in points:
+        if order is not None and x not in order:
+            raise ValueError(f"{x!r} is not in the universe")
 
 
 class FieldError(ValueError):
@@ -416,7 +391,11 @@ def _with_rows(space: QSpace, rows: Iterable[Iterable[Value]], den: int | None) 
     order = space.order
 
     def d(x: Point, y: Point) -> Value:
-        v = table[order[x]][order[y]]
+        try:
+            v = table[order[x]][order[y]]
+        except KeyError:
+            _check_point(order, x, y)  # Not the space: d would hold it in a cycle.
+            raise
         return v if den is None else Fraction(v, den)
 
     for name, value in (("d", d), ("rows", table), ("den", den), ("resolved", WeakKeyDictionary())):
@@ -475,6 +454,44 @@ def from_oracle(
     return QSpace(d=d, points=points, exact=exact, t0=t0, tolerance=tolerance)
 
 
+def _nonnegative(v: object) -> bool:
+    """Whether ``v`` is a number >= 0, not a bool (nor a string, say)."""
+    try:
+        return type(v) is not bool and v >= 0
+    except (TypeError, ArithmeticError):
+        return False
+
+
+def _distances(
+    space: QSpace, x: Point, ys: Sequence[Point], xy: bool, yx: bool, kinds: set[type] | None = None
+) -> list[Value]:
+    """Every d(x, y), then every d(y, x), for y in ``ys`` as the flags ask:
+    the one reader of ``d``, which adds their types to ``kinds`` if given.
+    Off stored rows (checked when read), the first value that is not
+    :func:`_nonnegative` (NaN, a negative, a bool, a string) is a
+    :class:`FieldError` naming its ``d(x, y)``; the rest pass as they are.
+    Ints and Fractions are checked by two C-level passes: types, numerators."""
+    d = space.d
+    values = [d(x, y) for y in ys] if xy else []
+    if yx:
+        values += [d(y, x) for y in ys]
+    read = set(map(type, values))
+    if kinds is not None:
+        kinds.update(read)
+    if space.rows is not None:
+        return values  # Checked when read.
+    if read <= _RATIONAL:
+        numerators = map(_SLOT_NUMERATOR if read == {Fraction} else _NUMERATOR, values)
+        if min(numerators) >= 0:
+            return values
+    elif all(map(_nonnegative, values)):
+        return values
+    i = next(i for i, v in enumerate(values) if not _nonnegative(v))
+    n = len(ys) if xy else 0
+    a, b = (x, ys[i]) if i < n else (ys[i - n], x)
+    raise FieldError(f"d({a!r}, {b!r})", f"must be a number >= 0, got {values[i]!r}")
+
+
 def conjugate(space: QSpace) -> QSpace:
     """The space with arguments swapped: d'(x, y) = d(y, x).
 
@@ -501,15 +518,15 @@ def symmetrize(space: QSpace) -> QSpace:
 
     When the input satisfies the T0 condition the result is a genuine
     metric (symmetric, with identity of indiscernibles).  Stored rows are
-    combined with their transpose by max, as in :func:`conjugate`.
+    combined with their transpose by max, as in :func:`conjugate`; an
+    oracle's by max of two checked reads, as a max could hide a bad one.
     """
     if space.rows is not None:
         maxed = (map(max, r, c) for r, c in zip(space.rows, zip(*space.rows)))
         return _with_rows(copy(space), maxed, space.den)
-    inner = space.d
 
     def d(x: Point, y: Point) -> Value:
-        return _max_keeping_nan((inner(x, y), inner(y, x)))
+        return max(_distances(space, x, (y,), True, True))
 
     maxed = copy(space)
     object.__setattr__(maxed, "d", d)
@@ -524,17 +541,13 @@ def _members(point_set: Iterable[Point]) -> tuple[Point, ...]:
 
 
 def dist_point_set(space: QSpace, x: Point, point_set: Iterable[Point]) -> Value:
-    """d(x, A) = min over a in A of d(x, a).  A must be nonempty; a NaN
-    distance makes the result NaN."""
-    d = space.d
-    return _min_keeping_nan([d(x, a) for a in _members(point_set)])
+    """d(x, A) = min over a in A of d(x, a).  A must be nonempty."""
+    return min(_distances(space, x, _members(point_set), True, False))
 
 
 def dist_set_point(space: QSpace, point_set: Iterable[Point], x: Point) -> Value:
-    """d(A, x) = min over a in A of d(a, x).  A must be nonempty; a NaN
-    distance makes the result NaN."""
-    d = space.d
-    return _min_keeping_nan([d(a, x) for a in _members(point_set)])
+    """d(A, x) = min over a in A of d(a, x).  A must be nonempty."""
+    return min(_distances(space, x, _members(point_set), False, True))
 
 
 def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> Value:
@@ -544,15 +557,12 @@ def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> 
 
     For singletons this collapses to the plain pointwise maxima:
     H({x}, B) = max_b d(x, b) and H(A, {x}) = max_a d(a, x), because the
-    minimum term is dominated by the maximum term.  A NaN distance makes
-    the result NaN, whatever the order of the sets.
+    minimum term is dominated by the maximum term.
     """
-    A = _members(a_set)
-    B = _members(b_set)
-    d = space.d
-    forward = [_min_keeping_nan([d(a, b) for b in B]) for a in A]
-    backward = [_min_keeping_nan([d(a, b) for a in A]) for b in B]
-    return _max_keeping_nan(forward + backward)
+    A, B = _members(a_set), _members(b_set)
+    forward = [min(_distances(space, a, B, True, False)) for a in A]
+    backward = [min(_distances(space, b, A, False, True)) for b in B]
+    return max(forward + backward)
 
 
 def ball_contains(space: QSpace, center: Point, radius: Value, y: Point) -> bool:
@@ -560,13 +570,13 @@ def ball_contains(space: QSpace, center: Point, radius: Value, y: Point) -> bool
     radius that is not positive (NaN included) is a ValueError."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    return space.d(center, y) < radius
+    return _distances(space, center, (y,), True, False)[0] < radius
 
 
 def distance_matrix(space: QSpace) -> list[list[Value]]:
     """Row-major matrix of all pairwise distances (finite spaces only)."""
     pts = space.universe()
-    return [[space.d(x, y) for y in pts] for x in pts]
+    return [_distances(space, x, pts, True, False) for x in pts]
 
 
 #: The names read from :mod:`qpmetric.axioms` on first use.

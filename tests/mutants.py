@@ -67,9 +67,9 @@ MUTANTS = [
     ),
     (
         "contraction.py",
-        "return _min_keeping_nan([t - gamma(t)",
-        "return min([t - gamma(t)",
-        "builtin min drops a NaN that is not first: a NaN side must admit nothing",
+        "return min(bounds, key=lambda b: (b == b, b))",
+        "return min(bounds)",
+        "builtin min drops a NaN bound that is not first: an infinite side must admit nothing",
         ["tests/test_contraction.py"],
     ),
     (
@@ -180,13 +180,6 @@ MUTANTS = [
     ),
     (
         "contraction.py",
-        "if type(defects[j]) in _NEVER_NAN or defects[j] == defects[j]]",
-        "if isinstance(defects[j], object) or defects[j] == defects[j]]",
-        "a NaN defect is dropped before the sort by defect, which it would break",
-        ["tests/test_solver.py"],
-    ),
-    (
-        "contraction.py",
         "if within(Y, T) and (not both or within(Y, rows[j][i])):",
         "if within(Y, T):",
         "SYMMETRIC tests d(y, x) too on stored rows",
@@ -194,16 +187,9 @@ MUTANTS = [
     ),
     (
         "contraction.py",
-        "if within(Y, T) and (not both or within(Y, d(y, x))):",
-        "if within(Y, T):",
+        "not both or within(Y, _distances(space, x, (y,), False, True)[0])",
+        "True",
         "SYMMETRIC tests d(y, x) too through the oracle",
-        ["tests/test_contraction.py"],
-    ),
-    (
-        "contraction.py",
-        "v = self.defects[i] = f if f != f else b if b != b else max(f, b)",
-        "v = self.defects[i] = max(f, b)",
-        "the SYMMETRIC defect keeps a NaN side, whichever side it is",
         ["tests/test_contraction.py"],
     ),
     (
@@ -215,16 +201,9 @@ MUTANTS = [
     ),
     (
         "solver.py",
-        "any(map(ge, map(mul, num, repeat(q)), map(mul, den, repeat(p))))",
-        "any(map(int.__gt__, map(mul, num, repeat(q)), map(mul, den, repeat(p))))",
+        "any(map(ge, map(mul, num, repeat(q)), scaled))",
+        "any(map(int.__gt__, map(mul, num, repeat(q)), scaled))",
         "a row of ints and Fractions at exactly eps is not eps-Cauchy: eps is strict",
-        ["tests/test_solver.py"],
-    ),
-    (
-        "solver.py",
-        "return any(v != v or v >= eps for v in row)",
-        "return any(v >= eps for v in row)",
-        "a NaN distance is below no eps, in a row compared a value at a time",
         ["tests/test_solver.py"],
     ),
     (
@@ -374,6 +353,48 @@ MUTANTS = [
         "return None",
         "qpmetric.space resolves its four axiom names only: any other name is an AttributeError",
         ["tests/test_imports.py"],
+    ),
+    (
+        "space.py",
+        "if min(numerators) >= 0:",
+        "if True:",
+        "the reader's sign test: a negative int or Fraction from an oracle is refused",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "return type(v) is not bool and v >= 0",
+        "return v >= 0",
+        "the reader's value test refuses a bool, which compares as 0 or 1",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "    if read <= _RATIONAL:\n",
+        "    if read <= _RATIONAL | {bool}:\n",
+        "the reader's type test: a bool is no int, so a row of bools is not read by numerators",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "    if space.rows is not None:\n        return values  # Checked when read.",
+        "    if False:\n        return values  # Checked when read.",
+        "the reader takes stored rows as they are: their values were checked when read",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "return max(_distances(space, x, (y,), True, True))",
+        "return max(space.d(x, y), space.d(y, x))",
+        "symmetrize reads both sides through the reader: a max would hide a NaN side",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "_check_point(order, x, y)  # Not the space: d would hold it in a cycle.",
+        "_check_point(space.order, x, y)",
+        "a stored-rows d holds the order, not its space: no cycle keeps a dropped space alive",
+        ["tests/test_space.py"],
     ),
     (
         "__init__.py",

@@ -3,11 +3,13 @@ import itertools
 import math
 import random
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qpmetric.space as space_module
 from qpmetric import (
     ContractionCertificate,
     ContractionMode,
@@ -43,6 +45,14 @@ from qpmetric import (
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
+
+
+def _refused(field, run, *args):
+    """Assert that ``run(*args)`` raises the reader's FieldError naming
+    ``field``."""
+    with pytest.raises(space_module.FieldError) as got:
+        run(*args)
+    assert got.value.field == field
 
 
 @pytest.fixture
@@ -198,9 +208,7 @@ class TestSymmetricRule:
     nothing, whichever direction it is in."""
 
     @pytest.mark.parametrize(
-        "ab, ba",
-        [(1, math.inf), (math.inf, 1), (1, math.nan)],
-        ids=["forward-finite", "dual-finite", "dual-nan"],
+        "ab, ba", [(1, math.inf), (math.inf, 1)], ids=["forward-finite", "dual-finite"]
     )
     def test_a_nan_side_admits_nothing(self, ab, ba):
         far = {("a", "b"): ab, ("b", "a"): ba}
@@ -215,6 +223,21 @@ class TestSymmetricRule:
         trace = solve(space, Fm, gamma, "a", SolverConfig(mode=SolveMode.FIXEDPOINT))
         assert trace.outcome.status is Status.CONTRACTION_VIOLATED
         assert trace.outcome.point == "a"
+
+    @pytest.mark.parametrize("ab, ba", [(1, math.nan), (math.nan, 1)], ids=["dual", "forward"])
+    def test_a_nan_side_is_refused(self, ab, ba):
+        # A NaN distance is no distance: the reader names it on either side,
+        # where it used to make the bound NaN and admit nothing.
+        far = {("a", "b"): ab, ("b", "a"): ba}
+        space = from_oracle(lambda x, y: 0 if x == y else far[x, y], points=("a", "b"))
+        Fm = SetValuedMap({"a": ["b"], "b": ["b"]})
+        gamma = linear(F(1, 2))
+        mode = ContractionMode.SYMMETRIC
+        field = "d('b', 'a')" if ab == 1 else "d('a', 'b')"
+        _refused(field, verify_weak_contraction, space, Fm, gamma, mode)
+        _refused(field, admissible_candidates, space, Fm, gamma, "a", mode)
+        _refused(field, admissibility_bound, space, gamma, mode, "a", "b")
+        _refused(field, solve, space, Fm, gamma, "a", SolverConfig(mode=SolveMode.FIXEDPOINT))
 
     def test_finite_sides_take_the_smaller_bound(self):
         space = from_matrix(("a", "b"), [[0, 1], [F(1, 2), 0]])
@@ -246,8 +269,9 @@ class TestSymmetricRule:
 
 
 class TestNaNDistances:
-    """A defect is NaN when any distance it reads is NaN, whatever the
-    order of the image: builtin max keeps a NaN only when it comes first."""
+    """A NaN distance is refused by the one reader, naming the pair, by
+    every defect, enumerator and verifier that reads it, whatever the
+    order of the image; a defect that does not read it keeps its value."""
 
     @pytest.mark.parametrize(
         "nan_pair, mode",
@@ -266,17 +290,54 @@ class TestNaNDistances:
         forward = mode is ContractionMode.FORWARD
         defect = startpoint_defect if forward else endpoint_defect
         other = endpoint_defect if forward else startpoint_defect
-        assert math.isnan(defect(space, "a", Fm))
-        assert math.isnan(fixed_defect(space, "a", Fm))
+        field = "d({!r}, {!r})".format(*nan_pair)
+        _refused(field, defect, space, "a", Fm)
+        _refused(field, fixed_defect, space, "a", Fm)
         assert other(space, "a", Fm) == 0
         enumerated = enumerate_startpoints if forward else enumerate_endpoints
-        assert enumerated(space, Fm) == ["b", "c"]
-        assert enumerate_fixed_points(space, Fm) == ["b", "c"]
-        # a's own defect is NaN, and so is its distance to or from c: b is
-        # the only admissible candidate at a.
+        _refused(field, enumerated, space, Fm)
+        _refused(field, enumerate_fixed_points, space, Fm)
         for m in (mode, ContractionMode.SYMMETRIC):
-            certificate = verify_weak_contraction(space, Fm, linear(F(1, 2)), m)
-            assert certificate.witnesses == {"a": "b", "b": "b", "c": "c"}
+            _refused(field, verify_weak_contraction, space, Fm, linear(F(1, 2)), m)
+            _refused(field, admissible_candidates, space, Fm, linear(F(1, 2)), "a", m)
+            config = SolverConfig(mode=m, tolerance=1e-9)
+            _refused(field, solve, space, Fm, linear(F(1, 2)), "a", config)
+
+    @pytest.mark.parametrize(
+        "bad", [-1, F(-1, 2), -0.5, True, False, "a", None, Decimal("NaN")], ids=repr
+    )
+    @pytest.mark.parametrize("mode", list(ContractionMode), ids=lambda m: m.name)
+    def test_a_negative_bool_or_string_value_is_refused(self, bad, mode):
+        # d(a, b) alone is bad, and d(b, a) = 1: every mode reads d(a, b),
+        # as a distance or as the defect of b.
+        space = from_oracle(
+            lambda x, y: bad if (x, y) == ("a", "b") else int(x != y), points=("a", "b")
+        )
+        Fm = SetValuedMap({"a": ("b",), "b": ("a",)})
+        gamma = linear(F(1, 2))
+        enumerator = {
+            ContractionMode.FORWARD: enumerate_startpoints,
+            ContractionMode.DUAL: enumerate_endpoints,
+            ContractionMode.SYMMETRIC: enumerate_fixed_points,
+        }[mode]
+        field = "d('a', 'b')"
+        _refused(field, verify_weak_contraction, space, Fm, gamma, mode)
+        _refused(field, enumerator, space, Fm)
+        _refused(field, admissible_candidates, space, Fm, gamma, "a", mode)
+        _refused(field, solve, space, Fm, gamma, "a", SolverConfig(mode=mode))
+        _refused(field, admissibility_bound, space, gamma, ContractionMode.FORWARD, "a", "b")
+
+    def test_a_valid_oracle_value_passes_as_it_is(self):
+        # Floats, INFINITY and Decimals are distances: a defect is the
+        # object d gave, uncoerced.
+        half = Decimal("0.5")
+        far = {("a", "b"): half, ("b", "a"): 0.25, ("a", "c"): math.inf}
+        space = from_oracle(lambda x, y: far.get((x, y), 0), points=("a", "b", "c"))
+        Fm = SetValuedMap({"a": ("b",), "b": ("a",), "c": ("a", "c")})
+        assert startpoint_defect(space, "a", Fm) is half
+        assert endpoint_defect(space, "a", Fm) == 0.25
+        assert endpoint_defect(space, "c", Fm) == math.inf
+        assert enumerate_startpoints(space, Fm) == ["c"]
 
 
 class TestEnumerate:

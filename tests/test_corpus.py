@@ -384,6 +384,17 @@ class TestRandomSpaces:
         with pytest.raises(ValueError):
             GeneratorSeed(seed=0, size=4, weight_range=(F(2), F(1)))
 
+    @pytest.mark.parametrize("bad", [1.5, True, False, "1", 2.0, F(3), None], ids=repr)
+    @pytest.mark.parametrize("field", ["seed", "size"])
+    def test_an_integer_field_refuses_what_is_not_an_int(self, field, bad):
+        # A bool was read as seed 0 or 1, and a float size reached the
+        # generator, which failed with a bare TypeError.
+        fields = {"seed": 1, "size": 3, field: bad}
+        with pytest.raises(FieldError) as info:
+            GeneratorSeed(**fields)
+        assert info.value.field == field
+        assert info.value.message == f"must be an int, got {bad!r}"
+
 
 class TestRandomContractiveSystems:
     def test_forward_certificate_always(self):

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -522,10 +523,20 @@ def test_a_meta_json_dumps_refuses_fails_the_same_way(tmp_path, meta):
 
 def test_a_value_that_fails_to_encode_mid_write_leaves_no_file(tmp_path):
     # An oracle's values are encoded as their row is written, after the
-    # file is opened: the writer removes what it wrote.
+    # file is opened: the writer removes what it wrote.  A Decimal infinity
+    # is a distance the reader takes, and no rational string spells it.
+    infinite = Decimal("Infinity")
+    space = from_oracle(lambda x, y: infinite if (x, y) == ("b", "a") else 0, points=("a", "b"))
+    path = tmp_path / "doc.json"
+    with pytest.raises(OverflowError, match="cannot convert Infinity"):
+        dump_system(path, space, SetValuedMap({"a": ["b"], "b": ["a"]}))
+    assert not path.exists()
+
+
+def test_an_oracle_value_that_is_no_distance_is_refused_before_the_file_is_opened(tmp_path):
     space = from_oracle(lambda x, y: "junk" if (x, y) == ("b", "a") else 0, points=("a", "b"))
     path = tmp_path / "doc.json"
-    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'junk'"):
+    with pytest.raises(space_module.FieldError, match=r"^d\('b', 'a'\): must be a number >= 0, got 'junk'$"):
         dump_system(path, space, SetValuedMap({"a": ["b"], "b": ["a"]}))
     assert not path.exists()
 

@@ -42,6 +42,7 @@ from qpmetric import (
 )
 from qpmetric.corpus import _dyadic_gap
 from qpmetric.solver import CheckResult
+from qpmetric.space import FieldError
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
@@ -262,6 +263,21 @@ class TestSolve:
             SolverConfig(selection="greedy")
         with pytest.raises(TypeError, match="mode must be a ContractionMode, got 'forward'"):
             SolverConfig(mode="forward")
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", None, F(3)], ids=repr)
+    def test_max_iterations_must_be_an_int(self, bad):
+        # A float or a bool budget was taken as it stood, and a string was a
+        # bare TypeError from the comparison.
+        with pytest.raises(ValueError) as info:
+            SolverConfig(max_iterations=bad)
+        assert str(info.value) == f"max_iterations must be an int, got {bad!r}"
+        assert SolverConfig(max_iterations=3).max_iterations == 3
+
+    def test_config_docstring_names_every_field(self):
+        doc = SolverConfig.__doc__
+        assert not doc.startswith("SolverConfig(")
+        for name in ("mode", "tolerance", "max_iterations", "selection"):
+            assert f"``{name}``" in doc
 
     def test_nan_tolerance_is_rejected(self):
         # With a NaN tolerance no defect would ever count as reached: this
@@ -493,14 +509,14 @@ _SUBCLASS_DISTANCES = st.one_of(
 
 
 class _Float(float):
-    """A float subclass: its NaN must read as a NaN too."""
+    """A float subclass: a row that holds one is compared a value at a time."""
 
 
 _FLOAT_DISTANCES = st.one_of(
-    st.sampled_from([0.0, math.inf, math.nan, _Float(math.nan), 0.5, 0.25, 2.0**-16]),
+    st.sampled_from([0.0, math.inf, _Float(math.inf), _Float(0.5), 0.5, 0.25, 2.0**-16]),
     st.floats(min_value=0, max_value=2),
 )
-#: Rows mixing ints, Fractions and floats, NaN included.
+#: Rows mixing ints, Fractions and floats, INFINITY included.
 _MIXED_DISTANCES = st.one_of(
     st.integers(min_value=0, max_value=2),
     _EXACT_DISTANCES,
@@ -536,12 +552,12 @@ def _table_space(rows):
 
 class TestCauchyTable:
     @given(case=_random_orbits())
-    # A float-subclass NaN after a smaller int in its row, and a row that
-    # mixes ints, Fractions and floats: neither may skip the NaN scan.
-    @example(case=(_table_space([[0, _Float(math.nan)], [0, 0]]), [0, 1], SolveMode.STARTPOINT))
+    # A float-subclass INFINITY after a smaller int in its row, and a row
+    # that mixes ints, Fractions and floats: both are read a value at a time.
+    @example(case=(_table_space([[0, _Float(math.inf)], [0, 0]]), [0, 1], SolveMode.STARTPOINT))
     @example(
         case=(
-            _table_space([[0, F(1, 4), 0.125], [0, 0, math.nan], [0, 0, 0]]),
+            _table_space([[0, F(1, 4), 0.125], [0, 0, math.inf], [0, 0, 0]]),
             [0, 1, 2],
             SolveMode.STARTPOINT,
         )
@@ -570,26 +586,45 @@ class TestCauchyTable:
         )
         assert report.cauchy == want == _brute_force_cauchy(space, [0, 1, 2])
 
-    @pytest.mark.parametrize("nan_at, n0", [((1, 2), 2), ((0, 0), 1), ((3, 3), 3)])
-    def test_nan_distance_fails_its_start(self, nan_at, n0):
-        # The start of a NaN pair is never eps-Cauchy, for any eps; a NaN
+    @pytest.mark.parametrize("far_at, n0", [((1, 2), 2), ((0, 0), 1), ((3, 3), 3)])
+    def test_an_infinite_distance_fails_its_start(self, far_at, n0):
+        # The start of an infinite pair is never eps-Cauchy, for any eps; one
         # on the last diagonal leaves no start at all (n0 = last).
         space = from_oracle(
-            lambda x, y: math.nan if (x, y) == nan_at else 0.0, points=range(4), exact=False
+            lambda x, y: math.inf if (x, y) == far_at else 0.0, points=range(4), exact=False
         )
         orbit = [0, 1, 2, 3]
         report = validate_trace(_orbit_trace(space, orbit), linear(F(1, 2)))
         assert report.cauchy == tuple((eps, n0) for eps in EPSILON_SCHEDULE)
         assert report.cauchy == _brute_force_cauchy(space, orbit)
 
-    def test_decimal_nan_distance_fails_its_start(self):
-        # A NaN that is no float, in a row of ints, is still found; the
-        # brute force cannot compare a Decimal NaN with eps.
+    @pytest.mark.parametrize(
+        "mode", [SolveMode.STARTPOINT, SolveMode.ENDPOINT], ids=["startpoint", "endpoint"]
+    )
+    @pytest.mark.parametrize(
+        "nan_at", [(1, 2), (0, 0), (3, 3)], ids=["inner", "first-diagonal", "last-diagonal"]
+    )
+    @pytest.mark.parametrize(
+        "nan", [math.nan, _Float(math.nan), Decimal("NaN")], ids=["float", "subclass", "decimal"]
+    )
+    def test_nan_distance_is_refused(self, nan, nan_at, mode):
+        # Any NaN, in a row of floats or of ints, where it used to fail its
+        # start: the reader names the pair as the table reads it.  An
+        # ENDPOINT trace reads d(x_n, x_k).
+        pair = nan_at if mode is SolveMode.STARTPOINT else nan_at[::-1]
         space = from_oracle(
-            lambda x, y: Decimal("NaN") if (x, y) == (1, 2) else 0, points=range(4), exact=False
+            lambda x, y: nan if (x, y) == pair else 0, points=range(4), exact=False
         )
-        report = validate_trace(_orbit_trace(space, [0, 1, 2, 3]), linear(F(1, 2)))
-        assert report.cauchy == tuple((eps, 2) for eps in EPSILON_SCHEDULE)
+        with pytest.raises(FieldError) as got:
+            validate_trace(_orbit_trace(space, [0, 1, 2, 3], mode), linear(F(1, 2)))
+        assert got.value.field == "d({}, {})".format(*pair)
+
+    @pytest.mark.parametrize("bad", [-1, F(-1, 3), True, "a"], ids=repr)
+    def test_a_negative_bool_or_string_distance_is_refused(self, bad):
+        space = from_oracle(lambda x, y: bad if (x, y) == (1, 2) else 0, points=range(4))
+        with pytest.raises(FieldError) as got:
+            validate_trace(_orbit_trace(space, [0, 1, 2, 3]), linear(F(1, 2)))
+        assert got.value.field == "d(1, 2)"
 
 
 def _staircase(length, point=F):
@@ -748,58 +783,35 @@ def test_conjugate_and_symmetrize_of_an_oracle_space_hash_no_point():
     assert counting.hashes == 0
 
 
-def test_a_nan_defect_among_tied_candidates_keeps_universe_order():
-    # F(0) holds, in universe order: 2, inadmissible with the least defect
-    # (1/4 against a bound of 1/8); 6, admissible with defect 1/2; 7, whose
-    # defect is NaN; and 9, admissible with the same defect as 6.  A set of
-    # the positions {2, 6, 9} iterates 9, 2, 6, so a NaN drop through a set
-    # would put 9 ahead of its tie.  The oracle is symmetric, so every mode
-    # sees the same candidates; 7 admits 10, so verify certifies the space.
-    # No distance between 0 and 7 is read: a NaN defect admits nothing.
-    near = {(0, 2): F(1, 4), (2, 3): F(1, 4), (4, 6): F(1, 2), (4, 9): F(1, 2), (7, 8): math.nan}
-    read = set()
+def test_a_nan_defect_is_refused_before_any_candidate_is_tested():
+    # F(0) holds, in universe order: 2 and 6, each with a defect of 1/4;
+    # 7, whose defect reads the NaN d(7, 8) (d(8, 7) in DUAL mode); and 9.
+    # The scan reads every candidate's defect before it tests any, so the
+    # NaN is refused, naming its pair, before a distance from 0 is read.
+    near = {(0, 2): F(1, 4), (2, 3): F(1, 4), (6, 4): F(1, 4), (7, 8): math.nan}
+    read = []
 
     def d(x, y):
-        read.add((x, y))
+        read.append((x, y))
         return 0 if x == y else near.get((min(x, y), max(x, y)), ONE)
 
     images = {x: (x,) for x in range(12)}
     images.update({0: (2, 6, 7, 9), 2: (3,), 6: (4,), 7: (8, 10), 9: (4,)})
     space, Fm, gamma = from_oracle(d, points=range(12)), SetValuedMap(images), linear(F(1, 2))
     for mode in ContractionMode:
-        brute = [
-            (y, mode_defect(space, y, Fm, mode))
-            for y in Fm(0)
-            if space.leq(mode_defect(space, y, Fm, mode), admissibility_bound(space, gamma, mode, 0, y))
-        ]
-        assert brute == [(6, F(1, 2)), (9, F(1, 2))]
-        best = min(brute, key=lambda pair: pair[1])
+        field = "d(8, 7)" if mode is ContractionMode.DUAL else "d(7, 8)"
         read.clear()
-        assert admissible_candidates(space, Fm, gamma, 0, mode) == brute
-        assert read.isdisjoint({(0, 7), (7, 0)})
-        assert verify_weak_contraction(space, Fm, gamma, mode).witnesses[0] == best[0]
-        for selection, want in ((Selection.GREEDY_MIN_DEFECT, best), (Selection.FIRST_ADMISSIBLE, brute[0])):
-            config = SolverConfig(mode=mode, selection=selection, max_iterations=1)
-            step = solve(space, Fm, gamma, 0, config).steps[0]
-            assert (step.x, step.y, step.defect, step.d) == (0, *want, ONE)
-
-
-def test_a_nan_defect_does_not_stop_the_sort_by_defect():
-    # F(0) holds, in universe order: 1, admissible with defect 1/2; 2, whose
-    # defect is NaN; and 3, admissible with defect 1/4.  Left in the sort,
-    # the NaN compares false both ways, so the defects 1/2, NaN, 1/4 read
-    # as one ascending run and 1 would stay ahead of 3.
-    near = {(1, 4): F(1, 2), (2, 5): math.nan, (3, 4): F(1, 4)}
-
-    def d(x, y):
-        return 0 if x == y else near.get((min(x, y), max(x, y)), ONE)
-
-    images = {x: (x,) for x in range(6)}
-    images.update({0: (1, 2, 3), 1: (4,), 2: (5,), 3: (4,)})
-    space, Fm, gamma = from_oracle(d, points=range(6)), SetValuedMap(images), linear(F(1, 2))
-    for mode in ContractionMode:
-        step = solve(space, Fm, gamma, 0, SolverConfig(mode=mode, max_iterations=1)).steps[0]
-        assert (step.y, step.defect, step.d) == (3, F(1, 4), ONE)
+        with pytest.raises(FieldError) as got:
+            admissible_candidates(space, Fm, gamma, 0, mode)
+        assert got.value.field == field
+        assert not any(0 in pair for pair in read)
+        with pytest.raises(FieldError) as got:
+            verify_weak_contraction(space, Fm, gamma, mode)
+        assert got.value.field == field
+        for selection in Selection:
+            with pytest.raises(FieldError) as got:
+                solve(space, Fm, gamma, 0, SolverConfig(mode=mode, selection=selection))
+            assert got.value.field == field
 
 
 def test_oracle_call_counts_on_the_truncated_dyadic_system():

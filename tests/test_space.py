@@ -1,6 +1,9 @@
+import gc
 import itertools
 import math
 import operator
+import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,20 +15,26 @@ from qpmetric import (
     INFINITY,
     AxiomCheck,
     AxiomReport,
+    ContractionMode,
     GeneratorSeed,
     QSpace,
+    SetValuedMap,
+    admissibility_bound,
     ball_contains,
     check_axioms,
     conjugate,
     dist_point_set,
     dist_set_point,
+    distance_matrix,
     dyadic_halving_system,
     from_matrix,
     from_oracle,
     halving_point,
     hausdorff,
+    linear,
     minplus_closure,
     random_t0_qspace,
+    startpoint_defect,
     symmetrize,
 )
 
@@ -198,10 +207,39 @@ class TestHausdorff:
         assert math.isinf(hausdorff(space, ["a"], ["b"]))
 
 
+def _refused(field, run, *args, **kwargs):
+    """Assert that ``run(*args, **kwargs)`` raises the reader's FieldError
+    naming ``field``."""
+    with pytest.raises(space_module.FieldError) as got:
+        run(*args, **kwargs)
+    assert got.value.field == field
+
+
+#: Oracle values that are no distance: NaN, negatives, bools, and values
+#: that cannot be compared with 0.
+BAD_VALUES = [
+    math.nan,
+    Decimal("NaN"),
+    -1,
+    F(-1, 2),
+    -0.5,
+    -INFINITY,
+    Decimal(-1),
+    True,
+    False,
+    "a",
+    "1",
+    None,
+    1j,
+]
+#: Oracle values that the reader passes as they are.
+GOOD_VALUES = [0, 3, F(1, 2), 0.5, 0.0, -0.0, INFINITY, Decimal("0.25"), Decimal("Infinity")]
+
+
 class TestNaNSetDistances:
-    """A set distance is NaN when any distance it reads is NaN, whatever the
-    order of the sets: builtin min and max keep a NaN only when it comes
-    first."""
+    """An oracle value that is no distance (NaN here) is refused by the one
+    reader, naming the pair, whatever the order of the sets; set distances
+    that do not read it keep their values."""
 
     @pytest.fixture
     def space(self):
@@ -215,20 +253,137 @@ class TestNaNSetDistances:
     @pytest.mark.parametrize("order", list(itertools.permutations("abc")), ids="".join)
     def test_every_order_of_a_three_point_set(self, space, order):
         pair = [p for p in order if p != "a"]  # b and c, in both orders
-        assert math.isnan(dist_point_set(space, "a", order))
-        assert math.isnan(dist_point_set(space, "a", pair))
-        assert math.isnan(dist_set_point(space, order, "c"))
-        assert math.isnan(hausdorff(space, ["a"], pair))
-        assert math.isnan(hausdorff(space, order, order))
-        assert math.isnan(hausdorff(space, order, ["c"]))
+        _refused("d('a', 'c')", dist_point_set, space, "a", order)
+        _refused("d('a', 'c')", dist_point_set, space, "a", pair)
+        _refused("d('a', 'c')", dist_set_point, space, order, "c")
+        _refused("d('a', 'c')", hausdorff, space, ["a"], pair)
+        _refused("d('a', 'c')", hausdorff, space, order, order)
+        _refused("d('a', 'c')", hausdorff, space, order, ["c"])
+        _refused("d('a', 'c')", ball_contains, space, "a", 1, "c")
+        _refused("d('a', 'c')", distance_matrix, space)
         # Sets that read no NaN keep their values.
         assert dist_set_point(space, pair, "a") == 1.0
         assert hausdorff(space, pair, ["a"]) == 1.0
 
     def test_symmetrize_is_symmetric(self, space):
+        # Each of the two reads is checked: a max would hide the NaN side.
         sym = symmetrize(space)
-        assert math.isnan(sym.d("a", "c")) and math.isnan(sym.d("c", "a"))
+        _refused("d('a', 'c')", sym.d, "a", "c")
+        _refused("d('a', 'c')", sym.d, "c", "a")
         assert sym.d("a", "b") == sym.d("b", "a") == 1.0
+
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_every_reader_refuses_a_value_that_is_no_distance(self, bad, exact):
+        # d(b, a) alone is bad: a read from b to a, or from a to b in the
+        # conjugate, names it.
+        space = from_oracle(
+            lambda x, y: bad if (x, y) == ("b", "a") else 0, points=("a", "b"), exact=exact
+        )
+        field = "d('b', 'a')"
+        _refused(field, dist_point_set, space, "b", ["a", "b"])
+        _refused(field, dist_set_point, space, ["b", "a"], "a")
+        _refused(field, hausdorff, space, ["b"], ["a"])
+        _refused(field, hausdorff, space, ["a", "b"], ["a"])
+        _refused(field, ball_contains, space, "b", 1, "a")
+        _refused(field, distance_matrix, space)
+        _refused(field, check_axioms, space)
+        _refused("d('a', 'b')", distance_matrix, conjugate(space))
+        for x, y in (("a", "b"), ("b", "a")):
+            _refused(field, symmetrize(space).d, x, y)
+        # Reads that miss the bad value are unchanged.
+        assert dist_point_set(space, "a", ["b"]) == 0
+
+    @pytest.mark.parametrize("good", GOOD_VALUES, ids=repr)
+    def test_a_distance_passes_as_it_is(self, good):
+        space = from_oracle(lambda x, y: good, points=("a", "b"))
+        assert distance_matrix(space) == [[good, good], [good, good]]
+        assert all(v is good for row in distance_matrix(space) for v in row)
+        assert dist_point_set(space, "a", ["a", "b"]) is good
+        assert hausdorff(space, ["a"], ["b"]) is good
+        assert symmetrize(space).d("a", "b") is good
+
+    def test_stored_rows_are_not_checked_again(self, monkeypatch):
+        # Stored values were checked when read: the reader takes them as
+        # they are, so a stored-rows read never reaches the value check.
+        def boom(v):
+            raise AssertionError("a stored value was checked again")
+
+        monkeypatch.setattr(space_module, "_nonnegative", boom)
+        for exact in (True, False):
+            space = from_matrix(("a", "b"), [[0, 0.5], [2, 0]], exact=exact)
+            assert hausdorff(space, ["b"], ["a"]) == 2
+            assert check_axioms(space, points=["b", "a"]).ok
+            assert distance_matrix(symmetrize(space)) == [[0, 2], [2, 0]]
+
+    def test_the_first_bad_value_in_read_order_is_named(self):
+        # d(a, b), d(a, c) are read before d(b, a), d(c, a).
+        bad = {("a", "c"): -1, ("b", "a"): math.nan, ("c", "a"): "x"}
+        space = from_oracle(lambda x, y: bad.get((x, y), 0), points="abc", exact=False)
+        _refused("d('a', 'c')", space_module._distances, space, "a", ("b", "c"), True, True)
+        _refused("d('b', 'a')", space_module._distances, space, "a", ("b", "c"), False, True)
+        _refused("d('c', 'a')", space_module._distances, space, "a", ("c", "b"), False, True)
+
+    @pytest.mark.parametrize(
+        "kinds", [{int}, {Fraction}, {int, Fraction}], ids=["int", "fraction", "mixed"]
+    )
+    def test_a_negative_exact_value_is_refused_in_any_row(self, kinds):
+        # Rows of ints and Fractions are checked by their numerators; the
+        # negative value is the last of the row.
+        values = [0] * 5 + [-1]
+        if Fraction in kinds:
+            values = [F(v, 3) for v in values]
+        if int in kinds and Fraction in kinds:
+            values[0] = 0
+        space = from_oracle(lambda x, y: values[y], points=range(6))
+        _refused("d(0, 5)", space_module._distances, space, 0, range(6), True, False)
+
+
+#: Reads of a stored-rows space on ("a", "b") that meet the stray point "zz".
+STRAY_READS = {
+    "d-second": lambda S: S.d("a", "zz"),
+    "d-first": lambda S: S.d("zz", "a"),
+    "startpoint_defect": lambda S: startpoint_defect(
+        S, "a", SetValuedMap({"a": ["b", "zz"], "b": ["b"]})
+    ),
+    "admissibility_bound": lambda S: admissibility_bound(
+        S, linear(F(1, 2)), ContractionMode.FORWARD, "a", "zz"
+    ),
+    "hausdorff": lambda S: hausdorff(S, ["a"], ["zz"]),
+    "dist_point_set": lambda S: dist_point_set(S, "a", ["b", "zz"]),
+    "dist_set_point": lambda S: dist_set_point(S, ["zz"], "a"),
+    "ball_contains": lambda S: ball_contains(S, "a", 1, "zz"),
+    "conjugate": lambda S: conjugate(S).d("zz", "b"),
+    "symmetrize": lambda S: symmetrize(S).d("b", "zz"),
+}
+
+
+class TestPointOutsideTheUniverse:
+    @pytest.mark.parametrize("read", STRAY_READS.values(), ids=STRAY_READS.keys())
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_a_stored_rows_space_names_the_point(self, read, exact):
+        # Was a bare KeyError; solve and verify already named the point so.
+        space = from_matrix(("a", "b"), [[0, 1], [1, 0]], exact=exact)
+        with pytest.raises(ValueError, match=r"^'zz' is not in the universe$"):
+            read(space)
+
+    def test_a_stored_rows_space_is_freed_without_the_cycle_collector(self):
+        # Its d names a stray point through the order, not the space: a d
+        # that held the space would keep every dropped space, rows and all,
+        # until a full collection.
+        gc.disable()
+        try:
+            for build in (lambda S: S, conjugate, symmetrize):
+                ref = weakref.ref(build(from_matrix(("a", "b"), [[0, 1], [1, 0]])))
+                assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_an_oracle_space_answers_as_its_oracle_does(self):
+        # Checking would hash both points on every read.
+        space = from_oracle(lambda x, y: int(x != y), points=("a", "b"))
+        assert space.d("a", "zz") == 1
+        assert dist_point_set(space, "a", ["b", "zz"]) == 1
 
 
 class TestBall:
@@ -678,7 +833,8 @@ small_fractions = st.builds(F, st.integers(min_value=0, max_value=12), st.intege
 near_tolerance = st.sampled_from(
     [0.0, 1e-10, 5e-10, 1e-9, 1.5e-9, 3e-9, 0.1, 0.2, 0.3, 0.30000000099, 0.3000000011, 1.0]
 )
-extended = st.sampled_from([INFINITY, math.nan])
+#: The extended value an oracle may give; a NaN is refused by the reader.
+extended = st.just(INFINITY)
 
 #: (exact, entry strategy) per arithmetic case.
 AXIOM_CASES = {
@@ -769,13 +925,15 @@ def test_exact_triangle_is_not_widened():
     assert check_axioms(space).triangle.witness == (0, 1, 2)
 
 
-def test_nan_distance_fails_the_triangle():
-    space = from_oracle(
-        lambda x, y: math.nan if (x, y) == (0, 1) else 0, points=(0, 1), exact=False
-    )
-    report = check_axioms(space)
-    assert report.identity.passed
-    assert report.triangle.witness == (0, 0, 1)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("bad", [math.nan, Decimal("NaN"), -1, True, "a"], ids=repr)
+def test_check_axioms_refuses_a_value_that_is_no_distance(bad, exact):
+    # Sampled or whole, through an oracle: the reader names the pair, where
+    # a NaN used to fail the triangle at (0, 0, 1).
+    space = from_oracle(lambda x, y: bad if (x, y) == (0, 1) else 0, points=(0, 1), exact=exact)
+    _refused("d(0, 1)", check_axioms, space)
+    _refused("d(0, 1)", check_axioms, space, points=[1, 0])
+    assert check_axioms(space, points=[1]).ok
 
 
 def _counting_space(m, t0=True):
@@ -890,10 +1048,12 @@ def test_packed_triangle_witness_is_the_first_in_row_major_order():
 FALLBACK_AXIOM_INPUTS = {
     "float": (False, [[0.0, 1.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], (0, 1, 2)),
     "float-ints": (False, [[0, 1, 2], [0, 0, 1], [0, 0, 0]], None),
-    "negative": (True, [[0, -1, 0], [0, 0, -1], [0, 0, 0]], (0, 1, 0)),
-    "negative-fraction": (True, [[0, F(-1, 2), 0], [0, 0, F(-1, 3)], [0, 0, 0]], (0, 1, 0)),
-    "bool": (True, [[False, True, True], [False, False, False], [False, True, False]], None),
-    "nan": (True, [[0, math.nan], [0, 0]], (0, 0, 1)),
+    # The kernel entry leaves these to the loops too, but an oracle that
+    # gives them is refused by the reader: the witness is the pair named.
+    "negative": (True, [[0, -1, 0], [0, 0, -1], [0, 0, 0]], "d(0, 1)"),
+    "negative-fraction": (True, [[0, F(-1, 2), 0], [0, 0, F(-1, 3)], [0, 0, 0]], "d(0, 1)"),
+    "bool": (True, [[False, True, True], [False, False, False], [False, True, False]], "d(0, 0)"),
+    "nan": (True, [[0, math.nan], [0, 0]], "d(0, 1)"),
     "infinity": (True, [[0, INFINITY], [1, 0]], None),
     "float-in-exact": (True, [[0, 0.5, 2], [0, 0, 1], [0, 0, 0]], (0, 1, 2)),
     # 2^62 needs 65-bit lanes; 2^62 - 1 fits in 64 and is packed.
@@ -969,9 +1129,21 @@ def test_each_value_matrix_is_type_scanned_once(monkeypatch):
     assert minplus_closure(m) == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     assert len(calls) == 1
     calls.clear()
+    # Through an oracle, the types are those the reader met as it checked
+    # each row: no second scan.
+    reads = []
+    distances = axioms_module._distances
+
+    def reader(*args):
+        reads.append(args[-1])
+        return distances(*args)
+
+    monkeypatch.setattr(axioms_module, "_distances", reader)
     space = from_oracle(lambda x, y: F(m[x][y], 2), points=range(3))
     assert check_axioms(space).triangle.witness == (0, 1, 2)
-    assert len(calls) == 1
+    assert not calls
+    assert len(reads) == 3 and all(kinds is reads[0] for kinds in reads)
+    assert reads[0] == {Fraction}
 
 
 def test_lanes_stop_at_64_bits():
@@ -985,6 +1157,10 @@ def test_fallback_inputs_take_the_loop(case, monkeypatch):
     exact, m, witness = FALLBACK_AXIOM_INPUTS[case]
     space = from_oracle(lambda x, y: m[x][y], points=range(len(m)), exact=exact)
     monkeypatch.setattr(axioms_module, "_first_packed_violation", _boom)
+    if isinstance(witness, str):
+        assert axioms_module._kernel_rows(m, axioms_module._kinds(m))[2] is None
+        _refused(witness, check_axioms, space)
+        return
     report = check_axioms(space)
     assert report == _brute_force_axioms(space)
     assert report.triangle.witness == witness
