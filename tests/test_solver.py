@@ -783,6 +783,73 @@ def test_conjugate_and_symmetrize_of_an_oracle_space_hash_no_point():
     assert counting.hashes == 0
 
 
+def test_a_nan_defect_among_tied_candidates_keeps_universe_order():
+    # F(0) holds, in universe order: 2, inadmissible with the least defect
+    # (1/4 against a bound of 1/8); 6, admissible with defect 1/2; 7, whose
+    # defect reads d(7, 8); and 9, admissible with the same defect as 6.  A
+    # set of the positions {2, 6, 9} iterates 9, 2, 6, so a pass through a
+    # set would put 9 ahead of its tie.  The oracle is symmetric, so every
+    # mode sees the same candidates; 7 admits 10, so verify certifies the
+    # space.  With d(7, 8) NaN the scan refuses the value, naming its pair,
+    # before it reads a distance between 0 and 7; with d(7, 8) infinite, 7's
+    # defect admits nothing and the ties keep universe order.
+    near = {(0, 2): F(1, 4), (2, 3): F(1, 4), (4, 6): F(1, 2), (4, 9): F(1, 2), (7, 8): math.nan}
+    read = set()
+
+    def d(x, y):
+        read.add((x, y))
+        return 0 if x == y else near.get((min(x, y), max(x, y)), ONE)
+
+    images = {x: (x,) for x in range(12)}
+    images.update({0: (2, 6, 7, 9), 2: (3,), 6: (4,), 7: (8, 10), 9: (4,)})
+    space, Fm, gamma = from_oracle(d, points=range(12)), SetValuedMap(images), linear(F(1, 2))
+    for mode in ContractionMode:
+        read.clear()
+        with pytest.raises(FieldError) as got:
+            admissible_candidates(space, Fm, gamma, 0, mode)
+        assert got.value.field == ("d(8, 7)" if mode is ContractionMode.DUAL else "d(7, 8)")
+        assert read.isdisjoint({(0, 7), (7, 0)})
+    near[7, 8] = INFINITY
+    for mode in ContractionMode:
+        brute = [
+            (y, mode_defect(space, y, Fm, mode))
+            for y in Fm(0)
+            if space.leq(mode_defect(space, y, Fm, mode), admissibility_bound(space, gamma, mode, 0, y))
+        ]
+        assert brute == [(6, F(1, 2)), (9, F(1, 2))]
+        best = min(brute, key=lambda pair: pair[1])
+        assert admissible_candidates(space, Fm, gamma, 0, mode) == brute
+        assert verify_weak_contraction(space, Fm, gamma, mode).witnesses[0] == best[0]
+        for selection, want in ((Selection.GREEDY_MIN_DEFECT, best), (Selection.FIRST_ADMISSIBLE, brute[0])):
+            config = SolverConfig(mode=mode, selection=selection, max_iterations=1)
+            step = solve(space, Fm, gamma, 0, config).steps[0]
+            assert (step.x, step.y, step.defect, step.d) == (0, *want, ONE)
+
+
+def test_a_nan_defect_does_not_stop_the_sort_by_defect():
+    # F(0) holds, in universe order: 1, admissible with defect 1/2; 2, whose
+    # defect reads d(2, 5); and 3, admissible with defect 1/4.  A NaN left in
+    # the sort would compare false both ways, so the defects 1/2, NaN, 1/4
+    # would read as one ascending run and 1 would stay ahead of 3.  So a NaN
+    # d(2, 5) is refused, naming its pair, and an infinite one sorts last.
+    near = {(1, 4): F(1, 2), (2, 5): math.nan, (3, 4): F(1, 4)}
+
+    def d(x, y):
+        return 0 if x == y else near.get((min(x, y), max(x, y)), ONE)
+
+    images = {x: (x,) for x in range(6)}
+    images.update({0: (1, 2, 3), 1: (4,), 2: (5,), 3: (4,)})
+    space, Fm, gamma = from_oracle(d, points=range(6)), SetValuedMap(images), linear(F(1, 2))
+    for mode in ContractionMode:
+        with pytest.raises(FieldError) as got:
+            solve(space, Fm, gamma, 0, SolverConfig(mode=mode, max_iterations=1))
+        assert got.value.field == ("d(5, 2)" if mode is ContractionMode.DUAL else "d(2, 5)")
+    near[2, 5] = INFINITY
+    for mode in ContractionMode:
+        step = solve(space, Fm, gamma, 0, SolverConfig(mode=mode, max_iterations=1)).steps[0]
+        assert (step.y, step.defect, step.d) == (3, F(1, 4), ONE)
+
+
 def test_a_nan_defect_is_refused_before_any_candidate_is_tested():
     # F(0) holds, in universe order: 2 and 6, each with a defect of 1/4;
     # 7, whose defect reads the NaN d(7, 8) (d(8, 7) in DUAL mode); and 9.
