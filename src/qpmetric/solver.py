@@ -261,8 +261,10 @@ def solve(
 
 
 #: Fixed descending epsilon schedule for the prefix left-K-Cauchy
-#: certificate: 1, 1/2, 1/4, ..., 2^-16.
+#: certificate: 1, 1/2, 1/4, ..., 2^-16.  Every eps is a unit fraction 1/q,
+#: which ``_reach_test`` relies on.
 EPSILON_SCHEDULE: tuple[Fraction, ...] = tuple(Fraction(1, 2**k) for k in range(17))
+assert all(eps.numerator == 1 for eps in EPSILON_SCHEDULE)
 
 
 @dataclass(frozen=True)
@@ -390,16 +392,14 @@ def validate_trace(
 def _reach_test(row: Sequence[Value], kinds: set[type]) -> Callable[[Fraction], bool]:
     """A test of whether ``row``, whose value types are ``kinds``, holds a
     distance >= eps.  A row of ints and Fractions alone (exact types) is
-    read once to numerators and denominators, and eps = p/q is tested by
-    integer products, with no Fraction operator; any other row, one value
-    at a time."""
+    read once to numerators and denominators, and eps = 1/q (every eps of
+    ``EPSILON_SCHEDULE``) is tested as num * q >= den, with no Fraction
+    operator; any other row, one value at a time."""
     if _RATIONAL.issuperset(kinds):
         num, den = _ratio_row(row, kinds)
 
         def reaches(eps: Fraction) -> bool:
-            p, q = eps.numerator, eps.denominator
-            scaled = den if p == 1 else map(mul, den, repeat(p))  # The schedule's p is 1.
-            return any(map(ge, map(mul, num, repeat(q)), scaled))
+            return any(map(ge, map(mul, num, repeat(eps.denominator)), den))
 
     else:
 

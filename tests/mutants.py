@@ -201,8 +201,8 @@ MUTANTS = [
     ),
     (
         "solver.py",
-        "any(map(ge, map(mul, num, repeat(q)), scaled))",
-        "any(map(int.__gt__, map(mul, num, repeat(q)), scaled))",
+        "any(map(ge, map(mul, num, repeat(eps.denominator)), den))",
+        "any(map(int.__gt__, map(mul, num, repeat(eps.denominator)), den))",
         "a row of ints and Fractions at exactly eps is not eps-Cauchy: eps is strict",
         ["tests/test_solver.py"],
     ),

@@ -4,9 +4,9 @@ Run from anywhere:
 
     python3 tools/bench_record.py --pr 31 --seed 4242 --seconds 35
 
-For each workload (all of ``BENCHMARK.json`` unless ``--workload`` names
-some), it runs the benchmark's own command, ``python3 bench/run.py``, as
-a child process from the repository root, unchanged but for its flags:
+For each workload of ``BENCHMARK.json``, it runs the benchmark's own
+command, ``python3 bench/run.py``, as a child process from the repository
+root, unchanged but for its flags:
 
     python3 bench/run.py --workload W --seed S --seconds T --trace K
 
@@ -66,7 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--workload", action="append", choices=names, help="default: all")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the root")
     args = parser.parse_args(argv)
     command = spec["command"]
@@ -81,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     entries = [
         {**context, **_run(command, name, args.seed, args.seconds, args.trace)}
-        for name in (args.workload or names)
+        for name in names
     ]
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     record = {"pr": args.pr, "command": spec["command"], "entries": entries}
