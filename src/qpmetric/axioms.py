@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from numbers import Number
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .space import (
@@ -278,8 +278,9 @@ def minplus_closure(matrix: Sequence[Sequence[Value]]) -> list[list[Value]]:
     diagonal always closes into a triangle-consistent one.  The result is
     exact, and that of one comparison per triple: Fraction input gives
     Fractions, all-int input gives ints.  A matrix that is not square, or
-    an entry that is not a number (say, a string), is a ValueError; the
-    latter is a :class:`FieldError` naming the first such ``d[i][j]``.
+    an entry that is not a real number (a string or a ``Decimal``, say),
+    is a ValueError; the latter is a :class:`FieldError` naming the first
+    such ``d[i][j]``.
     """
     d, den = _closure(matrix)
     if den is None:
@@ -296,14 +297,14 @@ def _closure(matrix: Sequence[Sequence[Value]]) -> tuple[list[list[Value]], int 
     if any(len(row) != n for row in matrix):
         raise ValueError(f"distance matrix must be {n}x{n}")
     kinds = _kinds(matrix)
-    if not all(issubclass(kind, Number) for kind in kinds):
+    if not all(issubclass(kind, Real) for kind in kinds):
         i, j, v = next(
             (i, j, v)
             for i, row in enumerate(matrix)
             for j, v in enumerate(row)
-            if not isinstance(v, Number)
+            if not isinstance(v, Real)
         )
-        raise FieldError(f"d[{i}][{j}]", f"not a number: {v!r}")
+        raise FieldError(f"d[{i}][{j}]", f"not a real number: {v!r}")
     d, den, w = _kernel_rows(matrix, kinds)
     return (_floyd_warshall(d) if w is None else _packed_floyd_warshall(d, w)), den
 

@@ -24,20 +24,20 @@ its own defect with ties broken by universe order (the step greedy
 ``solve`` takes), and a violation reports the smallest-index x with no
 admissible candidate.
 
-One scan (:class:`_Scan`) serves the verifier, the enumerators and the
-solver on every space, with one candidate loop.  It reads the defect of
-every candidate in F(x) first, and then d(x, y) or d(y, x) only for the
-candidate it tests, so a scan that stops at the first admissible candidate
-reads no distance past it.  Its state, built whole by the first scan
-that needs it, is one slot per image (resolved to sorted universe
-positions when first read) and one defect list per mode, indexed by
-position, or keyed by point on a space without a universe.  Stored rows (see
-:mod:`qpmetric.space`) share it per (space, map) in ``QSpace.resolved``,
-keyed weakly by the map, so an image is resolved and a defect computed
-once however many calls ask; it is read a whole image at a time.  Other
-spaces are read through the checked reader :func:`qpmetric.space._distances`
-and resolved afresh by every call, so a user oracle sees the same calls on
-every run.  Two threads may fill one
+One scan (:class:`_Scan`) serves the defects, the verifier, the
+enumerators and the solver on every space, with one candidate loop.  It
+reads the defect of every candidate in F(x) first, and then d(x, y) or
+d(y, x) only for the candidate it tests, so a scan that stops at the
+first admissible candidate reads no distance past it.  Its state, built whole
+by the first scan that needs it, is one slot per image (resolved to
+sorted universe positions when first read) and one defect list per mode,
+indexed by position, or keyed by point on a space without a universe.
+Stored rows (see :mod:`qpmetric.space`) share it per (space, map) in
+``QSpace.resolved``, keyed weakly by the map, so an image is resolved and
+a defect computed once however many calls ask; it is read a whole image
+at a time.  Other spaces are read through the checked reader
+:func:`qpmetric.space._distances` and resolved afresh by every call, so a
+user oracle sees the same calls on every run.  Two threads may fill one
 shared slot twice, always with the same value.  A SYMMETRIC defect is the
 larger of the FORWARD and DUAL ones, and SYMMETRIC admits y when both
 modes do.  A defect stays in the rows' scale until it is handed out as
@@ -55,7 +55,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .comparison import ComparisonFunction
-from .space import Point, QSpace, Value, _distances, _unique
+from .space import Point, QSpace, Value, _check_point, _distances, _unique
 
 
 class SetValuedMap:
@@ -143,9 +143,10 @@ def _meaning(mode: ContractionMode) -> tuple[bool, bool, str]:
 
 def mode_defect(space: QSpace, x: Point, F: SetValuedMap, mode: ContractionMode) -> Value:
     """The defect functional matching a contraction mode: the largest
-    distance the mode reads between x and F(x)."""
-    xy, yx, _ = _meaning(mode)
-    return max(_distances(space, x, F(x), xy, yx))
+    distance the mode reads between x and F(x).  A point x, or a point of
+    F(x), outside a finite universe is a ValueError naming it."""
+    _check_point(space.order, x)
+    return _value(space, _Scan(space, F, mode).defect(x))
 
 
 def startpoint_defect(space: QSpace, x: Point, F: SetValuedMap) -> Value:
@@ -173,7 +174,9 @@ def admissibility_bound(
     """Right-hand side of the mode's inequality at the pair (x, y): the
     smallest t - gamma(t) over the distances t it reads, or NaN if any is
     (as t - gamma(t) is at t = inf for ``linear`` and ``rational_shrink``),
-    which admits nothing."""
+    which admits nothing.  A point outside a finite universe is a
+    ValueError naming it."""
+    _check_point(space.order, x, y)
     bounds = [t - gamma(t) for t in _distances(space, x, (y,), *_meaning(mode)[:2])]
     # The key puts a NaN first: min on the values keeps one only when first.
     return min(bounds, key=lambda b: (b == b, b))

@@ -319,12 +319,13 @@ def validate_trace(
     additionally needs the distance oracle; it uses ``space`` or, by
     default, the space the trace ran in, and is skipped (None) when
     neither is available; for an ENDPOINT trace too it is the input space.
-    It reads d(x_k, x_n), d(x_n, x_k) for ENDPOINT, once for each pair
-    k <= n of the orbit x_0, ..., x_L, the diagonal included: (L + 1)(L + 2)/2
-    oracle calls, a row k at a time from k = L down to 0, each through the
-    checked reader.  A row is tested against each epsilon no later row has
-    reached: a row of ints and Fractions by an exact integer test on its
-    numerators and denominators, any other row one value at a time.  A
+    It reads d(x_k, x_n), d(x_n, x_k) for ENDPOINT, at most once for each
+    pair k <= n of the orbit x_0, ..., x_L, the diagonal included: at most
+    (L + 1)(L + 2)/2 oracle calls, a row k at a time from k = L down, each
+    through the checked reader, and stops after the row that reaches the
+    smallest epsilon.  A row is tested against each epsilon no later row
+    has reached: a row of ints and Fractions by an exact integer test on
+    its numerators and denominators, any other row one value at a time.  A
     ``space`` other than the trace's own, if it has a finite universe, must
     hold every orbit point: ``ValueError`` names the first one it lacks.
     """
@@ -372,13 +373,13 @@ def validate_trace(
         n0 = [0] * len(EPSILON_SCHEDULE)
         e = len(EPSILON_SCHEDULE) - 1  # The smallest eps not yet reached.
         for r in range(last, -1, -1):
+            if e < 0:
+                break  # Every eps is reached: no lower row changes n0.
             kinds: set[type] = set()
-            row = _distances(space, pts[r], pts[r:], xy, not xy, kinds)
-            if e >= 0:
-                reaches = _reach_test(row, kinds)
-                while e >= 0 and reaches(EPSILON_SCHEDULE[e]):
-                    n0[e] = min(r + 1, last)
-                    e -= 1
+            reaches = _reach_test(_distances(space, pts[r], pts[r:], xy, not xy, kinds), kinds)
+            while e >= 0 and reaches(EPSILON_SCHEDULE[e]):
+                n0[e] = min(r + 1, last)
+                e -= 1
         cauchy = tuple(zip(EPSILON_SCHEDULE, n0))
 
     return TraceReport(

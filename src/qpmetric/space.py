@@ -57,6 +57,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from numbers import Real
 from operator import attrgetter, floordiv, mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
@@ -106,8 +107,10 @@ class QSpace:
     reads them.
     Other spaces, and any space rebuilt with :func:`dataclasses.replace`,
     have none of the three; they are read through :func:`_distances`,
-    afresh per scan.  A stored-rows ``d`` refuses a point outside the
-    universe (a ValueError); an oracle's is called with it, unhashed.
+    afresh per scan.  A point outside a finite universe is a ValueError
+    naming it, given to a stored-rows ``d`` or to any function here or in
+    :mod:`qpmetric.contraction` that takes points; an oracle space's ``d``
+    is the user's, unchecked, as a check would hash two points per read.
     """
 
     d: Callable[[Point, Point], Value]
@@ -455,11 +458,9 @@ def from_oracle(
 
 
 def _nonnegative(v: object) -> bool:
-    """Whether ``v`` is a number >= 0, not a bool (nor a string, say)."""
-    try:
-        return type(v) is not bool and v >= 0
-    except (TypeError, ArithmeticError):
-        return False
+    """Whether ``v`` is a real number >= 0, not a bool (nor a ``Decimal``
+    or a string, say)."""
+    return isinstance(v, Real) and type(v) is not bool and v >= 0
 
 
 def _distances(
@@ -468,8 +469,9 @@ def _distances(
     """Every d(x, y), then every d(y, x), for y in ``ys`` as the flags ask:
     the one reader of ``d``, which adds their types to ``kinds`` if given.
     Off stored rows (checked when read), the first value that is not
-    :func:`_nonnegative` (NaN, a negative, a bool, a string) is a
-    :class:`FieldError` naming its ``d(x, y)``; the rest pass as they are.
+    :func:`_nonnegative` (NaN, a negative, a bool, a ``Decimal``, a
+    string) is a :class:`FieldError` naming its ``d(x, y)``; the rest pass
+    as they are.
     Ints and Fractions are checked by two C-level passes: types, numerators."""
     d = space.d
     values = [d(x, y) for y in ys] if xy else []
@@ -489,7 +491,7 @@ def _distances(
     i = next(i for i, v in enumerate(values) if not _nonnegative(v))
     n = len(ys) if xy else 0
     a, b = (x, ys[i]) if i < n else (ys[i - n], x)
-    raise FieldError(f"d({a!r}, {b!r})", f"must be a number >= 0, got {values[i]!r}")
+    raise FieldError(f"d({a!r}, {b!r})", f"must be a real number >= 0, got {values[i]!r}")
 
 
 def conjugate(space: QSpace) -> QSpace:
@@ -542,12 +544,16 @@ def _members(point_set: Iterable[Point]) -> tuple[Point, ...]:
 
 def dist_point_set(space: QSpace, x: Point, point_set: Iterable[Point]) -> Value:
     """d(x, A) = min over a in A of d(x, a).  A must be nonempty."""
-    return min(_distances(space, x, _members(point_set), True, False))
+    A = _members(point_set)
+    _check_point(space.order, x, *A)
+    return min(_distances(space, x, A, True, False))
 
 
 def dist_set_point(space: QSpace, point_set: Iterable[Point], x: Point) -> Value:
     """d(A, x) = min over a in A of d(a, x).  A must be nonempty."""
-    return min(_distances(space, x, _members(point_set), False, True))
+    A = _members(point_set)
+    _check_point(space.order, x, *A)
+    return min(_distances(space, x, A, False, True))
 
 
 def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> Value:
@@ -560,6 +566,7 @@ def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> 
     minimum term is dominated by the maximum term.
     """
     A, B = _members(a_set), _members(b_set)
+    _check_point(space.order, *A, *B)
     forward = [min(_distances(space, a, B, True, False)) for a in A]
     backward = [min(_distances(space, b, A, False, True)) for b in B]
     return max(forward + backward)
@@ -570,6 +577,7 @@ def ball_contains(space: QSpace, center: Point, radius: Value, y: Point) -> bool
     radius that is not positive (NaN included) is a ValueError."""
     if not radius > 0:
         raise ValueError("radius must be positive")
+    _check_point(space.order, center, y)
     return _distances(space, center, (y,), True, False)[0] < radius
 
 

@@ -363,9 +363,16 @@ MUTANTS = [
     ),
     (
         "space.py",
-        "return type(v) is not bool and v >= 0",
-        "return v >= 0",
+        "and type(v) is not bool and v >= 0",
+        "and v >= 0",
         "the reader's value test refuses a bool, which compares as 0 or 1",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "from numbers import Real\n",
+        "from numbers import Number as Real\n",
+        "the reader's value test refuses a Decimal: a number, but no real one",
         ["tests/test_space.py"],
     ),
     (
@@ -395,6 +402,27 @@ MUTANTS = [
         "_check_point(space.order, x, y)",
         "a stored-rows d holds the order, not its space: no cycle keeps a dropped space alive",
         ["tests/test_space.py"],
+    ),
+    (
+        "contraction.py",
+        "    _check_point(space.order, x)\n    return _value(space, _Scan(space, F, mode).defect(x))",
+        "    return max(_distances(space, x, F(x), *_meaning(mode)[:2]))",
+        "the defects run the scan: an oracle space refuses a stray image point before any read",
+        ["tests/test_space.py"],
+    ),
+    (
+        "space.py",
+        "    _check_point(space.order, *A, *B)\n",
+        "",
+        "hausdorff refuses a point outside a finite universe before its oracle reads it",
+        ["tests/test_space.py"],
+    ),
+    (
+        "solver.py",
+        "            if e < 0:\n                break  # Every eps is reached: no lower row changes n0.\n",
+        "",
+        "the Cauchy table reads no row below the one that reaches every eps",
+        ["tests/test_solver.py"],
     ),
     (
         "__init__.py",

@@ -107,6 +107,44 @@ class TestDefects:
         for x in "abc":
             assert startpoint_defect(space, x, Fm) == endpoint_defect(space, x, Fm)
 
+    @pytest.mark.parametrize("points", [(0, 1, 2), None], ids=["finite", "no-universe"])
+    def test_an_oracle_is_read_in_image_order_on_every_call(self, points):
+        # d(x, y) over F(x) in image order, then d(y, x), as the mode reads
+        # them; nothing is kept for the next call.
+        m = [[0, 1, 2], [3, 0, 1], [4, 5, 0]]
+        calls = []
+
+        def d(x, y):
+            calls.append((x, y))
+            return m[x][y]
+
+        space, Fm = from_oracle(d, points=points), SetValuedMap({0: (2, 1)})
+        for fn, value, reads in (
+            (startpoint_defect, 2, [(0, 2), (0, 1)]),
+            (endpoint_defect, 4, [(2, 0), (1, 0)]),
+            (fixed_defect, 4, [(0, 2), (0, 1), (2, 0), (1, 0)]),
+        ):
+            for _ in range(2):
+                calls.clear()
+                assert fn(space, 0, Fm) == value
+                assert calls == reads
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_a_stored_rows_defect_is_the_value_d_gives(self, exact):
+        # The scan reads the rows in their scale and hands out d's value.
+        m = [[0, F(1, 3), F(1, 2)], [1, 0, 0], [F(5, 2), 1, 0]]
+        space = from_matrix("abc", m, exact=exact)
+        Fm = SetValuedMap({"a": ("c", "b"), "b": ("b", "a"), "c": ("a",)})
+        for mode, xy, yx in (
+            (ContractionMode.FORWARD, True, False),
+            (ContractionMode.DUAL, False, True),
+            (ContractionMode.SYMMETRIC, True, True),
+        ):
+            for x in "abc":
+                reads = [space.d(x, y) for y in Fm(x) if xy] + [space.d(y, x) for y in Fm(x) if yx]
+                got, want = mode_defect(space, x, Fm, mode), max(reads)
+                assert (got, type(got)) == (want, type(want))
+
 
 class TestSetValuedMap:
     def test_images_are_deduped_tuples(self):
@@ -304,7 +342,9 @@ class TestNaNDistances:
             _refused(field, solve, space, Fm, linear(F(1, 2)), "a", config)
 
     @pytest.mark.parametrize(
-        "bad", [-1, F(-1, 2), -0.5, True, False, "a", None, Decimal("NaN")], ids=repr
+        "bad",
+        [-1, F(-1, 2), -0.5, True, False, "a", None, Decimal("NaN"), Decimal("0.5")],
+        ids=repr,
     )
     @pytest.mark.parametrize("mode", list(ContractionMode), ids=lambda m: m.name)
     def test_a_negative_bool_or_string_value_is_refused(self, bad, mode):
@@ -328,9 +368,9 @@ class TestNaNDistances:
         _refused(field, admissibility_bound, space, gamma, ContractionMode.FORWARD, "a", "b")
 
     def test_a_valid_oracle_value_passes_as_it_is(self):
-        # Floats, INFINITY and Decimals are distances: a defect is the
-        # object d gave, uncoerced.
-        half = Decimal("0.5")
+        # Floats and INFINITY are distances: a defect is the object d gave,
+        # uncoerced.  (A Decimal is no real number: it is refused above.)
+        half = 0.5
         far = {("a", "b"): half, ("b", "a"): 0.25, ("a", "c"): math.inf}
         space = from_oracle(lambda x, y: far.get((x, y), 0), points=("a", "b", "c"))
         Fm = SetValuedMap({"a": ("b",), "b": ("a",), "c": ("a", "c")})

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,7 @@ class TestMinplusClosure:
             ([["0", "1"], ["1", "0"]], "d[0][0]"),
             ([[0, F(1, 2)], [None, 0]], "d[1][0]"),
             ([[0, 1.5, 2], [1, 0, "2"], [b"1", 1, 0]], "d[1][2]"),
+            ([[0, 1], [Decimal("0.5"), 0]], "d[1][0]"),
         ],
     )
     def test_an_entry_that_is_not_a_number_is_named(self, m, field):
@@ -128,7 +130,7 @@ class TestMinplusClosure:
         with pytest.raises(FieldError) as got:
             minplus_closure(m)
         assert got.value.field == field
-        assert got.value.message == f"not a number: {m[int(field[2])][int(field[5])]!r}"
+        assert got.value.message == f"not a real number: {m[int(field[2])][int(field[5])]!r}"
 
     def test_entries_never_grow(self):
         import random

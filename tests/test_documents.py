@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qpmetric.documents as documents_module
 import qpmetric.space as space_module
 from qpmetric import (
     INFINITY,
@@ -521,24 +523,37 @@ def test_a_meta_json_dumps_refuses_fails_the_same_way(tmp_path, meta):
     assert not path.exists()
 
 
-def test_a_value_that_fails_to_encode_mid_write_leaves_no_file(tmp_path):
-    # An oracle's values are encoded as their row is written, after the
-    # file is opened: the writer removes what it wrote.  A Decimal infinity
-    # is a distance the reader takes, and no rational string spells it.
-    infinite = Decimal("Infinity")
-    space = from_oracle(lambda x, y: infinite if (x, y) == ("b", "a") else 0, points=("a", "b"))
+def test_a_value_that_fails_to_encode_mid_write_leaves_no_file(tmp_path, monkeypatch):
+    # The matrix rows are encoded as they are written, after the file is
+    # opened: a row that fails to encode makes the writer remove what it
+    # wrote.  Every value a space holds encodes, so the encoder is made to
+    # fail after one row.
+    ratio_rows, opened = documents_module._ratio_rows, []
+
+    def one_row_then_fail(rows, den):
+        yield next(ratio_rows(rows, den))
+        opened.append(path.exists())
+        raise OverflowError("the second row")
+
+    monkeypatch.setattr(documents_module, "_ratio_rows", one_row_then_fail)
+    space = from_matrix(("a", "b"), [[0, 1], [F(1, 2), 0]])
     path = tmp_path / "doc.json"
-    with pytest.raises(OverflowError, match="cannot convert Infinity"):
+    with pytest.raises(OverflowError, match="the second row"):
         dump_system(path, space, SetValuedMap({"a": ["b"], "b": ["a"]}))
+    assert opened == [True]
     assert not path.exists()
 
 
 def test_an_oracle_value_that_is_no_distance_is_refused_before_the_file_is_opened(tmp_path):
-    space = from_oracle(lambda x, y: "junk" if (x, y) == ("b", "a") else 0, points=("a", "b"))
-    path = tmp_path / "doc.json"
-    with pytest.raises(space_module.FieldError, match=r"^d\('b', 'a'\): must be a number >= 0, got 'junk'$"):
-        dump_system(path, space, SetValuedMap({"a": ["b"], "b": ["a"]}))
-    assert not path.exists()
+    # A Decimal is no real number: an infinite one used to fail to encode
+    # mid-write.
+    for bad in ("junk", Decimal("Infinity"), Decimal("0.5")):
+        space = from_oracle(lambda x, y: bad if (x, y) == ("b", "a") else 0, points=("a", "b"))
+        path = tmp_path / "doc.json"
+        message = rf"^d\('b', 'a'\): must be a real number >= 0, got {re.escape(repr(bad))}$"
+        with pytest.raises(space_module.FieldError, match=message):
+            dump_system(path, space, SetValuedMap({"a": ["b"], "b": ["a"]}))
+        assert not path.exists()
 
 
 def _clean_matrix(n):

@@ -345,6 +345,27 @@ class TestValidateTrace:
         assert report.ok
         assert dict(report.cauchy)[F(1, 2**16)] == 17
 
+    def test_the_cauchy_table_stops_at_the_row_that_reaches_every_epsilon(self):
+        # Started at 8, row 3 (x_3 = 1, the 2(1 - x_n) of its pairs) is the
+        # first row from the top to reach eps = 1, so n0(1) = 4 and rows 2
+        # to 0, 120 of the 861 pairs k <= n of the 41 points, change nothing.
+        calls = [0]
+
+        def d(x, y):
+            calls[0] += 1
+            return _dyadic_gap(x, y)
+
+        space, gamma = from_oracle(d), linear(F(1, 2))
+        config = SolverConfig(tolerance=0, max_iterations=40)
+        trace = solve(space, SetValuedMap(lambda x: (x / 2,)), gamma, F(8), config)
+        assert len(trace.points) == 41
+        calls[0] = 0
+        report = validate_trace(trace, gamma)
+        assert calls[0] == 861 - 120 == 741
+        assert report.ok
+        assert report.cauchy == _brute_force_cauchy(space, trace.points)
+        assert dict(report.cauchy)[ONE] == 4
+
     def test_increasing_step_distances_fail(self):
         gamma = linear(F(1, 2))
         trace = _hand_trace([ONE, F(2)], [F(1, 2), F(1, 4)])

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import operator
+import re
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -27,12 +28,15 @@ from qpmetric import (
     dist_set_point,
     distance_matrix,
     dyadic_halving_system,
+    endpoint_defect,
+    fixed_defect,
     from_matrix,
     from_oracle,
     halving_point,
     hausdorff,
     linear,
     minplus_closure,
+    mode_defect,
     random_t0_qspace,
     startpoint_defect,
     symmetrize,
@@ -216,7 +220,7 @@ def _refused(field, run, *args, **kwargs):
 
 
 #: Oracle values that are no distance: NaN, negatives, bools, and values
-#: that cannot be compared with 0.
+#: that are no real number (Decimals among them).
 BAD_VALUES = [
     math.nan,
     Decimal("NaN"),
@@ -231,9 +235,11 @@ BAD_VALUES = [
     "1",
     None,
     1j,
+    Decimal("0.25"),
+    Decimal("Infinity"),
 ]
 #: Oracle values that the reader passes as they are.
-GOOD_VALUES = [0, 3, F(1, 2), 0.5, 0.0, -0.0, INFINITY, Decimal("0.25"), Decimal("Infinity")]
+GOOD_VALUES = [0, 3, F(1, 2), 0.5, 0.0, -0.0, INFINITY]
 
 
 class TestNaNSetDistances:
@@ -357,15 +363,69 @@ STRAY_READS = {
     "symmetrize": lambda S: symmetrize(S).d("b", "zz"),
 }
 
+#: Calls on the universe (0, 1, 2) that meet a point outside it: the image
+#: point 7 of 0, or the point 9.
+_STRAY_IMAGE = SetValuedMap({0: (1, 7), 1: (1,), 2: (2,)})
+_ANY_POINT = SetValuedMap(lambda x: (0,))
+_DEFECTS = {
+    "startpoint_defect": startpoint_defect,
+    "endpoint_defect": endpoint_defect,
+    "fixed_defect": fixed_defect,
+    **{
+        f"mode_defect-{m.name}": lambda S, x, Fm, m=m: mode_defect(S, x, Fm, m)
+        for m in (ContractionMode.FORWARD, ContractionMode.DUAL, ContractionMode.SYMMETRIC)
+    },
+}
+OUTSIDE_CALLS = {
+    **{f"{name}-image": lambda S, f=f: f(S, 0, _STRAY_IMAGE) for name, f in _DEFECTS.items()},
+    **{f"{name}-point": lambda S, f=f: f(S, 9, _ANY_POINT) for name, f in _DEFECTS.items()},
+    "dist_point_set": lambda S: dist_point_set(S, 9, [0, 1]),
+    "dist_point_set-member": lambda S: dist_point_set(S, 0, [1, 9]),
+    "dist_set_point": lambda S: dist_set_point(S, [0, 1], 9),
+    "dist_set_point-member": lambda S: dist_set_point(S, [9, 1], 0),
+    "hausdorff": lambda S: hausdorff(S, [0], [9]),
+    "hausdorff-first": lambda S: hausdorff(S, [1, 9], [0]),
+    "ball_contains": lambda S: ball_contains(S, 0, 5, 9),
+    "ball_contains-center": lambda S: ball_contains(S, 9, 5, 0),
+    "admissibility_bound": lambda S: admissibility_bound(
+        S, linear(F(1, 2)), ContractionMode.SYMMETRIC, 0, 9
+    ),
+    "admissibility_bound-x": lambda S: admissibility_bound(
+        S, linear(F(1, 2)), ContractionMode.FORWARD, 9, 0
+    ),
+}
+
 
 class TestPointOutsideTheUniverse:
-    @pytest.mark.parametrize("read", STRAY_READS.values(), ids=STRAY_READS.keys())
+    @pytest.mark.parametrize("name", STRAY_READS)
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-    def test_a_stored_rows_space_names_the_point(self, read, exact):
+    def test_a_stored_rows_space_names_the_point(self, name, exact):
         # Was a bare KeyError; solve and verify already named the point so.
+        # A stray image point gets the scan's words, as verify gives them.
         space = from_matrix(("a", "b"), [[0, 1], [1, 0]], exact=exact)
-        with pytest.raises(ValueError, match=r"^'zz' is not in the universe$"):
-            read(space)
+        message = "'zz' is not in the universe"
+        if name == "startpoint_defect":
+            message = "image of 'a' contains 'zz', which is not in the universe"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            STRAY_READS[name](space)
+
+    @pytest.mark.parametrize("name", OUTSIDE_CALLS)
+    def test_an_oracle_space_refuses_a_point_as_its_stored_rows_twin_does(self, name):
+        # The same words on both, and no oracle call.
+        m = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        calls = []
+
+        def d(x, y):
+            calls.append((x, y))
+            return m[x][y]
+
+        with pytest.raises(ValueError) as rows:
+            OUTSIDE_CALLS[name](from_matrix((0, 1, 2), m))
+        with pytest.raises(ValueError) as oracle:
+            OUTSIDE_CALLS[name](from_oracle(d, points=(0, 1, 2)))
+        assert str(oracle.value) == str(rows.value)
+        assert re.fullmatch(r"(image of 0 contains 7, which|9) is not in the universe", str(rows.value))
+        assert calls == []
 
     def test_a_stored_rows_space_is_freed_without_the_cycle_collector(self):
         # Its d names a stray point through the order, not the space: a d
@@ -380,10 +440,10 @@ class TestPointOutsideTheUniverse:
             gc.enable()
 
     def test_an_oracle_space_answers_as_its_oracle_does(self):
-        # Checking would hash both points on every read.
+        # Its d is the user's function: checking would hash both points on
+        # every read.
         space = from_oracle(lambda x, y: int(x != y), points=("a", "b"))
         assert space.d("a", "zz") == 1
-        assert dist_point_set(space, "a", ["b", "zz"]) == 1
 
 
 class TestBall:
