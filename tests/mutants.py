@@ -405,7 +405,8 @@ MUTANTS = [
     ),
     (
         "contraction.py",
-        "    _check_point(space.order, x)\n    return _value(space, _Scan(space, F, mode).defect(x))",
+        "    _check_point(space.order, x)\n"
+        "    return _value(space, _Scan(space, F, mode).defect(x))",
         "    return max(_distances(space, x, F(x), *_meaning(mode)[:2]))",
         "the defects run the scan: an oracle space refuses a stray image point before any read",
         ["tests/test_space.py"],
@@ -419,7 +420,8 @@ MUTANTS = [
     ),
     (
         "solver.py",
-        "            if e < 0:\n                break  # Every eps is reached: no lower row changes n0.\n",
+        "            if e < 0:\n"
+        "                break  # Every eps is reached: no lower row changes n0.\n",
         "",
         "the Cauchy table reads no row below the one that reaches every eps",
         ["tests/test_solver.py"],

@@ -373,7 +373,7 @@ _DEFECTS = {
     "fixed_defect": fixed_defect,
     **{
         f"mode_defect-{m.name}": lambda S, x, Fm, m=m: mode_defect(S, x, Fm, m)
-        for m in (ContractionMode.FORWARD, ContractionMode.DUAL, ContractionMode.SYMMETRIC)
+        for m in ContractionMode
     },
 }
 OUTSIDE_CALLS = {
@@ -424,7 +424,8 @@ class TestPointOutsideTheUniverse:
         with pytest.raises(ValueError) as oracle:
             OUTSIDE_CALLS[name](from_oracle(d, points=(0, 1, 2)))
         assert str(oracle.value) == str(rows.value)
-        assert re.fullmatch(r"(image of 0 contains 7, which|9) is not in the universe", str(rows.value))
+        words = r"(image of 0 contains 7, which|9) is not in the universe"
+        assert re.fullmatch(words, str(rows.value))
         assert calls == []
 
     def test_a_stored_rows_space_is_freed_without_the_cycle_collector(self):
