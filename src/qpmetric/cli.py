@@ -20,21 +20,15 @@ from .comparison import linear, verify_gamma1
 from .contraction import ContractionMode, Violation, verify_weak_contraction
 from .documents import DocumentError
 from .solver import Selection, SolverConfig, Status, solve
-from .space import DEFAULT_TOLERANCE, FieldError, Value
+from .space import DEFAULT_TOLERANCE, FieldError, _read_value
 
 _ENV_TOLERANCE = "QPM_TOLERANCE"
-
-
-def _tolerance(raw: str, exact: bool, name: str) -> Value:
-    tolerance = documents.parse_value(raw, exact, name)
-    if tolerance < 0:
-        raise DocumentError(name, "tolerance must be nonnegative")
-    return tolerance
+_NEGATIVE = "tolerance must be nonnegative"
 
 
 def _env_tolerance() -> float:
     raw = os.environ.get(_ENV_TOLERANCE)
-    return DEFAULT_TOLERANCE if raw is None else _tolerance(raw, False, _ENV_TOLERANCE)
+    return DEFAULT_TOLERANCE if raw is None else _read_value(raw, False, _ENV_TOLERANCE, _NEGATIVE)
 
 
 def _value(v) -> str:
@@ -113,7 +107,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.tol is None:
         tol = Fraction(0) if space.exact else space.tolerance
     else:
-        tol = _tolerance(args.tol, space.exact, "--tol")
+        tol = _read_value(args.tol, space.exact, "--tol", _NEGATIVE)
     if tol == 0 and not space.exact:
         if args.tol is not None:
             raise DocumentError("--tol", "tolerance 0 requires EXACT arithmetic")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .space import INFINITY, Value, _coerce_value
+from .space import INFINITY, Value, _nonnegative, _read_value, _real
 
 
 class SampledComparisonWarning(UserWarning):
@@ -109,7 +109,7 @@ class ComparisonFunction:
 
 def linear(c: Value | str) -> ComparisonFunction:
     """gamma(t) = c*t for 0 < c < 1, c read by the one value rule."""
-    frac = _coerce_value(c, True)
+    frac = _read_value(c, True, "c")
     if not 0 < frac < 1:
         raise ValueError(f"linear factor must satisfy 0 < c < 1, got {frac}")
     return ComparisonFunction(kind="linear", c=frac)
@@ -131,8 +131,7 @@ def user_table(knots: Iterable[Sequence[Value]]) -> ComparisonFunction:
         raise ValueError("user table must contain at least one knot")
     prev = None
     for t, v in table:
-        # Negated >= and > tests, so that a NaN knot fails them too.
-        if not (t >= 0 and v >= 0):
+        if not (_nonnegative(t) and _nonnegative(v)):
             raise ValueError(f"table knot ({t}, {v}) must have t >= 0 and gamma(t) >= 0")
         if prev is not None and not t > prev:
             raise ValueError("table knots must be strictly increasing in t")
@@ -180,9 +179,8 @@ def verify_gamma1(
     if not pts:
         raise ValueError("grid must be nonempty")
     for t in pts:
-        # A negated test, so that a NaN point fails it too; a Fraction or an
-        # int compares with INFINITY without a float() that could overflow.
-        if not 0 < t < INFINITY:
+        # An int or a Fraction meets INFINITY with no float() that could overflow.
+        if not (_real(t) and 0 < t < INFINITY):
             raise ValueError("grid points must be positive and finite")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be strictly increasing")

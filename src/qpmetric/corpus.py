@@ -33,7 +33,7 @@ from .axioms import (
 )
 from .comparison import ComparisonFunction, linear, verify_gamma1
 from .contraction import SetValuedMap
-from .space import FieldError, Point, QSpace, _with_rows, from_oracle
+from .space import _RATIONAL, FieldError, Point, QSpace, _nonnegative, _with_rows, from_oracle
 
 ZERO = Fraction(0)
 
@@ -109,8 +109,10 @@ class GeneratorSeed:
         if self.size < 2:
             raise FieldError("size", "must be at least 2")
         lo, hi = self.weight_range
+        if type(lo) not in _RATIONAL or type(hi) not in _RATIONAL:
+            raise FieldError("weight_range", f"must be ints or Fractions, got {(lo, hi)!r}")
         # hi = 0 makes every weight 0, and no such space is T0.
-        if lo < 0 or hi < lo or hi == 0:
+        if not _nonnegative(lo) or hi < lo or hi == 0:
             raise FieldError("weight_range", "must satisfy 0 <= lo <= hi and 0 < hi")
 
 

@@ -17,11 +17,9 @@ space, optionally with a set-valued map and a comparison function:
     }
 
 In EXACT mode distance entries are rationals, written as "p/q" strings
-(plain integers also parse); FLOAT mode uses JSON numbers.  Entries and
-gamma fields follow the one value rule of
-:func:`qpmetric.space.from_matrix`: booleans, NaN, infinities, numbers
-beyond the float range and strings past the rule's size bounds are
-rejected, and so are negative distances.  Image members must be point ids.
+(plain integers also parse); FLOAT mode uses JSON numbers.  Entries,
+gamma fields and the tolerance are read by the number rule of
+:mod:`qpmetric.space`.  Image members must be point ids.
 Malformed input raises :class:`DocumentError` carrying the offending field
 (``document`` for a file that cannot be read or is not JSON), which the
 CLI turns into exit code 2; semantically bad but well-formed content (say,
@@ -57,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -70,11 +69,11 @@ from .contraction import SetValuedMap, _meaning
 from .solver import IterationTrace
 from .space import (
     DEFAULT_TOLERANCE,
-    INFINITY,
     FieldError,
     QSpace,
     Value,
-    _coerce_value,
+    _nonnegative,
+    _read_value,
     distance_matrix,
     from_matrix,
 )
@@ -110,15 +109,6 @@ def _ratio_rows(rows: Sequence[Sequence[int]], den: int) -> Iterator[str]:
         yield layout % tuple(map(floordiv, row, gs))
 
 
-def parse_value(raw: Any, exact: bool, field: str) -> Value:
-    """A number under the value rule of :func:`qpmetric.space.from_matrix`;
-    a value it rejects is a :class:`DocumentError` naming ``field``."""
-    try:
-        return _coerce_value(raw, exact)
-    except ValueError as exc:
-        raise DocumentError(field, str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class System:
     """A parsed system document."""
@@ -137,7 +127,7 @@ def _parse_gamma(doc: Any) -> ComparisonFunction:
         if kind == "linear":
             if "c" not in doc:
                 raise DocumentError("gamma.c", "linear kind requires a factor")
-            return linear(parse_value(doc["c"], True, "gamma.c"))
+            return linear(_read_value(doc["c"], True, "gamma.c"))
         if kind == "rational_shrink":
             return rational_shrink()
         if kind == "user":
@@ -148,16 +138,12 @@ def _parse_gamma(doc: Any) -> ComparisonFunction:
             for i, pair in enumerate(table):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise DocumentError(f"gamma.table[{i}]", "expected a [t, gamma_t] pair")
-                knots.append(
-                    (
-                        parse_value(pair[0], True, f"gamma.table[{i}][0]"),
-                        parse_value(pair[1], True, f"gamma.table[{i}][1]"),
-                    )
-                )
+                field = f"gamma.table[{i}]"
+                knots.append([_read_value(v, True, f"{field}[{k}]") for k, v in enumerate(pair)])
             return user_table(knots)
+    except FieldError as exc:
+        raise DocumentError(exc.field, exc.message) from exc
     except ValueError as exc:
-        if isinstance(exc, DocumentError):
-            raise
         raise DocumentError("gamma", str(exc)) from exc
     raise DocumentError("gamma.kind", f"unknown kind {kind!r}")
 
@@ -214,7 +200,8 @@ def parse_system(
         raise DocumentError("t0", "expected a boolean")
 
     tolerance = doc.get("tolerance", default_tolerance)
-    if "tolerance" in doc and not (type(tolerance) in (int, float) and 0 <= tolerance < INFINITY):
+    # A finite float: an int too large for one is refused, not overflowed.
+    if "tolerance" in doc and not (_nonnegative(tolerance) and tolerance <= sys.float_info.max):
         raise DocumentError("tolerance", "expected a nonnegative number")
 
     try:

@@ -48,7 +48,9 @@ from typing import Callable, Sequence
 
 from .comparison import ComparisonFunction, SampledComparisonWarning
 from .contraction import ContractionMode, SetValuedMap, _meaning, _Scan, _value
-from .space import _RATIONAL, Point, QSpace, Value, _check_point, _distances, _ratio_row
+from .space import (
+    _RATIONAL, Point, QSpace, Value, _check_point, _distances, _nonnegative, _ratio_row
+)
 
 
 #: The solver's name for :class:`ContractionMode`, the one mode type.
@@ -85,7 +87,7 @@ class SolverConfig:
         _meaning(self.mode)  # a TypeError for anything but a ContractionMode
         if not isinstance(self.selection, Selection):
             raise TypeError(f"selection must be a Selection, got {self.selection!r}")
-        if not self.tolerance >= 0:  # NaN fails it too
+        if not _nonnegative(self.tolerance):
             raise ValueError(f"tolerance must be a nonnegative number, got {self.tolerance!r}")
         if type(self.max_iterations) is bool or not isinstance(self.max_iterations, int):
             raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")

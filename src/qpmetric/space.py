@@ -15,7 +15,9 @@ enforces the triangle inequality on a matrix live in
 :mod:`qpmetric.axioms`, with the n^3 kernels they run.  This module still
 answers for ``check_axioms``, ``AxiomCheck``, ``AxiomReport`` and
 ``minplus_closure``: it imports :mod:`qpmetric.axioms` when one of them is
-first read from it, so that importing it compiles no kernel.
+first read from it, so that importing it compiles no kernel.  It is also
+the one place that decides which numbers the library takes: see
+:func:`_real`, :func:`_nonnegative` and :func:`_read_value`.
 
 Arithmetic modes
 ----------------
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import suppress
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,7 +129,7 @@ class QSpace:
     resolved: WeakKeyDictionary | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.tolerance < INFINITY:
+        if not (_nonnegative(self.tolerance) and self.tolerance < INFINITY):
             raise FieldError("tolerance", "must be a nonnegative finite number")
         order = None
         if self.points is not None:
@@ -218,13 +221,26 @@ def _rational(raw: str) -> Fraction:
     return value
 
 
+def _real(v: object) -> bool:
+    """Whether ``v`` is a number: a ``numbers.Real`` (no ``Decimal``), not a bool, not NaN.
+    Its three usual types skip ``isinstance(v, Real)``, which is slow for a float."""
+    kind = type(v)
+    return (kind in (int, float, Fraction) or kind is not bool and isinstance(v, Real)) and v == v
+
+
+def _nonnegative(v: object) -> bool:
+    """Whether ``v`` is a number >= 0, as every distance is."""
+    return _real(v) and v >= 0
+
+
 def _coerce_value(raw: Value | str, exact: bool) -> Value:
     """The one value rule: EXACT gives a Fraction, FLOAT a finite float
     (see :func:`from_matrix`); anything else, and a string past the bounds
     of :func:`_rational`, is a ValueError."""
-    if isinstance(raw, bool):
-        raise ValueError(f"not a valid number: {raw!r}")
     value = _rational(raw) if isinstance(raw, str) else raw
+    # A float NaN or infinity is named below, as each mode names it.
+    if not (_real(value) or isinstance(value, float)):
+        raise ValueError(f"not a valid number: {raw!r}")
     try:
         if exact:
             if isinstance(value, Fraction):
@@ -241,14 +257,25 @@ def _coerce_value(raw: Value | str, exact: bool) -> Value:
     return v
 
 
-def _entry(raw: Value | str, exact: bool, i: int, j: int) -> Value:
+def _read_value(raw: Value | str, exact: bool, field: str, negative: str | None = None) -> Value:
+    """``raw`` by the value rule; a refusal, or a value < 0 given ``negative``, names ``field``."""
     try:
         v = _coerce_value(raw, exact)
     except ValueError as exc:
-        raise FieldError(f"d[{i}][{j}]", str(exc)) from exc
-    if v < 0:
-        raise FieldError(f"d[{i}][{j}]", "distances must be nonnegative")
+        raise FieldError(field, str(exc)) from exc
+    if negative is not None and v < 0:
+        raise FieldError(field, negative)
     return v
+
+
+def _entries(row: Sequence[Value | str], exact: bool, i: int) -> list[Value]:
+    """Row i of a matrix by the value rule; :func:`_read_value` names its first bad entry."""
+    with suppress(ValueError):
+        values = [_coerce_value(raw, exact) for raw in row]
+        if min(values) >= 0:
+            return values
+    for j, raw in enumerate(row):
+        _read_value(raw, exact, f"d[{i}][{j}]", "distances must be nonnegative")
 
 
 #: Largest common denominator, in bits, that a matrix is scaled to; above
@@ -381,7 +408,7 @@ def _exact_parts(
             if min(num) >= 0:
                 yield num, den
                 continue
-        values = [_entry(raw, True, i, j) for j, raw in enumerate(row)]
+        values = _entries(row, True, i)
         yield list(map(_NUMERATOR, values)), list(map(_DENOMINATOR, values))
 
 
@@ -438,10 +465,7 @@ def from_matrix(
     if scaled is not None:
         return _with_rows(space, *scaled)
     # FLOAT, or past the bound: the values, an entry at a time.
-    rows = (
-        [_entry(raw, exact, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)
-    )
-    return _with_rows(space, rows, None)
+    return _with_rows(space, (_entries(row, exact, i) for i, row in enumerate(matrix)), None)
 
 
 def from_oracle(
@@ -457,21 +481,14 @@ def from_oracle(
     return QSpace(d=d, points=points, exact=exact, t0=t0, tolerance=tolerance)
 
 
-def _nonnegative(v: object) -> bool:
-    """Whether ``v`` is a real number >= 0, not a bool (nor a ``Decimal``
-    or a string, say)."""
-    return isinstance(v, Real) and type(v) is not bool and v >= 0
-
-
 def _distances(
     space: QSpace, x: Point, ys: Sequence[Point], xy: bool, yx: bool, kinds: set[type] | None = None
 ) -> list[Value]:
     """Every d(x, y), then every d(y, x), for y in ``ys`` as the flags ask:
     the one reader of ``d``, which adds their types to ``kinds`` if given.
-    Off stored rows (checked when read), the first value that is not
-    :func:`_nonnegative` (NaN, a negative, a bool, a ``Decimal``, a
-    string) is a :class:`FieldError` naming its ``d(x, y)``; the rest pass
-    as they are.
+    Off stored rows (checked when read), the first value that is no
+    distance (see :func:`_nonnegative`) is a :class:`FieldError` naming its
+    ``d(x, y)``; the rest pass as they are.
     Ints and Fractions are checked by two C-level passes: types, numerators."""
     d = space.d
     values = [d(x, y) for y in ys] if xy else []
@@ -574,8 +591,8 @@ def hausdorff(space: QSpace, a_set: Iterable[Point], b_set: Iterable[Point]) -> 
 
 def ball_contains(space: QSpace, center: Point, radius: Value, y: Point) -> bool:
     """Membership in the open ball: d(center, y) < radius, strictly.  A
-    radius that is not positive (NaN included) is a ValueError."""
-    if not radius > 0:
+    radius that is no positive number is a ValueError."""
+    if not (_real(radius) and radius > 0):
         raise ValueError("radius must be positive")
     _check_point(space.order, center, y)
     return _distances(space, center, (y,), True, False)[0] < radius

@@ -300,8 +300,8 @@ MUTANTS = [
     ),
     (
         "space.py",
-        "[_entry(raw, exact, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)",
-        "[_entry(raw, True, i, j) for j, raw in enumerate(row)] for i, row in enumerate(matrix)",
+        "_entries(row, exact, i) for i, row in enumerate(matrix)",
+        "_entries(row, True, i) for i, row in enumerate(matrix)",
         "the per-entry loop that rows past the bound share reads a FLOAT matrix as floats",
         ["tests/test_space.py"],
     ),
@@ -342,8 +342,9 @@ MUTANTS = [
     ),
     (
         "documents.py",
-        "raise DocumentError(exc.field, exc.message) from exc",
-        "raise",
+        "float(tolerance))\n    except FieldError as exc:\n"
+        "        raise DocumentError(exc.field, exc.message)",
+        "float(tolerance))\n    except FieldError as exc:\n        raise",
         "a bad matrix entry is a DocumentError, which the CLI turns into exit 2",
         ["tests/test_documents.py", "tests/test_cli.py"],
     ),
@@ -363,16 +364,16 @@ MUTANTS = [
     ),
     (
         "space.py",
-        "and type(v) is not bool and v >= 0",
-        "and v >= 0",
-        "the reader's value test refuses a bool, which compares as 0 or 1",
+        "kind is not bool and isinstance(v, Real)",
+        "isinstance(v, Real)",
+        "the number predicate refuses a bool, which compares as 0 or 1",
         ["tests/test_space.py"],
     ),
     (
         "space.py",
         "from numbers import Real\n",
         "from numbers import Number as Real\n",
-        "the reader's value test refuses a Decimal: a number, but no real one",
+        "the number predicate refuses a Decimal: a number, but no real one",
         ["tests/test_space.py"],
     ),
     (
@@ -425,6 +426,72 @@ MUTANTS = [
         "",
         "the Cauchy table reads no row below the one that reaches every eps",
         ["tests/test_solver.py"],
+    ),
+    (
+        "space.py",
+        "    if not (_real(value) or isinstance(value, float)):\n"
+        '        raise ValueError(f"not a valid number: {raw!r}")\n',
+        "",
+        "the value rule refuses a Decimal, as the oracle reader does, and a bool",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "space.py",
+        "if not (_nonnegative(self.tolerance) and self.tolerance < INFINITY):",
+        "if not 0 <= self.tolerance < INFINITY:",
+        "a space's tolerance is a number: no bool, Decimal or string",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "solver.py",
+        "if not _nonnegative(self.tolerance):",
+        "if not self.tolerance >= 0:",
+        "SolverConfig's tolerance is a number: no bool, Decimal or string",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "comparison.py",
+        "if not (_nonnegative(t) and _nonnegative(v)):",
+        "if not (t >= 0 and v >= 0):",
+        "a table knot is a number: a Decimal one would break the scan's arithmetic",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "comparison.py",
+        'frac = _read_value(c, True, "c")',
+        'frac = _read_value.__globals__["_coerce_value"](c, True)',
+        "linear names its factor c when the value rule refuses it",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "corpus.py",
+        "        if type(lo) not in _RATIONAL or type(hi) not in _RATIONAL:\n"
+        '            raise FieldError("weight_range", '
+        'f"must be ints or Fractions, got {(lo, hi)!r}")\n',
+        "",
+        "the generators draw on an exact grid: a float, Decimal or bool bound is refused",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "space.py",
+        "if not (_real(radius) and radius > 0):",
+        "if not radius > 0:",
+        "a ball's radius is a number: True is no radius of 1",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "comparison.py",
+        "if not (_real(t) and 0 < t < INFINITY):",
+        "if not 0 < t < INFINITY:",
+        "a grid point is a number: a Decimal one would break gamma's arithmetic",
+        ["tests/test_numbers.py"],
+    ),
+    (
+        "documents.py",
+        "tolerance <= sys.float_info.max",
+        "tolerance < math.inf",
+        "a document's tolerance becomes a float: an int too large for one is refused",
+        ["tests/test_numbers.py"],
     ),
     (
         "__init__.py",

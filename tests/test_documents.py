@@ -37,7 +37,8 @@ from qpmetric import (
     user_function,
     user_table,
 )
-from qpmetric.documents import encode_value, parse_value
+from qpmetric.documents import encode_value
+from qpmetric.space import _read_value
 
 F = Fraction
 
@@ -302,12 +303,19 @@ rationals = st.fractions(min_value=F(0), max_value=F(10**9))
 
 @given(v=rationals)
 def test_exact_value_roundtrip(v):
-    assert parse_value(encode_value(v, True), True, "x") == v
+    # What a document writes, the one reader reads back exactly.
+    assert _read_value(encode_value(v, True), True, "x") == v
 
 
-def test_parse_value_error_names_field():
+def test_the_reader_names_the_field():
+    with pytest.raises(space_module.FieldError) as err:
+        _read_value("1/0", True, "d[3][4]")
+    assert err.value.field == "d[3][4]"
+    # A document names the same field, as a DocumentError.
+    doc = _doc(points=["p0", "p1", "p2", "p3", "p4"], d=[["0"] * 5 for _ in range(5)])
+    doc["d"][3][4] = "1/0"
     with pytest.raises(DocumentError) as err:
-        parse_value("1/0", True, "d[3][4]")
+        parse_system(doc)
     assert err.value.field == "d[3][4]"
 
 
@@ -590,7 +598,7 @@ def test_a_wide_string_row_reads_each_entry_as_the_value_rule_does(entry):
     matrix[3][117] = entry
     doc = {"points": [f"p{i}" for i in range(n)], "d": matrix}
     try:
-        want = space_module._entry(entry, True, 3, 117)
+        want = space_module._entries(matrix[3], True, 3)[117]
     except space_module.FieldError as exc:
         with pytest.raises(DocumentError) as got:
             parse_system(doc)
@@ -599,7 +607,7 @@ def test_a_wide_string_row_reads_each_entry_as_the_value_rule_does(entry):
     space = parse_system(doc).space
     for i in (3, 4):
         row = [space.d(f"p{i}", f"p{j}") for j in range(n)]
-        assert row == [space_module._entry(raw, True, i, j) for j, raw in enumerate(matrix[i])]
+        assert row == space_module._entries(matrix[i], True, i)
     assert space.d("p3", "p117") == want
 
 
@@ -609,7 +617,7 @@ def test_a_clean_document_is_read_a_row_at_a_time(monkeypatch):
 
     n = 200
     matrix = _clean_matrix(n)
-    monkeypatch.setattr(space_module, "_entry", refuse)
+    monkeypatch.setattr(space_module, "_entries", refuse)
     space = parse_system({"points": [f"p{i}" for i in range(n)], "d": matrix}).space
     assert all(
         space.d(f"p{i}", f"p{j}") == F(matrix[i][j]) for i in (0, 1, 199) for j in range(n)

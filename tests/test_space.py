@@ -315,9 +315,11 @@ class TestNaNSetDistances:
         def boom(v):
             raise AssertionError("a stored value was checked again")
 
+        # The spaces are built first: the constructor checks the tolerance
+        # with the same predicate.
+        spaces = [from_matrix(("a", "b"), [[0, 0.5], [2, 0]], exact=e) for e in (True, False)]
         monkeypatch.setattr(space_module, "_nonnegative", boom)
-        for exact in (True, False):
-            space = from_matrix(("a", "b"), [[0, 0.5], [2, 0]], exact=exact)
+        for space in spaces:
             assert hausdorff(space, ["b"], ["a"]) == 2
             assert check_axioms(space, points=["b", "a"]).ok
             assert distance_matrix(symmetrize(space)) == [[0, 2], [2, 0]]
@@ -518,10 +520,7 @@ def test_bad_tolerance_is_named(tolerance):
 def _reference_int_rows(matrix):
     """from_matrix's EXACT rows by the value rule alone, entry by entry:
     (rows, den), or the FieldError of the first bad entry."""
-    values = [
-        [space_module._entry(raw, True, i, j) for j, raw in enumerate(row)]
-        for i, row in enumerate(matrix)
-    ]
+    values = [space_module._entries(row, True, i) for i, row in enumerate(matrix)]
     den = math.lcm(*(v.denominator for row in values for v in row))
     return [[v.numerator * (den // v.denominator) for v in row] for row in values], den
 
