@@ -238,7 +238,7 @@ def _coerce_value(raw: Value | str, exact: bool) -> Value:
     (see :func:`from_matrix`); anything else, and a string past the bounds
     of :func:`_rational`, is a ValueError."""
     value = _rational(raw) if isinstance(raw, str) else raw
-    # A float NaN or infinity is named below, as each mode names it.
+    # A float NaN goes on to be named below, in each mode's words for an infinity.
     if not (_real(value) or isinstance(value, float)):
         raise ValueError(f"not a valid number: {raw!r}")
     try:
@@ -448,8 +448,8 @@ def from_matrix(
     One rule, shared with documents, reads every entry: EXACT mode takes
     ints, Fractions, "p/q" or decimal strings and decimal floats to
     Fractions; FLOAT mode takes numbers and such strings to finite floats.
-    Booleans, NaN, infinities, values beyond the float range, negative
-    entries and strings past the rule's size bounds (see
+    Booleans, ``Decimal``s, NaN, infinities, values beyond the float
+    range, negative entries and strings past the rule's size bounds (see
     :func:`_rational`) raise :class:`FieldError` naming the entry
     ``d[i][j]``.  The values are kept in index-addressed rows, in EXACT
     mode as ints over one common denominator (see :class:`QSpace`); the
